@@ -1,8 +1,11 @@
 """Power calculations for two-stage replication designs.
 
-The package answers two planning questions on a unitless scale (the
-original study's z-statistic ``zo`` and the relative sample size
-``c = nr / no``):
+The package answers two planning questions on a unitless scale: the
+original study's z-statistic ``zo`` and the relative sample size ``c``,
+the replication's precision over the original's.  For means that is
+``c = nr / no``.  For correlations on the Fisher z scale, as in the
+``ssrp`` case study, it is ``c = (nr - 3) / (no - 3)``, and interim
+fractions use the same effective sizes.
 
 * design stage: how likely is a replication of a given size to succeed
   (``conditional_power``, ``predictive_power``, ``fully_bayesian_power``,

@@ -24,24 +24,14 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, design, interim, mc, solver, ssrp
+from . import __version__, _methods, design, interim, mc, solver, ssrp
 from .design import (DesignConfig, FixedDesign, METHODS_FIXED,
                      METHODS_INTERIM)
 from .interim import InterimState
 from .normal import p_to_z
 
-_FIXED_FNS = {
-    "CP": design.cp,
-    "PP": design.pp,
-    "FBP": design.fbp,
-    "CBP": design.cbp,
-}
-_INTERIM_FNS = {
-    "CPi": interim.cpi,
-    "IPPi": interim.ippi,
-    "PPi": interim.ppi,
-}
-_TAGS = {m.lower(): m for m in METHODS_FIXED + METHODS_INTERIM}
+_TAGS = {m.lower(): m for m in _methods.METHODS}
+_NOT_ECHOED = ("command", "format", "handler", "_parser")
 
 
 def _typed(check, message):
@@ -140,6 +130,11 @@ def _csv_lines(header, rows):
     return buf.getvalue().splitlines()
 
 
+def _inputs(args):
+    """The parsed arguments, as echoed in the JSON envelope."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+
+
 def _result_dict(res):
     return {"power": res.power, "supremum": res.supremum,
             "feasible_100": res.feasible_100}
@@ -160,7 +155,7 @@ def _cmd_power(args):
                else (_TAGS[args.method],))
     fixed = FixedDesign(zo, args.c)
     config = _config(args)
-    results = {m: _result_dict(_FIXED_FNS[m](fixed, config))
+    results = {m: _result_dict(design._result(m, fixed, None, config))
                for m in methods}
     inputs = {"method": args.method, "zo": zo, "c": args.c,
               "alpha": args.alpha, "shrinkage": args.shrinkage,
@@ -174,32 +169,29 @@ def _cmd_interim(args):
     config = _config(args)
     state = InterimState(args.zi, args.f)
     warnings = []
-    if args.f == 0.0 and "PPi" in methods:
-        methods = tuple(m for m in methods if m != "PPi")
+    if args.f == 0.0:
+        skipped = [m for m in methods if not _methods.METHODS[m].at_f0]
+        methods = tuple(m for m in methods if m not in skipped)
         if not methods:
             args._parser.error("PPi needs a positive interim fraction "
                                "--f")
-        warnings.append("PPi is undefined at f = 0; skipped")
-    if any(m != "PPi" for m in methods) and args.zo is None:
+        warnings += [f"{m} is undefined at f = 0; skipped" for m in skipped]
+    uses_zo = any("zo" in _methods.METHODS[m].needs for m in methods)
+    if uses_zo and args.zo is None:
         args._parser.error("--zo is required for cpi and ippi")
-    if args.c is None:
-        if any(m != "PPi" for m in methods):
-            args._parser.error("--c is required for cpi and ippi")
-        c = 1.0     # PPi does not depend on the total relative size
-    else:
-        c = args.c
-    fixed = FixedDesign(args.zo if args.zo is not None else 0.0, c)
-    results = {m: _result_dict(_INTERIM_FNS[m](fixed, state, config))
+    if uses_zo and args.c is None:
+        args._parser.error("--c is required for cpi and ippi")
+    # PPi depends on neither the original nor the total relative size
+    fixed = FixedDesign(args.zo if args.zo is not None else 0.0,
+                        args.c or 1.0)
+    results = {m: _result_dict(design._result(m, fixed, state, config))
                for m in methods}
     if args.zo is not None and len(methods) == 3:
         held = interim.interim_ordering_holds(fixed, state, config)
         if held == "not_guaranteed":
             warnings.append("CPi >= IPPi >= PPi is not guaranteed for "
                             "these inputs")
-    inputs = {"method": args.method, "zo": args.zo, "zi": args.zi,
-              "c": args.c, "f": args.f, "alpha": args.alpha,
-              "shrinkage": args.shrinkage, "both_tails": args.both_tails}
-    return inputs, results, warnings, _power_lines(results), None
+    return _inputs(args), results, warnings, _power_lines(results), None
 
 
 def _cmd_solve(args):
@@ -217,19 +209,15 @@ def _cmd_solve(args):
     lines = [f"c={res.c:.8g}", f"power={res.power:.6f}"]
     if res.f is not None:
         lines.append(f"f={res.f:.6g}")
-    inputs = {"method": args.method, "target": args.target,
-              "zo": args.zo, "zi": args.zi, "f": args.f,
-              "c_stage1": args.c_stage1, "c_lower": args.c_lower,
-              "alpha": args.alpha, "shrinkage": args.shrinkage,
-              "both_tails": args.both_tails}
-    return inputs, results, warnings, lines, None
+    return _inputs(args), results, warnings, lines, None
 
 
 def _cmd_curve(args):
     config = _config(args)
     method = _TAGS[args.method]
+    entry = _methods.METHODS[method]
     parser = args._parser
-    if method in METHODS_FIXED:
+    if not entry.interim:
         if args.c_range is None:
             parser.error(f"--c-range is required for {args.method}")
         if args.nj_range is not None:
@@ -247,25 +235,19 @@ def _cmd_curve(args):
         if args.zi is None or args.c_stage1 is None:
             parser.error("interim curves need --zi and --c-stage1; the "
                          "grid is the remaining size nj / no")
-        if method != "PPi" and args.zo is None:
+        if "zo" in entry.needs and args.zo is None:
             parser.error(f"--zo is required for {args.method}")
         grid = _range_grid(args.nj_range)
         c = args.c_stage1 + grid
         f = args.c_stage1 / c
-        zo = None if method == "PPi" else args.zo
-        power = interim.interim_power(method, zo, args.zi, c, f, config)
+        power = interim.interim_power(method, args.zo, args.zi, c, f,
+                                      config)
         axis = "nj_ratio"
     results = {"axis": axis, "x": [float(v) for v in grid],
                "power": [float(p) for p in power]}
     rows = [(f"{x:.10g}", f"{p:.10g}") for x, p in zip(grid, power)]
     lines = _csv_lines((axis, "power"), rows)
-    inputs = {"method": args.method, "zo": args.zo, "zi": args.zi,
-              "c_stage1": args.c_stage1,
-              "c_range": list(args.c_range) if args.c_range else None,
-              "nj_range": list(args.nj_range) if args.nj_range else None,
-              "alpha": args.alpha, "shrinkage": args.shrinkage,
-              "both_tails": args.both_tails}
-    return inputs, results, [], lines, lines
+    return _inputs(args), results, [], lines, lines
 
 
 def _fmt(value, digits=6):
@@ -381,12 +363,7 @@ def _cmd_simulate(args):
              f"std_err={res.std_err:.6f}",
              f"closed_form={exact:.6f}",
              f"z_score={z:+.3f}"]
-    inputs = {"method": args.method, "zo": args.zo, "zi": args.zi,
-              "c": args.c, "f": args.f, "nsims": args.nsims,
-              "seed": args.seed, "n_o": args.n_o, "alpha": args.alpha,
-              "shrinkage": args.shrinkage,
-              "both_tails": args.both_tails}
-    return inputs, results, [], lines, None
+    return _inputs(args), results, [], lines, None
 
 
 def build_parser():
@@ -401,7 +378,7 @@ def build_parser():
 
     p = sub.add_parser("power", help="design-stage power")
     p.add_argument("--method", type=str.lower, default="all",
-                   choices=("cp", "pp", "fbp", "cbp", "all"))
+                   choices=(*(m.lower() for m in METHODS_FIXED), "all"))
     p.add_argument("--zo", type=_finite, default=None,
                    help="original z-statistic")
     p.add_argument("--po", type=_unit_open, default=None,
@@ -416,7 +393,7 @@ def build_parser():
 
     p = sub.add_parser("interim", help="interim power")
     p.add_argument("--method", type=str.lower, default="all",
-                   choices=("cpi", "ippi", "ppi", "all"))
+                   choices=(*(m.lower() for m in METHODS_INTERIM), "all"))
     p.add_argument("--zo", type=_finite, default=None,
                    help="original z-statistic (cpi and ippi)")
     p.add_argument("--zi", type=_finite, required=True,

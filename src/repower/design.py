@@ -19,34 +19,34 @@ CBP    point        normal         same pooled event, point design prior
 replication matches the two-trials rule of two independent results at
 level ``alpha``.
 
-Everything is unitless: ``zo`` is the original z-statistic and
-``c = nr / no`` the replication-to-original sample-size ratio.  An
-optional shrinkage factor ``s`` discounts the original estimate, so all
-formulas see ``(1 - s) * zo``.  By default only success in the original
-direction counts; ``both_tails=True`` adds the opposite-direction
-rejection term.
+Everything is unitless: ``zo`` is the original z-statistic and ``c``
+the relative sample size (``nr / no``, or ``(nr - 3) / (no - 3)`` for
+Fisher-z effects, see the package docstring).  An optional shrinkage
+factor ``s`` discounts the original estimate, so all formulas see
+``(1 - s) * zo``.  By default only success in the original direction
+counts, and ``both_tails=True`` adds the opposite-direction rejection
+term.
+
+Each method, design-stage or interim, is defined once, in the method
+table of ``_methods``: its Phi argument, its required inputs and its
+supremum rules.  This module evaluates the table (``design_power``,
+``_supremum``) and builds every ``PowerResult``.
 """
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
+from . import _methods
 from .normal import std_normal_cdf, std_normal_quantile
 
-METHODS_FIXED = ("CP", "PP", "FBP", "CBP")
-METHODS_INTERIM = ("CPi", "IPPi", "PPi")
+METHODS_FIXED = tuple(t for t, m in _methods.METHODS.items()
+                      if not m.interim)
+METHODS_INTERIM = tuple(t for t, m in _methods.METHODS.items()
+                        if m.interim)
 
-# (design prior, analysis prior) per method; a flat design prior only
-# arises at interim, where the observed stage-1 data replace it
-PRIOR_COMBINATIONS = {
-    "CP": ("point", "flat"),
-    "PP": ("normal", "flat"),
-    "FBP": ("normal", "normal"),
-    "CBP": ("point", "normal"),
-    "CPi": ("point", "flat"),
-    "IPPi": ("normal", "flat"),
-    "PPi": ("flat", "flat"),
-}
+# (design prior, analysis prior) per method
+PRIOR_COMBINATIONS = {t: m.priors for t, m in _methods.METHODS.items()}
 
 
 @dataclass(frozen=True)
@@ -129,30 +129,24 @@ def shrunken_zo(zo, config):
     return (1.0 - config.shrinkage) * zo
 
 
-def _method_parts(method, zd, c, za, zat):
-    """Split the Phi argument into its data part and its quantile part.
-
-    The data part collects every term carrying a z-statistic; the
-    mirror-image rejection (other direction) flips its sign while the
-    quantile part is unchanged.
-    """
-    c = np.asarray(c, dtype=float)
-    if method == "CP":
-        return np.sqrt(c) * zd, za * np.ones_like(c)
-    if method == "PP":
-        return np.sqrt(c / (c + 1.0)) * zd, np.sqrt(1.0 / (c + 1.0)) * za
-    if method == "FBP":
-        return np.sqrt((c + 1.0) / c) * zd, np.sqrt(1.0 / c) * zat
-    if method == "CBP":
-        return (c + 1.0) / np.sqrt(c) * zd, np.sqrt((c + 1.0) / c) * zat
-    raise ValueError(f"unknown fixed-design method {method!r}")
-
-
-def _tail_power(t_part, z_part, both_tails):
-    power = std_normal_cdf(t_part + z_part)
-    if both_tails:
-        power = power + std_normal_cdf(-t_part + z_part)
-    return power
+def _power(method, zo, zi, c, f, config, interim):
+    """Power of one method of the given family, vectorized over c and f,
+    after checking every input against the method table."""
+    entry = _methods._lookup(method, interim)
+    carr = np.asarray(c, dtype=float)
+    if np.any(~np.isfinite(carr)) or np.any(carr <= 0.0):
+        raise ValueError("c must be positive and finite")
+    farr = None
+    if interim:
+        farr = np.asarray(f, dtype=float)
+        # a method without a design counterpart at f = 0 needs f > 0
+        lo_ok = farr >= 0.0 if entry.at_f0 else farr > 0.0
+        if not np.all(lo_ok & (farr < 1.0)):     # also rejects NaN, inf
+            raise ValueError("f must lie in [0, 1), strictly above 0 for PPi")
+    entry.check(zo, zi)
+    zd = shrunken_zo(zo, config) if "zo" in entry.needs else 0.0
+    out = entry.power(zd, zi, carr, farr, config)
+    return float(out) if np.ndim(c) == 0 and np.ndim(f) == 0 else out
 
 
 def design_power(method, zo, c, config=DEFAULT_CONFIG):
@@ -164,21 +158,14 @@ def design_power(method, zo, c, config=DEFAULT_CONFIG):
     zo : float
         Original z-statistic (unshrunken).
     c : float or array
-        Relative sample size nr / no, positive.
+        Relative sample size, positive.
     config : DesignConfig
 
     Returns
     -------
     float or ndarray
     """
-    carr = np.asarray(c, dtype=float)
-    if np.any(~np.isfinite(carr)) or np.any(carr <= 0.0):
-        raise ValueError("c must be positive and finite")
-    zd = shrunken_zo(zo, config)
-    t, z = _method_parts(method, zd, carr, config.z_alpha,
-                         config.z_alpha_tilde)
-    out = _tail_power(t, z, config.both_tails)
-    return float(out) if np.ndim(c) == 0 else out
+    return _power(method, zo, None, c, None, config, interim=False)
 
 
 def _polished_max(curve, grid):
@@ -197,86 +184,73 @@ def _polished_max(curve, grid):
     return best
 
 
-def _numeric_supremum(curve, limits=(), lo=1e-12, hi=1e12):
-    grid = np.geomspace(lo, hi, 481)
-    best = _polished_max(curve, grid)
+def _numeric_supremum(curve, limits):
+    best = _polished_max(curve, np.geomspace(1e-12, 1e12, 481))
     return min(1.0, max([best, *limits]))
 
 
-def _design_supremum(method, zd, config):
-    """Least upper bound of design_power over c in (0, inf)."""
-    alpha = config.alpha
-    za = config.z_alpha
-    zat = config.z_alpha_tilde
-    if config.both_tails:
-        def curve(c):
-            t, z = _method_parts(method, zd, c, za, zat)
-            return _tail_power(t, z, True)
-        if method == "CP":
-            limits = (1.0 if zd != 0.0 else alpha,)
-        elif method == "PP":
-            limits = (1.0,)      # both-tail rejection -> 1 as c grows
-        elif method == "FBP":
-            limits = (1.0,)
-        else:
-            limits = (1.0 if zd != 0.0 else config.alpha_tilde,)
-        return _numeric_supremum(curve, limits)
-    if method == "CP":
-        return 1.0 if zd > 0.0 else alpha / 2.0
-    if method == "PP":
-        return float(max(std_normal_cdf(zd), alpha / 2.0))
-    if method == "FBP":
-        # beyond the pooled threshold the c -> 0 limit is 1
-        return 1.0 if zd + zat > 0.0 else float(std_normal_cdf(zd))
-    if method == "CBP":
-        if zd > 0.0:
-            return 1.0
-        if zd == 0.0:
-            return config.alpha_tilde / 2.0
+def _supremum(method, zo, zi, axis, s, config):
+    """Least upper bound of a method's power along one sizing axis.
 
-        def curve(c):
-            t, z = _method_parts("CBP", zd, c, za, zat)
-            return _tail_power(t, z, False)
-        return _numeric_supremum(curve)
-    raise ValueError(f"unknown fixed-design method {method!r}")
+    ``s`` is the value the axis holds fixed (see ``_methods``).  The
+    method's rule gives the supremum where it is analytic, else the
+    limits for the numeric search.
+    """
+    entry = _methods._lookup(method)
+    if axis == "c_stage1" and s == 0.0:
+        # no interim data yet: CPi is CP and IPPi is PP in disguise
+        if entry.at_f0 is None:
+            raise ValueError(f"{method} needs a positive interim fraction")
+        return _supremum(entry.at_f0, zo, zi, "c", None, config)
+    zd = shrunken_zo(zo, config) if zo is not None else 0.0
+    rule = entry.sup(zd, zi, axis, s, config)
+    if not isinstance(rule, tuple):
+        return rule
+
+    def curve(x):
+        if axis != "c_stage1":
+            return entry.power(zd, zi, x, s, config)
+        c = s + x
+        return entry.power(zd, zi, c, s / c, config)
+    return _numeric_supremum(curve, rule)
 
 
-def _result(method, power, supremum):
-    power = float(power)
-    supremum = float(max(supremum, power))
-    return PowerResult(method, power, supremum, supremum >= 1.0 - 1e-12)
+def _result(method, fixed, state, config):
+    """The PowerResult of a method at a design (and interim state): its
+    power and its supremum over c, or over the remaining size."""
+    zi = f = s = None
+    axis = "c"
+    if state is not None:
+        zi, f, axis, s = state.zi, state.f, "c_stage1", fixed.c * state.f
+    power = float(_power(method, fixed.zo, zi, fixed.c, f, config,
+                         interim=state is not None))
+    sup = float(max(_supremum(method, fixed.zo, zi, axis, s, config),
+                    power))
+    return PowerResult(method, power, sup, sup >= 1.0 - 1e-12)
 
 
 def conditional_power(design, config=DEFAULT_CONFIG):
     """CP: probability of replication success if the true effect equals
     the (shrunken) original estimate."""
-    power = design_power("CP", design.zo, design.c, config)
-    sup = _design_supremum("CP", shrunken_zo(design.zo, config), config)
-    return _result("CP", power, sup)
+    return _result("CP", design, None, config)
 
 
 def predictive_power(design, config=DEFAULT_CONFIG):
     """PP: replication success probability averaged over the original
     study's evidence about the effect."""
-    power = design_power("PP", design.zo, design.c, config)
-    sup = _design_supremum("PP", shrunken_zo(design.zo, config), config)
-    return _result("PP", power, sup)
+    return _result("PP", design, None, config)
 
 
 def fully_bayesian_power(design, config=DEFAULT_CONFIG):
     """FBP: success of the pooled Bayesian analysis at level alpha_tilde,
     averaged over the original study's evidence."""
-    power = design_power("FBP", design.zo, design.c, config)
-    sup = _design_supremum("FBP", shrunken_zo(design.zo, config), config)
-    return _result("FBP", power, sup)
+    return _result("FBP", design, None, config)
 
 
 def conditional_bayesian_power(design, config=DEFAULT_CONFIG):
     """CBP: success of the pooled Bayesian analysis if the true effect
     equals the (shrunken) original estimate."""
-    power = design_power("CBP", design.zo, design.c, config)
-    sup = _design_supremum("CBP", shrunken_zo(design.zo, config), config)
-    return _result("CBP", power, sup)
+    return _result("CBP", design, None, config)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Power of completing a replication, given its interim data.
 
-A replication of relative size ``c = nr / no`` has been observed up to a
-fraction ``f = ni / nr``, yielding an interim z-statistic ``zi``.  The
-final analysis pools both stages and tests at two-sided level alpha in
-the direction of the original estimate.  Three methods differ in the
-prior placed on the true effect before conditioning on the interim data:
+A replication of relative size ``c`` (see ``design``) has been observed
+up to a fraction ``f = ni / nr``, yielding an interim z-statistic
+``zi``.  The final analysis pools both stages and tests at two-sided
+level alpha in the direction of the original estimate.  Three methods
+differ in the prior placed on the true effect before conditioning on
+the interim data:
 
 ====== =============================================================
 CPi    point prior at the (shrunken) original estimate
@@ -13,15 +14,17 @@ PPi    interim data alone (the original only sets the direction)
 ====== =============================================================
 
 Each method's success probability is Phi of a weighted sum of ``zo``,
-``zi`` and the alpha/2 quantile; the weights below expose which source
+``zi`` and the alpha/2 quantile.  The weights are defined once, with
+each method's required inputs and supremum rules, in the method table
+of ``_methods``.  ``weight_dominance_threshold`` exposes which source
 dominates as the interim fraction grows.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import design
-from .design import DEFAULT_CONFIG, PowerResult, shrunken_zo
+from . import _methods, design
+from .design import DEFAULT_CONFIG, shrunken_zo
 from .normal import std_normal_cdf
 
 
@@ -39,27 +42,6 @@ class InterimState:
             raise ValueError("f must lie in [0, 1)")
 
 
-def _interim_parts(method, zd, zi, c, f, za):
-    """Data part and quantile part of the Phi argument (see design)."""
-    c = np.asarray(c, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if method == "CPi":
-        t = np.sqrt(c * (1.0 - f)) * zd + np.sqrt(f / (1.0 - f)) * zi
-        z = np.sqrt(1.0 / (1.0 - f)) * za
-        return t, z
-    if method == "IPPi":
-        cf1 = c * f + 1.0
-        w_o = np.sqrt(c * (1.0 - f) / (cf1 * (1.0 + c)))
-        w_i = np.sqrt(f * (1.0 + c) / ((1.0 - f) * cf1))
-        w_z = np.sqrt(cf1 / ((1.0 + c) * (1.0 - f)))
-        return w_o * zd + w_i * zi, w_z * za
-    if method == "PPi":
-        # same weight structure as FBP at c = (1 - f) / f, with the
-        # flat-analysis quantile in place of the pooled one
-        return design._method_parts("FBP", zi, (1.0 - f) / f, za, za)
-    raise ValueError(f"unknown interim method {method!r}")
-
-
 def interim_power(method, zo, zi, c, f, config=DEFAULT_CONFIG):
     """Power of one interim method, vectorized over ``c`` and ``f``.
 
@@ -71,7 +53,7 @@ def interim_power(method, zo, zi, c, f, config=DEFAULT_CONFIG):
     zi : float
         Interim z-statistic of the replication's first stage.
     c : float or array
-        Relative total sample size nr / no, positive.
+        Relative total sample size, positive.
     f : float or array
         Interim fraction ni / nr, in (0, 1); CPi and IPPi also accept 0.
     config : DesignConfig
@@ -80,119 +62,24 @@ def interim_power(method, zo, zi, c, f, config=DEFAULT_CONFIG):
     -------
     float or ndarray
     """
-    carr = np.asarray(c, dtype=float)
-    farr = np.asarray(f, dtype=float)
-    if np.any(~np.isfinite(carr)) or np.any(carr <= 0.0):
-        raise ValueError("c must be positive and finite")
-    lo_ok = farr > 0.0 if method == "PPi" else farr >= 0.0
-    if np.any(~np.isfinite(farr)) or np.any(~lo_ok) or np.any(farr >= 1.0):
-        raise ValueError("f must lie in [0, 1), strictly above 0 for PPi")
-    if method == "PPi":
-        zd = 0.0
-    else:
-        if zo is None:
-            raise ValueError(f"{method} requires the original z-statistic")
-        zd = shrunken_zo(zo, config)
-    t, z = _interim_parts(method, zd, zi, carr, farr, config.z_alpha)
-    out = design._tail_power(t, z, config.both_tails)
-    scalar = np.ndim(c) == 0 and np.ndim(f) == 0
-    return float(out) if scalar else out
-
-
-def _interim_supremum(method, zd, zi, c_stage1, config):
-    """Least upper bound over the remaining sample size nj in (0, inf).
-
-    ``c_stage1 = ni / no`` stays fixed while nj varies, so c = c_stage1
-    + x and f = c_stage1 / c with x = nj / no.
-    """
-    k = c_stage1
-    za = config.z_alpha
-    if k == 0.0:
-        # no interim data yet: CPi is CP and IPPi is PP in disguise
-        if method == "PPi":
-            raise ValueError("PPi needs a positive interim fraction")
-        return design._design_supremum("CP" if method == "CPi" else "PP",
-                                       zd, _unshrunk(config))
-
-    def curve(x):
-        c = k + x
-        return interim_power(method, zd, zi, c, k / c,
-                             config=_unshrunk(config))
-
-    if not config.both_tails:
-        if method == "CPi":
-            if zd > 0.0 or zi + za > 0.0:
-                return 1.0
-            return _numeric(curve)
-        if method == "IPPi":
-            if zi + za > 0.0:
-                return 1.0
-            limit = ippi_limit(zd, zi, k, _unshrunk(config))
-            return _numeric(curve, limits=(limit,))
-        if method == "PPi":
-            if zi + za > 0.0:
-                return 1.0
-            # increasing in nj towards the interim evidence alone
-            return float(std_normal_cdf(zi))
-        raise ValueError(f"unknown interim method {method!r}")
-    # both-tail rejection: an interim significant in either direction
-    # forces success as nj -> 0, a nonzero effect point prior as nj grows
-    if abs(zi) > -za or (method == "CPi" and zd != 0.0):
-        return 1.0
-    if method == "IPPi":
-        limits = (ippi_limit(zd, zi, k, _unshrunk(config)),)
-    elif method == "PPi":
-        limits = (float(std_normal_cdf(zi) + std_normal_cdf(-zi)),)
-    else:
-        limits = ()
-    return _numeric(curve, limits)
-
-
-def _numeric(curve, limits=()):
-    return design._numeric_supremum(curve, limits)
-
-
-def _unshrunk(config):
-    """Same config with shrinkage 0 (zd passed in is already shrunken)."""
-    if config.shrinkage == 0.0:
-        return config
-    return design.DesignConfig(alpha=config.alpha, shrinkage=0.0,
-                               both_tails=config.both_tails)
-
-
-def _interim_result(method, power, sup):
-    power = float(power)
-    sup = float(max(sup, power))
-    return PowerResult(method, power, sup, sup >= 1.0 - 1e-12)
+    return design._power(method, zo, zi, c, f, config, interim=True)
 
 
 def conditional_power_interim(fixed, interim, config=DEFAULT_CONFIG):
     """CPi: success probability of the completed replication if the true
     effect equals the (shrunken) original estimate."""
-    power = interim_power("CPi", fixed.zo, interim.zi, fixed.c, interim.f,
-                          config)
-    sup = _interim_supremum("CPi", shrunken_zo(fixed.zo, config), interim.zi,
-                            fixed.c * interim.f, config)
-    return _interim_result("CPi", power, sup)
+    return design._result("CPi", fixed, interim, config)
 
 
 def informed_predictive_power_interim(fixed, interim, config=DEFAULT_CONFIG):
     """IPPi: success probability under the normal prior from the original
     study updated with the interim data."""
-    power = interim_power("IPPi", fixed.zo, interim.zi, fixed.c, interim.f,
-                          config)
-    sup = _interim_supremum("IPPi", shrunken_zo(fixed.zo, config), interim.zi,
-                            fixed.c * interim.f, config)
-    return _interim_result("IPPi", power, sup)
+    return design._result("IPPi", fixed, interim, config)
 
 
 def predictive_power_interim(fixed, interim, config=DEFAULT_CONFIG):
     """PPi: success probability judged from the interim data alone."""
-    power = interim_power("PPi", None, interim.zi, fixed.c, interim.f,
-                          config)
-    sup = _interim_supremum("PPi", 0.0, interim.zi, fixed.c * interim.f,
-                            config)
-    return _interim_result("PPi", power, sup)
+    return design._result("PPi", fixed, interim, config)
 
 
 def interim_ordering_holds(fixed, interim, config=DEFAULT_CONFIG):
@@ -224,13 +111,10 @@ def weight_dominance_threshold(method, c):
     c = np.asarray(c, dtype=float)
     if np.any(~np.isfinite(c)) or np.any(c <= 0.0):
         raise ValueError("c must be positive and finite")
-    if method == "CPi":
-        out = 1.0 - (np.sqrt(4.0 * c + 1.0) - 1.0) / (2.0 * c)
-    elif method == "IPPi":
-        root = np.sqrt(c * c + 6.0 * c + 1.0)
-        out = (c * c + 4.0 * c + 1.0 - (c + 1.0) * root) / (2.0 * c)
-    else:
+    entry = _methods.METHODS.get(method)
+    if entry is None or entry.dominance is None:
         raise ValueError("threshold defined for CPi and IPPi only")
+    out = entry.dominance(c)
     return float(out) if np.ndim(c) == 0 else out
 
 
@@ -244,12 +128,8 @@ def ippi_limit(zo, zi, c_stage1, config=DEFAULT_CONFIG):
     """
     if not (np.isfinite(c_stage1) and c_stage1 > 0.0):
         raise ValueError("c_stage1 must be positive and finite")
-    zd = shrunken_zo(zo, config)
-    k = c_stage1
-    arg = np.sqrt(1.0 / (k + 1.0)) * zd + np.sqrt(k / (k + 1.0)) * zi
-    if config.both_tails:
-        return float(std_normal_cdf(arg) + std_normal_cdf(-arg))
-    return float(std_normal_cdf(arg))
+    return float(_methods._ippi_limit(shrunken_zo(zo, config), zi,
+                                      c_stage1, config))
 
 
 def ppi_minimum(zi, config=DEFAULT_CONFIG):

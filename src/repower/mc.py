@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DEFAULT_CONFIG, METHODS_FIXED, METHODS_INTERIM, \
-    design_power, shrunken_zo
+from . import _methods
+from .design import DEFAULT_CONFIG, METHODS_FIXED, design_power, shrunken_zo
 from .interim import interim_power
 from .normal import std_normal_cdf, std_normal_quantile
 
@@ -43,28 +43,21 @@ class SimSpec:
     config: object = DEFAULT_CONFIG
 
     def __post_init__(self):
-        if self.method not in METHODS_FIXED + METHODS_INTERIM:
-            raise ValueError(f"unknown method {self.method!r}")
+        entry = _methods._lookup(self.method)
         if not (np.isfinite(self.c) and self.c > 0.0):
             raise ValueError("c must be positive and finite")
-        if not (isinstance(self.n_sims, int) and self.n_sims >= 1000):
+        if not (isinstance(self.n_sims, (int, np.integer))
+                and self.n_sims >= 1000):
             raise ValueError("n_sims must be an integer of at least 1000")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
+        object.__setattr__(self, "n_sims", int(self.n_sims))
+        object.__setattr__(self, "seed", int(self.seed))
         if not (np.isfinite(self.n_o) and self.n_o > 0.0):
             raise ValueError("n_o must be positive and finite")
-        if self.method in METHODS_FIXED:
-            if self.zo is None:
-                raise ValueError(f"{self.method} requires zo")
-            if self.zi is not None or self.f is not None:
-                raise ValueError(f"{self.method} takes no interim inputs")
-        else:
-            if self.zi is None:
-                raise ValueError(f"{self.method} requires zi")
-            if self.f is None or not 0.0 < self.f < 1.0:
-                raise ValueError(f"{self.method} requires f in (0, 1)")
-            if self.method != "PPi" and self.zo is None:
-                raise ValueError(f"{self.method} requires zo")
+        entry.check(self.zo, self.zi, (self.f,), noun="inputs")
+        if entry.interim and (self.f is None or not 0.0 < self.f < 1.0):
+            raise ValueError(f"{self.method} requires f in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -81,11 +74,10 @@ class SimResult:
 
 def closed_form(spec):
     """The closed-form power the simulation is meant to reproduce."""
-    if spec.method in METHODS_FIXED:
-        return design_power(spec.method, spec.zo, spec.c, spec.config)
-    zo = None if spec.method == "PPi" else spec.zo
-    return interim_power(spec.method, zo, spec.zi, spec.c, spec.f,
-                         spec.config)
+    if _methods._lookup(spec.method).interim:
+        return interim_power(spec.method, spec.zo, spec.zi, spec.c, spec.f,
+                             spec.config)
+    return design_power(spec.method, spec.zo, spec.c, spec.config)
 
 
 def _uniforms(gen, size):

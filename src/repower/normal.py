@@ -98,7 +98,8 @@ def p_to_z(p, direction=1):
     d = np.asarray(direction, dtype=float)
     if np.any(np.abs(d) != 1.0):
         raise ValueError("direction must be +1 or -1")
-    out = d * std_normal_quantile(1.0 - arr / 2.0)
+    # the lower tail keeps full precision down to the smallest p
+    out = -d * std_normal_quantile(arr / 2.0)
     return _scalar_or_array(out, p, direction)
 
 

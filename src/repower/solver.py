@@ -8,12 +8,12 @@ upward or downward crossing and refines it by bisection, so it always
 returns the smallest crossing.  If the target exceeds the least upper
 bound of the curve, ``InfeasibleTarget`` is raised carrying that bound.
 """
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import design, interim
-from .design import DEFAULT_CONFIG, shrunken_zo
+from . import _methods, design
+from .design import DEFAULT_CONFIG
 from .interim import interim_power
 
 C_CAP = 1e9
@@ -55,31 +55,21 @@ class SolveRequest:
             raise ValueError("target power must lie strictly in (0, 1)")
         if self.c_lower < 0.0 or not np.isfinite(self.c_lower):
             raise ValueError("c_lower must be finite and nonnegative")
-        if self.method in design.METHODS_FIXED:
-            if self.zo is None:
-                raise ValueError(f"{self.method} requires zo")
-            if (self.zi is not None or self.f is not None
-                    or self.c_stage1 is not None):
-                raise ValueError(
-                    f"{self.method} takes no interim arguments")
-        elif self.method in design.METHODS_INTERIM:
-            if self.zi is None:
-                raise ValueError(f"{self.method} requires zi")
-            if self.method != "PPi" and self.zo is None:
-                raise ValueError(f"{self.method} requires zo")
-            if (self.f is None) == (self.c_stage1 is None):
-                raise ValueError(
-                    "interim solving needs exactly one of f or c_stage1")
-            if self.f is not None and not 0.0 < self.f < 1.0:
-                raise ValueError("f must lie strictly in (0, 1)")
-            if self.method == "PPi" and self.f is not None:
-                raise ValueError(
-                    "PPi at a fixed interim fraction does not vary with "
-                    "c; fix c_stage1 instead")
-            if self.c_stage1 is not None and not self.c_stage1 > 0.0:
-                raise ValueError("c_stage1 must be positive")
-        else:
-            raise ValueError(f"unknown method {self.method!r}")
+        entry = _methods._lookup(self.method)
+        entry.check(self.zo, self.zi, (self.f, self.c_stage1))
+        if not entry.interim:
+            return
+        if (self.f is None) == (self.c_stage1 is None):
+            raise ValueError(
+                "interim solving needs exactly one of f or c_stage1")
+        if self.f is not None and not 0.0 < self.f < 1.0:
+            raise ValueError("f must lie strictly in (0, 1)")
+        if self.f is not None and "f" not in entry.axes:
+            raise ValueError(
+                f"{self.method} at a fixed interim fraction does not vary "
+                "with c; fix c_stage1 instead")
+        if self.c_stage1 is not None and not self.c_stage1 > 0.0:
+            raise ValueError("c_stage1 must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,77 +89,47 @@ class SolveResult:
 
 def _curve(request):
     """Power as a function of c, plus the domain lower bound."""
-    cfg = request.config
-    if request.method in design.METHODS_FIXED:
-        def fn(c):
-            return design.design_power(request.method, request.zo, c, cfg)
-        return fn, max(request.c_lower, 0.0)
-    if request.f is not None:
-        def fn(c):
-            return interim_power(request.method, request.zo, request.zi,
-                                 c, request.f, cfg)
-        return fn, max(request.c_lower, 0.0)
-    k = request.c_stage1
+    r = request
+    k = r.c_stage1
+    interim = _methods._lookup(r.method).interim
 
     def fn(c):
-        return interim_power(request.method, request.zo, request.zi,
-                             c, k / np.asarray(c, dtype=float), cfg)
-    return fn, max(request.c_lower, k)
+        if not interim:
+            return design.design_power(r.method, r.zo, c, r.config)
+        f = r.f if k is None else k / np.asarray(c, dtype=float)
+        return interim_power(r.method, r.zo, r.zi, c, f, r.config)
+    return fn, max(r.c_lower, k or 0.0)
 
 
-def _supremum(request):
-    cfg = request.config
-    zd = shrunken_zo(request.zo, cfg) if request.zo is not None else 0.0
-    if request.method in design.METHODS_FIXED:
-        return design._design_supremum(request.method, zd, cfg)
-    if request.c_stage1 is not None:
-        return interim._interim_supremum(request.method, zd, request.zi,
-                                         request.c_stage1, cfg)
-    # fixed interim fraction: scan over c with analytic saturation checks
-    if request.method == "CPi" and (zd > 0.0
-                                    or (cfg.both_tails and zd != 0.0)):
-        return 1.0
-    fn, _lo = _curve(request)
-    limits = ()
-    if request.method == "IPPi":
-        # original's weight vanishes as c grows at fixed f
-        limits = (interim_power("PPi", None, request.zi, 1.0, request.f,
-                                cfg),)
-    return design._numeric_supremum(fn, limits)
+def _infeasible(request):
+    """InfeasibleTarget carrying the supremum along the request's axis."""
+    r = request
+    axis, s = "c", None
+    if r.f is not None:
+        axis, s = "f", r.f
+    elif r.c_stage1 is not None:
+        axis, s = "c_stage1", r.c_stage1
+    sup = design._supremum(r.method, r.zo, r.zi, axis, s, r.config)
+    return InfeasibleTarget(r.target_power, sup)
 
 
-def _bisect(fn, a, b, target):
-    """First crossing inside (a, b); fn(a) < target <= fn(b) on entry.
+def _bisect(fn, a, b, target, rising=True):
+    """Crossing of the target inside (a, b), refined by bisection.
 
-    Returns the right endpoint of the shrunken bracket so the achieved
-    power never falls below the target.
+    On entry fn(a) < target <= fn(b) on a rising curve, and
+    fn(a) >= target > fn(b) on a falling one.  Returns the endpoint of
+    the shrunken bracket that meets the target, so the achieved power
+    never falls below it.
     """
     for _ in range(200):
         if (b - a) <= 1e-14 * max(1.0, b):
             break
         mid = np.sqrt(a * b) if a > 0.0 else 0.5 * (a + b)
-        if float(fn(mid)) >= target:
+        if (float(fn(mid)) >= target) == rising:
             b = mid
         else:
             a = mid
-    return b
-
-
-def _bisect_down(fn, a, b, target):
-    """Downward crossing inside (a, b); fn(a) >= target > fn(b).
-
-    Returns the left endpoint of the shrunken bracket so the achieved
-    power never falls below the target.
-    """
-    for _ in range(200):
-        if (b - a) <= 1e-14 * max(1.0, b):
-            break
-        mid = np.sqrt(a * b) if a > 0.0 else 0.5 * (a + b)
-        if float(fn(mid)) >= target:
-            a = mid
-        else:
-            b = mid
-    return a
+    return b if rising else a
 
 
 def solve_c(request):
@@ -200,17 +160,17 @@ def solve_c(request):
                        "target; returning the bound itself")
         else:
             j = int(below[0])
-            c = float(_bisect_down(fn, float(grid[j - 1]),
-                                   float(grid[j]), target))
+            c = float(_bisect(fn, float(grid[j - 1]), float(grid[j]),
+                              target, rising=False))
     else:
         hit = np.nonzero(vals >= target)[0]
         if hit.size == 0:
-            raise InfeasibleTarget(target, _supremum(request))
+            raise _infeasible(request)
         i = int(hit[0])
         c = float(_bisect(fn, float(grid[i - 1]), float(grid[i]), target))
     power = float(fn(c))
     if power < target - _TOL:
-        raise InfeasibleTarget(target, _supremum(request))
+        raise _infeasible(request)
     ahead = float(fn(min(c * 1.001 + 1e-12, C_CAP)))
     if warning is None and ahead < power - 1e-12:
         warning = ("solution lies on a falling branch: slightly larger "
@@ -222,16 +182,16 @@ def solve_c(request):
 
 
 def _scan_grid(request, lo):
-    """Log grid over the sizing axis, denser than any known dip width."""
-    start = max(lo, 1e-9)
-    if request.c_stage1 is not None:
-        # keep c strictly above the already-observed stage
-        top = max(C_CAP - request.c_stage1, 1.0)
-        offsets = np.geomspace(1e-9, top, 1200)
-        return request.c_stage1 + offsets
-    grid = np.geomspace(start, C_CAP, 1200)
-    if lo > 0.0 and lo < grid[0]:
-        grid = np.concatenate(([lo], grid))
+    """Log grid over the sizing axis, denser than any known dip width.
+
+    On the c_stage1 axis the grid steps away from c_stage1, keeping c
+    strictly above the already-observed stage.  It starts at ``lo``
+    itself when that lies higher.
+    """
+    k = request.c_stage1 or 0.0
+    grid = k + np.geomspace(max(lo - k, 1e-9), max(C_CAP - k, 1.0), 1200)
+    if lo > k:
+        grid = np.concatenate(([lo], grid[grid > lo]))
     return grid
 
 
@@ -266,15 +226,8 @@ def futility_decision(fixed, state, rule=FutilityRule(),
     The comparison is strict, so a power exactly on the boundary
     continues.
     """
-    zo = None if rule.method == "PPi" else fixed.zo
-    power = interim_power(rule.method, zo, state.zi, fixed.c, state.f,
-                          config)
+    power = interim_power(rule.method, fixed.zo, state.zi, fixed.c,
+                          state.f, config)
     return FutilityDecision(method=rule.method, power=float(power),
                             boundary=rule.boundary,
                             stop=bool(power < rule.boundary))
-
-
-def solve_with_config(request, **overrides):
-    """Convenience: re-solve the same request with config fields changed."""
-    cfg = replace(request.config, **overrides)
-    return solve_c(replace(request, config=cfg))

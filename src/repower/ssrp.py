@@ -408,8 +408,7 @@ def futility_replay(records=None, rule=None, config=DEFAULT_CONFIG):
         if not rec.continued:
             continue
         d = derive(rec)
-        zo = None if rule.method == "PPi" else d.zo
-        power = interim_power(rule.method, zo, d.zi, d.c, d.f, config)
+        power = interim_power(rule.method, d.zo, d.zi, d.c, d.f, config)
         replicated = rec.pr < 0.05 and (rec.fisr > 0) == (rec.fiso > 0)
         rows.append(FutilityReplayRow(
             study=rec.study, power=float(power),

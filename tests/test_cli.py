@@ -216,3 +216,10 @@ def test_text_warnings_are_prefixed(capsys):
                         "--c", "1.8", "--f", "0"], capsys)
     assert code == 0
     assert "warning: PPi is undefined at f = 0; skipped" in out
+
+
+def test_tiny_p_value_is_accepted(capsys):
+    data = envelope(["power", "--po", "1e-20", "--dir", "+", "--c", "1"],
+                    capsys)
+    assert data["inputs"]["zo"] == pytest.approx(9.336044849234058,
+                                                 rel=1e-15)

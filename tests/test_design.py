@@ -219,3 +219,8 @@ def test_wrapper_equals_functional_form():
     assert cp(d, CFG).power == design_power("CP", 2.81, 2.0, CFG)
     assert conditional_power(d, CFG).power == cp(d, CFG).power
     assert pp(d, CFG).method == "PP"
+
+
+def test_nan_zo_is_named():
+    with pytest.raises(ValueError, match="zo"):
+        design_power("CP", np.nan, 1.0)

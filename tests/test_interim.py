@@ -223,3 +223,10 @@ def test_both_tails_mirror_term():
     z = np.sqrt(1 / (1 - f)) * Z_ALPHA
     mirror = float(std_normal_cdf(-t + z))
     assert both == pytest.approx(one + mirror, rel=1e-12)
+
+
+def test_nan_zi_is_named():
+    with pytest.raises(ValueError, match="zi"):
+        interim_power("CPi", 2.0, np.nan, 1.0, 0.5)
+    with pytest.raises(ValueError, match="zo"):
+        interim_power("IPPi", np.nan, 1.0, 1.0, 0.5)

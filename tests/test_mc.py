@@ -121,3 +121,11 @@ def test_spec_validation():
         SimSpec(method="PPi", zi=1.0, c=1.0, f=0.5, n_o=0.0)
     with pytest.raises(ValueError):
         SimSpec(method="QQ", zo=2.0, c=1.0)
+
+
+def test_numpy_integers_accepted():
+    spec = SimSpec(method="CP", c=1.0, zo=2.0, n_sims=np.int64(1000),
+                   seed=np.int64(1))
+    assert type(spec.n_sims) is int and type(spec.seed) is int
+    plain = SimSpec(method="CP", c=1.0, zo=2.0, n_sims=1000, seed=1)
+    assert simulate_power(spec) == simulate_power(plain)

@@ -105,3 +105,14 @@ def test_p_to_z_domain():
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError):
             p_to_z(bad, +1)
+
+
+def test_p_to_z_far_tail():
+    # -Phi^{-1}(p/2) keeps full precision where 1 - p/2 rounds to 1
+    from statistics import NormalDist
+    for p in (1e-6, 1e-20, 1e-300):
+        ref = -NormalDist().inv_cdf(p / 2.0)
+        assert p_to_z(p, +1) == pytest.approx(ref, rel=1e-15)
+        assert p_to_z(p, -1) == pytest.approx(-ref, rel=1e-15)
+    assert p_to_z(1e-20, +1) == pytest.approx(9.336044849234058, rel=1e-15)
+    assert p_to_z(1e-300, +1) == pytest.approx(37.0658, abs=1e-4)

@@ -1,0 +1,63 @@
+"""Properties of every method's power and supremum over drawn inputs.
+
+The supremum of a PowerResult is the least upper bound of the method's
+power along its sizing axis: c for the design-stage methods, the
+remaining size nj / no (with ni / no = c * f held fixed) at interim.
+Hypothesis runs derandomized, so every run draws the same cases.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
+                     FixedDesign, InterimState, cbp, cp, cpi, design_power,
+                     fbp, interim_power, ippi, pp, ppi)
+
+DRAWN = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=150)
+RESULTS = {"CP": cp, "PP": pp, "FBP": fbp, "CBP": cbp,
+           "CPi": cpi, "IPPi": ippi, "PPi": ppi}
+AXIS = np.geomspace(1e-9, 1e9, 40_001)
+
+configs = st.builds(DesignConfig, alpha=st.floats(1e-4, 0.5),
+                    shrinkage=st.floats(0.0, 0.9),
+                    both_tails=st.booleans())
+z_stats = st.floats(-8.0, 8.0)
+sizes = st.floats(1e-3, 1e3)
+fractions = st.floats(0.01, 0.99)
+
+
+def _check_result(res, curve):
+    assert res.power <= res.supremum <= 1.0
+    assert res.supremum >= np.max(curve) - 1e-12
+    assert res.feasible_100 == (res.supremum >= 1.0 - 1e-12)
+
+
+@DRAWN
+@given(method=st.sampled_from(METHODS_FIXED), zo=z_stats, c=sizes,
+       config=configs)
+def test_design_supremum_bounds_the_curve(method, zo, c, config):
+    res = RESULTS[method](FixedDesign(zo, c), config)
+    _check_result(res, design_power(method, zo, AXIS, config))
+
+
+@DRAWN
+@given(method=st.sampled_from(METHODS_INTERIM), zo=z_stats, zi=z_stats,
+       c=sizes, f=fractions, config=configs)
+def test_interim_supremum_bounds_the_curve(method, zo, zi, c, f, config):
+    res = RESULTS[method](FixedDesign(zo, c), InterimState(zi, f), config)
+    k = c * f
+    total = k + AXIS
+    _check_result(res, interim_power(method, zo, zi, total, k / total,
+                                     config))
+
+
+@DRAWN
+@given(zo=z_stats, zi=z_stats, c=sizes, config=configs)
+def test_interim_without_data_is_design(zo, zi, c, config):
+    fixed = FixedDesign(zo, c)
+    for interim, design in (("CPi", "CP"), ("IPPi", "PP")):
+        at_f0 = RESULTS[interim](fixed, InterimState(zi, 0.0), config)
+        same = RESULTS[design](fixed, config)
+        assert abs(at_f0.power - same.power) <= 1e-15
+        assert abs(at_f0.supremum - same.supremum) <= 1e-15

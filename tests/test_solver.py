@@ -160,3 +160,22 @@ def test_futility_decisions(by_study):
     dec_eq = futility_decision(fixed, state,
                                FutilityRule("PPi", dec.power), CFG)
     assert not dec_eq.stop
+
+
+def test_c_lower_holds_on_c_stage1_axis():
+    # IPPi is 0.975 at c = 10, so the bound itself is the answer
+    req = SolveRequest(method="IPPi", target_power=0.8, zo=2.81, zi=1.2,
+                       c_stage1=0.8, c_lower=10.0, config=CFG)
+    res = solve_c(req)
+    assert res.c == 10.0
+    assert res.f == pytest.approx(0.08)
+    assert res.power == pytest.approx(0.975, abs=1e-3)
+    assert res.warning.startswith("every size down to the lower bound")
+    # a bound below the first crossing leaves the answer where it was
+    free = solve_c(SolveRequest(method="IPPi", target_power=0.8, zo=2.81,
+                                zi=1.2, c_stage1=0.8, config=CFG))
+    low = solve_c(SolveRequest(method="IPPi", target_power=0.8, zo=2.81,
+                               zi=1.2, c_stage1=0.8, c_lower=1.0,
+                               config=CFG))
+    assert 1.0 < free.c < 10.0
+    assert low.c == pytest.approx(free.c, rel=1e-10)
