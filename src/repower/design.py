@@ -33,6 +33,7 @@ supremum rules.  This module evaluates the table (``design_power``,
 ``_supremum``) and builds every ``PowerResult``.
 """
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -80,12 +81,14 @@ class DesignConfig:
         """Pooled-analysis level equivalent to the two-trials rule."""
         return self.alpha * self.alpha / 2.0
 
-    @property
+    # the two critical values are computed once per config and kept in
+    # the instance __dict__, outside the fields that eq, hash and repr see
+    @cached_property
     def z_alpha(self):
         """alpha/2 quantile of the standard normal (negative)."""
         return std_normal_quantile(self.alpha / 2.0)
 
-    @property
+    @cached_property
     def z_alpha_tilde(self):
         """alpha_tilde/2 quantile of the standard normal (negative)."""
         return std_normal_quantile(self.alpha_tilde / 2.0)
@@ -184,8 +187,8 @@ def _polished_max(curve, grid):
     return best
 
 
-def _numeric_supremum(curve, limits):
-    best = _polished_max(curve, np.geomspace(1e-12, 1e12, 481))
+def _numeric_supremum(curve, limits, lo=1e-12, hi=1e12):
+    best = _polished_max(curve, np.geomspace(lo, hi, 481))
     return min(1.0, max([best, *limits]))
 
 
@@ -212,7 +215,12 @@ def _supremum(method, zo, zi, axis, s, config):
             return entry.power(zd, zi, x, s, config)
         c = s + x
         return entry.power(zd, zi, c, s / c, config)
-    return _numeric_supremum(curve, rule)
+    lo = 1e-12
+    if axis == "c_stage1":
+        # the first step must move c above s: 0.52 ulp of s rounds up to
+        # the next double, and is below 1e-12 wherever 1e-12 already was
+        lo = max(lo, 0.52 * np.spacing(s))
+    return _numeric_supremum(curve, rule, lo)
 
 
 def _result(method, fixed, state, config):

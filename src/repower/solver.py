@@ -102,14 +102,20 @@ def _curve(request):
 
 
 def _infeasible(request):
-    """InfeasibleTarget carrying the supremum along the request's axis."""
+    """InfeasibleTarget carrying the supremum along the request's axis,
+    or over [c_lower, C_CAP], the range searched, when c_lower lies
+    above the axis's lower end."""
     r = request
     axis, s = "c", None
     if r.f is not None:
         axis, s = "f", r.f
     elif r.c_stage1 is not None:
         axis, s = "c_stage1", r.c_stage1
-    sup = design._supremum(r.method, r.zo, r.zi, axis, s, r.config)
+    if r.c_lower > (r.c_stage1 or 0.0):
+        fn, lo = _curve(r)
+        sup = design._numeric_supremum(fn, (), lo, C_CAP)
+    else:
+        sup = design._supremum(r.method, r.zo, r.zi, axis, s, r.config)
     return InfeasibleTarget(r.target_power, sup)
 
 

@@ -223,3 +223,17 @@ def test_tiny_p_value_is_accepted(capsys):
                     capsys)
     assert data["inputs"]["zo"] == pytest.approx(9.336044849234058,
                                                  rel=1e-15)
+
+
+def test_infeasible_supremum_respects_c_lower(capsys):
+    # FBP reaches 1 only as c -> 0; from c = 10 up it stays below Phi(4)
+    code, _, err = run(["solve", "--method", "fbp", "--target", "0.99999",
+                        "--zo", "4", "--c-lower", "10"], capsys)
+    assert code == 1
+    assert err == ("error: target power 0.99999 exceeds the attainable "
+                   "supremum 0.999968\n")
+    code, _, err = run(["solve", "--method", "pp", "--target", "0.999",
+                        "--zo", "2.31"], capsys)
+    assert code == 1
+    assert err == ("error: target power 0.999 exceeds the attainable "
+                   "supremum 0.989556\n")

@@ -3,6 +3,8 @@
 Reference numbers computed with mpmath at 30 digits by evaluating the
 Phi arguments assembled by hand from the method definitions.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,16 @@ def test_wrapper_equals_functional_form():
 def test_nan_zo_is_named():
     with pytest.raises(ValueError, match="zo"):
         design_power("CP", np.nan, 1.0)
+
+
+def test_cached_critical_values_stay_out_of_fields():
+    cfg = DesignConfig(alpha=0.01, shrinkage=0.2)
+    fresh = DesignConfig(alpha=0.01, shrinkage=0.2)
+    assert cfg.z_alpha is cfg.z_alpha
+    assert cfg.z_alpha_tilde == fresh.z_alpha_tilde
+    assert cfg == fresh and hash(cfg) == hash(fresh)
+    assert repr(cfg) == repr(fresh)
+    assert dataclasses.asdict(cfg) == {"alpha": 0.01, "shrinkage": 0.2,
+                                       "both_tails": False}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.alpha = 0.05

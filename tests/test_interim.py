@@ -230,3 +230,18 @@ def test_nan_zi_is_named():
         interim_power("CPi", 2.0, np.nan, 1.0, 0.5)
     with pytest.raises(ValueError, match="zo"):
         interim_power("IPPi", np.nan, 1.0, 1.0, 0.5)
+
+
+def test_c_stage1_supremum_at_large_interim_size():
+    # ni / no = c * f >= 2**14: the remaining-size search must still
+    # step c above ni / no
+    r = ippi(FixedDesign(2.5, 1e5), InterimState(1.0, 0.5), CFG)
+    assert r.power <= r.supremum < 1.0 and not r.feasible_100
+    assert r.supremum == pytest.approx(ippi_limit(2.5, 1.0, 5e4, CFG),
+                                       rel=1e-6)
+    r = cpi(FixedDesign(-1.0, 1e5), InterimState(0.5, 0.5), CFG)
+    k = 5e4
+    c = k + np.geomspace(1e-6, 1e12, 20001)
+    dense = interim_power("CPi", -1.0, 0.5, c, k / c, CFG).max()
+    assert r.power <= r.supremum and not r.feasible_100
+    assert r.supremum == pytest.approx(dense, rel=1e-6)

@@ -129,3 +129,21 @@ def test_numpy_integers_accepted():
     assert type(spec.n_sims) is int and type(spec.seed) is int
     plain = SimSpec(method="CP", c=1.0, zo=2.0, n_sims=1000, seed=1)
     assert simulate_power(spec) == simulate_power(plain)
+
+
+@pytest.mark.parametrize("spec, n_success", [
+    (SimSpec(method="CP", zo=2.0, c=4.0, seed=31), 97953),
+    (SimSpec(method="PP", zo=2.0, c=2.0, seed=32), 69424),
+    (SimSpec(method="FBP", zo=4.465, c=0.6, seed=33), 99922),
+    (SimSpec(method="CBP", zo=2.5, c=5.0, seed=34), 99930),
+    (SimSpec(method="CPi", zo=2.81, zi=1.2, c=2.0, f=0.4, seed=35), 93644),
+    (SimSpec(method="IPPi", zo=2.81, zi=-0.5, c=4.0, f=0.3, seed=36),
+     26278),
+    (SimSpec(method="PPi", zi=1.1, c=6.0, f=0.45, seed=37), 38807),
+    (SimSpec(method="FBP", zo=1.5, c=2.0, seed=38,
+             config=DesignConfig(both_tails=True)), 32974),
+])
+def test_success_counts_are_pinned(spec, n_success):
+    # the random stream is part of the interface: a seed always gives
+    # the same draws, so these exact counts must never move
+    assert simulate_power(spec).n_success == n_success
