@@ -4,10 +4,14 @@
 chosen method reaches a target power.  Because several of the curves
 are not monotone (FBP and CBP can dip before rising, interim curves can
 start high and fall), the solver scans a logarithmic grid for the first
-upward or downward crossing and refines it by bisection, so it always
-returns the smallest crossing.  If the target exceeds the least upper
-bound of the curve, ``InfeasibleTarget`` is raised carrying that bound.
+upward or downward crossing and refines it with an ITP root on log c
+(interpolate, truncate, project; Oliveira and Takahashi 2020), so it
+always returns the smallest crossing.  ITP converges superlinearly on
+these smooth curves and takes at most one step more than bisection to
+the same tolerance.  If the target exceeds the least upper bound of the
+curve, ``InfeasibleTarget`` is raised carrying that bound.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,10 @@ from .interim import interim_power
 
 C_CAP = 1e9
 _TOL = 1e-8
+_C_MIN = 1e-9
+# the scan grid of every request without c_stage1 or a positive c_lower
+_GRID = np.geomspace(_C_MIN, C_CAP, 1200)
+_GRID.setflags(write=False)
 
 
 class InfeasibleTarget(ValueError):
@@ -68,8 +76,8 @@ class SolveRequest:
             raise ValueError(
                 f"{self.method} at a fixed interim fraction does not vary "
                 "with c; fix c_stage1 instead")
-        if self.c_stage1 is not None and not self.c_stage1 > 0.0:
-            raise ValueError("c_stage1 must be positive")
+        if self.c_stage1 is not None and not 0.0 < self.c_stage1 < np.inf:
+            raise ValueError("c_stage1 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,16 +96,20 @@ class SolveResult:
 
 
 def _curve(request):
-    """Power as a function of c, plus the domain lower bound."""
+    """Power as a function of c, plus the domain lower bound.
+
+    Evaluates the method table directly: ``SolveRequest`` has checked
+    the inputs, and the solver passes only positive, finite c (and on
+    the c_stage1 axis only c above c_stage1, so f < 1).
+    """
     r = request
+    entry = _methods._lookup(r.method)
+    zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
     k = r.c_stage1
-    interim = _methods._lookup(r.method).interim
 
     def fn(c):
-        if not interim:
-            return design.design_power(r.method, r.zo, c, r.config)
-        f = r.f if k is None else k / np.asarray(c, dtype=float)
-        return interim_power(r.method, r.zo, r.zi, c, f, r.config)
+        f = r.f if k is None else k / c
+        return entry.power(zd, r.zi, c, f, r.config)
     return fn, max(r.c_lower, k or 0.0)
 
 
@@ -119,23 +131,49 @@ def _infeasible(request):
     return InfeasibleTarget(r.target_power, sup)
 
 
-def _bisect(fn, a, b, target, rising=True):
-    """Crossing of the target inside (a, b), refined by bisection.
+def _root(fn, a, b, fa, fb, target, rising):
+    """Crossing of the target inside (a, b), refined by ITP on log c.
 
-    On entry fn(a) < target <= fn(b) on a rising curve, and
-    fn(a) >= target > fn(b) on a falling one.  Returns the endpoint of
-    the shrunken bracket that meets the target, so the achieved power
-    never falls below it.
+    On entry fa = fn(a) < target <= fb = fn(b) on a rising curve, and
+    fa >= target > fb on a falling one.  Stops once
+    b - a <= 1e-14 * max(1, b), or after 200 steps, and returns the
+    bracket end that meets the target with its power, so the achieved
+    power never falls below the target.  Positions are offsets x from
+    log a, which keeps them exact to a few ulp of the bracket width.
     """
-    for _ in range(200):
+    w0 = math.log1p((b - a) / a)
+    # half the log width at which the c criterion holds for any a < b
+    # inside the entry bracket
+    eps = 0.5e-14 * max(1.0, a) / b
+    # ITP's usual settings: kappa1 = 0.2 / w0, kappa2 = 2, n0 = 1
+    n_max = max(math.ceil(math.log2(w0 / (2.0 * eps))), 0) + 1
+    k1 = 0.2 / w0
+    for j in range(200):
         if (b - a) <= 1e-14 * max(1.0, b):
             break
-        mid = np.sqrt(a * b) if a > 0.0 else 0.5 * (a + b)
-        if (float(fn(mid)) >= target) == rising:
-            b = mid
+        w = math.log1p((b - a) / a)
+        half = 0.5 * w
+        ya, yb = fa - target, fb - target
+        xf = w * ya / (ya - yb)             # regula falsi
+        d = half - xf
+        # the truncation is at least half the stopping width, and at
+        # least the width over which the secant moves by one ulp of the
+        # target: after a point within rounding of the target the next
+        # step either closes the bracket or lands past the plateau of
+        # values equal to the target up to rounding, which it bisects
+        delta = max(k1 * w * w, eps, math.ulp(target) * w / abs(ya - yb))
+        xt = xf + math.copysign(delta, d) if delta <= abs(d) else half
+        r = max(eps * 2.0 ** (n_max - j) - half, 0.0)
+        x = xt if abs(xt - half) <= r else half - math.copysign(r, d)
+        c = a * math.exp(x)
+        if not a < c < b:
+            c = a + 0.5 * (b - a)
+        fc = float(fn(c))
+        if (fc >= target) == rising:
+            b, fb = c, fc
         else:
-            a = mid
-    return b if rising else a
+            a, fa = c, fc
+    return (b, fb) if rising else (a, fa)
 
 
 def solve_c(request):
@@ -156,25 +194,20 @@ def solve_c(request):
     grid = _scan_grid(request, lo)
     vals = np.asarray(fn(grid), dtype=float)
     warning = None
-    if vals[0] >= target:
-        # the curve already meets the target at the lower bound; the
-        # smallest exact crossing, if any, is where it first drops below
-        below = np.nonzero(vals < target)[0]
-        if below.size == 0:
-            c = float(grid[0])
-            warning = ("every size down to the lower bound meets the "
-                       "target; returning the bound itself")
-        else:
-            j = int(below[0])
-            c = float(_bisect(fn, float(grid[j - 1]), float(grid[j]),
-                              target, rising=False))
+    # a curve that meets the target at the lower bound has its smallest
+    # exact crossing, if any, where it first drops below
+    rising = not vals[0] >= target
+    cross = np.nonzero((vals >= target) == rising)[0]
+    if cross.size == 0 and rising:
+        raise _infeasible(request)
+    if cross.size == 0:
+        c, power = float(grid[0]), float(vals[0])
+        warning = ("every size down to the lower bound meets the "
+                   "target; returning the bound itself")
     else:
-        hit = np.nonzero(vals >= target)[0]
-        if hit.size == 0:
-            raise _infeasible(request)
-        i = int(hit[0])
-        c = float(_bisect(fn, float(grid[i - 1]), float(grid[i]), target))
-    power = float(fn(c))
+        i = int(cross[0])
+        c, power = _root(fn, float(grid[i - 1]), float(grid[i]),
+                         float(vals[i - 1]), float(vals[i]), target, rising)
     if power < target - _TOL:
         raise _infeasible(request)
     ahead = float(fn(min(c * 1.001 + 1e-12, C_CAP)))
@@ -195,7 +228,14 @@ def _scan_grid(request, lo):
     itself when that lies higher.
     """
     k = request.c_stage1 or 0.0
-    grid = k + np.geomspace(max(lo - k, 1e-9), max(C_CAP - k, 1.0), 1200)
+    if k == 0.0 and lo <= _C_MIN:
+        grid = _GRID
+    else:
+        # the first step must move c above c_stage1: 0.52 ulp of it
+        # rounds up to the next double, and lies below 1e-9 for every
+        # c_stage1 under 2**24
+        start = max(lo - k, _C_MIN, 0.52 * np.spacing(k))
+        grid = k + np.geomspace(start, max(C_CAP - k, 1.0), 1200)
     if lo > k:
         grid = np.concatenate(([lo], grid[grid > lo]))
     return grid

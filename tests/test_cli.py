@@ -2,6 +2,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,26 @@ def test_infeasible_supremum_respects_c_lower(capsys):
     assert code == 1
     assert err == ("error: target power 0.999 exceeds the attainable "
                    "supremum 0.989556\n")
+
+
+def test_solve_on_c_stage1_axis_past_2_24(capsys):
+    # from c_stage1 = 2**24 on, c_stage1 + 1e-9 rounds back to c_stage1,
+    # which put the scan's first point at f = 1
+    for method, k in (("ippi", "2e7"), ("cpi", "1e8")):
+        data = envelope(["solve", "--method", method, "--target", "0.5",
+                         "--zo", "2", "--zi", "1", "--c-stage1", k], capsys)
+        res = data["results"]
+        assert res["c"] > float(k) and 0.0 < res["f"] < 1.0
+        assert res["power"] == pytest.approx(0.5, abs=1e-8)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repower.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

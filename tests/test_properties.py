@@ -3,15 +3,20 @@
 The supremum of a PowerResult is the least upper bound of the method's
 power along its sizing axis: c for the design-stage methods, the
 remaining size nj / no (with ni / no = c * f held fixed) at interim.
-Hypothesis runs derandomized, so every run draws the same cases.
+The solver's answer meets its target, is the first crossing, and
+costs few scalar evaluations of the method table.  Hypothesis runs
+derandomized, so every run draws the same cases.
 """
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
-                     FixedDesign, InterimState, cbp, cp, cpi, design_power,
-                     fbp, interim_power, ippi, pp, ppi)
+                     FixedDesign, InterimState, SolveRequest, _methods, cbp,
+                     cp, cpi, design_power, fbp, interim_power, ippi, pp,
+                     ppi, solve_c)
 
 DRAWN = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -61,3 +66,40 @@ def test_interim_without_data_is_design(zo, zi, c, config):
         same = RESULTS[design](fixed, config)
         assert abs(at_f0.power - same.power) <= 1e-15
         assert abs(at_f0.supremum - same.supremum) <= 1e-15
+
+
+def _solve_counting(request):
+    """solve_c's answer and its number of scalar method-table calls."""
+    scalar_calls = []
+    power = _methods.Method.power
+
+    def counting(entry, zd, zi, c, f, config):
+        scalar_calls.append(np.ndim(c) == 0)
+        return power(entry, zd, zi, c, f, config)
+    with mock.patch.object(_methods.Method, "power", counting):
+        res = solve_c(request)
+    return res, sum(scalar_calls)
+
+
+@DRAWN
+@given(method=st.sampled_from(METHODS_FIXED), zo=z_stats, config=configs,
+       c_star=st.floats(1e-2, 1e2))
+def test_solve_c_first_crossing_in_few_evaluations(method, zo, config,
+                                                   c_star):
+    # the power at a drawn size is a target the curve reaches
+    target = design_power(method, zo, c_star, config)
+    assume(0.01 <= target <= 0.99)
+    # where the curve is level to within rounding over a wide range it
+    # meets the target on a plateau, whose first point only bisection
+    # finds; ask for a slope of at least 1e-4 per unit of log c
+    assume(abs(design_power(method, zo, c_star * 1.01, config) - target)
+           >= 1e-6)
+    res, evaluations = _solve_counting(
+        SolveRequest(method=method, target_power=target, zo=zo,
+                     config=config))
+    assert design_power(method, zo, res.c, config) >= target - 1e-8
+    assert evaluations <= 25
+    if design_power(method, zo, 1e-9, config) < target:
+        # rising branch: just below the answer the target is missed
+        assert design_power(method, zo, res.c * (1.0 - 1e-6),
+                            config) < target

@@ -179,3 +179,12 @@ def test_c_lower_holds_on_c_stage1_axis():
                                config=CFG))
     assert 1.0 < free.c < 10.0
     assert low.c == pytest.approx(free.c, rel=1e-10)
+
+
+def test_request_refuses_infinite_c_stage1():
+    # the solver evaluates the method table unchecked, so the request
+    # itself must keep every scan point finite
+    for k in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="c_stage1 must be positive"):
+            SolveRequest(method="IPPi", target_power=0.5, zo=2.0, zi=1.0,
+                         c_stage1=k)
