@@ -250,87 +250,75 @@ def _cmd_curve(args):
     return _inputs(args), results, [], lines, lines
 
 
-def _fmt(value, digits=6):
+# (header, row key, format) of each ssrp report's columns
+_SSRP_COLUMNS = {
+    "records": (("study", "study", ""), ("no", "no", ""), ("ni", "ni", ""),
+                ("nr", "nr", ""), ("zo", "zo", ".3f"), ("zi", "zi", ".3f"),
+                ("c", "c", ".4g"), ("f", "f", ".4g")),
+    "interim": (("study", "study", ""), ("cpi_pct", "cpi", ".1f"),
+                ("ippi_pct", "ippi", ".1f"), ("ppi_pct", "ppi", ".1f"),
+                ("published_cpi", "ref_cpi", ".1f"),
+                ("published_ippi", "ref_ippi", ".1f"),
+                ("published_ppi", "ref_ppi", ".1f")),
+    "design-powers": (("study", "study", ""), ("c_stage1", "c_stage1", ".3f"),
+                      ("cp", "cp", ".4f"), ("pp", "pp", ".4f"),
+                      ("fbp", "fbp", ".4f"), ("cbp", "cbp", ".4f")),
+    "futility": (("study", "study", ""), ("power", "power", ".4f"),
+                 ("stop", "stop", ""), ("replicated", "replicated", "")),
+}
+
+
+def _cell(value, spec):
     if value is None:
         return "-"
-    return f"{value:.{digits}g}"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return format(value, spec)
 
 
 def _cmd_ssrp(args):
     records = ssrp.load_csv(args.data)
     inputs = {"report": args.report, "data": args.data}
+    summary = []
     if args.report == "records":
         rows = []
-        table = []
         for rec in records:
             d = ssrp.derive(rec)
             rows.append({"study": rec.study, "no": rec.no, "ni": rec.ni,
                          "nr": rec.nr, "zo": d.zo, "zi": d.zi, "c": d.c,
                          "f": d.f, "continued": rec.continued})
-            table.append((rec.study, rec.no, rec.ni,
-                          rec.nr if rec.nr is not None else "-",
-                          f"{d.zo:.3f}", f"{d.zi:.3f}",
-                          _fmt(d.c, 4), _fmt(d.f, 4)))
-        header = ("study", "no", "ni", "nr", "zo", "zi", "c", "f")
-        lines = _aligned(header, table)
-        return (inputs, {"rows": rows}, [], lines,
-                _csv_lines(header, table))
-    if args.report == "interim":
-        report = ssrp.reproduce_interim_powers(records)
-        rows = [asdict(r) for r in report.rows]
-        header = ("study", "cpi_pct", "ippi_pct", "ppi_pct",
-                  "published_cpi", "published_ippi", "published_ppi")
-        table = [(r.study, f"{r.cpi:.1f}", f"{r.ippi:.1f}",
-                  f"{r.ppi:.1f}", f"{r.ref_cpi:.1f}",
-                  f"{r.ref_ippi:.1f}", f"{r.ref_ppi:.1f}")
-                 for r in report.rows]
-        lines = _aligned(header, table)
-        lines.append(f"largest deviation from published values: "
-                     f"{report.max_abs_diff_pp:.3f} percentage points")
-        results = {"rows": rows,
-                   "max_abs_diff_pp": report.max_abs_diff_pp,
-                   "mismatches": list(report.mismatches)}
-        return inputs, results, [], lines, _csv_lines(header, table)
-    if args.report == "design-powers":
-        report = ssrp.reproduce_design_powers(records,
-                                              shrinkage=args.shrinkage)
-        rows = [asdict(r) for r in report.rows]
-        header = ("study", "c_stage1", "cp", "pp", "fbp", "cbp")
-        table = [(r.study, f"{r.c_stage1:.3f}", f"{r.cp:.4f}",
-                  f"{r.pp:.4f}", f"{r.fbp:.4f}", f"{r.cbp:.4f}")
-                 for r in report.rows]
-        lines = _aligned(header, table)
-        lines.append(f"CP >= PP in all rows: {report.cp_ge_pp_all}; "
-                     f"CBP >= FBP in all rows: {report.cbp_ge_fbp_all}; "
-                     f"FBP - PP changes sign: {report.fbp_pp_sign_varies}")
-        results = {"rows": rows, "shrinkage": report.shrinkage,
-                   "cp_ge_pp_all": report.cp_ge_pp_all,
-                   "cbp_ge_fbp_all": report.cbp_ge_fbp_all,
-                   "fbp_pp_sign_varies": report.fbp_pp_sign_varies}
-        return ({**inputs, "shrinkage": args.shrinkage}, results, [],
-                lines, _csv_lines(header, table))
-    rule = solver.FutilityRule(method=_TAGS[args.futility_method],
-                               boundary=args.boundary)
-    report = ssrp.futility_replay(records, rule)
-    rows = [asdict(r) for r in report.rows]
-    header = ("study", "power", "stop", "replicated")
-    table = [(r.study, f"{r.power:.4f}", "yes" if r.stop else "no",
-              "yes" if r.replicated else "no") for r in report.rows]
-    lines = _aligned(header, table)
-    lines.append(
-        f"rule {rule.method} < {rule.boundary:g}: stops "
-        f"{report.n_failed_stopped} of {report.n_failed} failed and "
-        f"{report.n_replicated_stopped} of "
-        f"{report.n_continued - report.n_failed} successful replications")
-    results = {"rows": rows, "method": rule.method,
-               "boundary": rule.boundary,
-               "n_continued": report.n_continued,
-               "n_failed": report.n_failed,
-               "n_failed_stopped": report.n_failed_stopped,
-               "n_replicated_stopped": report.n_replicated_stopped}
-    inputs = {**inputs, "futility_method": args.futility_method,
-              "boundary": args.boundary}
-    return inputs, results, [], lines, _csv_lines(header, table)
+        results = {"rows": rows}
+    elif args.report == "interim":
+        results = asdict(ssrp.reproduce_interim_powers(records))
+        summary.append(f"largest deviation from published values: "
+                       f"{results['max_abs_diff_pp']:.3f} percentage points")
+    elif args.report == "design-powers":
+        results = asdict(ssrp.reproduce_design_powers(
+            records, shrinkage=args.shrinkage))
+        inputs["shrinkage"] = args.shrinkage
+        summary.append(
+            f"CP >= PP in all rows: {results['cp_ge_pp_all']}; "
+            f"CBP >= FBP in all rows: {results['cbp_ge_fbp_all']}; "
+            f"FBP - PP changes sign: {results['fbp_pp_sign_varies']}")
+    else:
+        rule = solver.FutilityRule(method=_TAGS[args.futility_method],
+                                   boundary=args.boundary)
+        results = asdict(ssrp.futility_replay(records, rule))
+        results.update(results.pop("rule"))
+        inputs.update(futility_method=args.futility_method,
+                      boundary=args.boundary)
+        summary.append(
+            f"rule {rule.method} < {rule.boundary:g}: stops "
+            f"{results['n_failed_stopped']} of {results['n_failed']} failed "
+            f"and {results['n_replicated_stopped']} of "
+            f"{results['n_continued'] - results['n_failed']} successful "
+            "replications")
+    columns = _SSRP_COLUMNS[args.report]
+    header = tuple(h for h, _, _ in columns)
+    table = [tuple(_cell(row[key], spec) for _, key, spec in columns)
+             for row in results["rows"]]
+    return (inputs, results, [], _aligned(header, table) + summary,
+            _csv_lines(header, table))
 
 
 def _aligned(header, rows):

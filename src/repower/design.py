@@ -32,7 +32,6 @@ table of ``_methods``: its Phi argument, its required inputs and its
 supremum rules.  This module evaluates the table (``design_power``,
 ``_supremum``) and builds every ``PowerResult``.
 """
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,98 +170,25 @@ def design_power(method, zo, c, config=DEFAULT_CONFIG):
     return _power(method, zo, None, c, None, config, interim=False)
 
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_XATOL = 1e-5
-_MAXFUN = 500
-
-
-def _bounded_min(func, a, b):
-    """Least value of func found by Brent's bounded search on [a, b].
-
-    A float-only port of ``scipy.optimize.minimize_scalar(method=
-    "bounded")`` at its defaults (xatol 1e-5, at most 500 evaluations),
-    step for step, so that every supremum keeps its bits while
-    ``import repower`` leaves scipy.optimize (and the scipy.linalg it
-    pulls in) unloaded.
-    """
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAXFUN:
-            break
-    return fx
-
-
-def _polished_max(curve, grid):
-    """max of curve over a log grid, refined around the best point"""
-    logs = np.log(grid)
-    vals = curve(grid)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    a = float(logs[max(i - 1, 0)])
-    b = float(logs[min(i + 1, len(grid) - 1)])
-    if b > a:
-        low = _bounded_min(
-            lambda t: -float(curve(np.exp(np.array([t])))[0]), a, b)
-        best = max(best, -low)
-    return best
-
-
 def _numeric_supremum(curve, limits, lo=1e-12, hi=1e12):
-    best = _polished_max(curve, np.geomspace(lo, hi, 481))
-    return min(1.0, max([best, *limits]))
+    """Largest of ``curve`` over [lo, hi] and of ``limits``, capped at 1.
+
+    ``curve`` is evaluated on a 481-point log grid over [lo, hi], then
+    on a 33-point log grid spanning the two cells around the best point
+    so far, and again on each new best cell until the log spacing is
+    below 1e-6.
+    """
+    grid = np.geomspace(lo, hi, 481)
+    t = np.log(grid)
+    best = -np.inf
+    while True:
+        vals = curve(grid)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        if t[1] - t[0] < 1e-6:
+            return min(1.0, max([best, *limits]))
+        t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], 33)
+        grid = np.exp(t)
 
 
 def _supremum(method, zo, zi, axis, s, config):

@@ -114,20 +114,23 @@ def _curve(request):
 
 
 def _infeasible(request):
-    """InfeasibleTarget carrying the supremum along the request's axis,
-    or over [c_lower, C_CAP], the range searched, when c_lower lies
-    above the axis's lower end."""
+    """InfeasibleTarget carrying the supremum along the request's axis.
+
+    When c_lower lies above the axis's lower end, or the curve nears a
+    supremum above the target only beyond C_CAP, the bound reported is
+    the maximum over the range ``solve_c`` scanned.
+    """
     r = request
     axis, s = "c", None
     if r.f is not None:
         axis, s = "f", r.f
     elif r.c_stage1 is not None:
         axis, s = "c_stage1", r.c_stage1
-    if r.c_lower > (r.c_stage1 or 0.0):
+    sup = design._supremum(r.method, r.zo, r.zi, axis, s, r.config)
+    if r.c_lower > (r.c_stage1 or 0.0) or sup >= r.target_power:
         fn, lo = _curve(r)
-        sup = design._numeric_supremum(fn, (), lo, C_CAP)
-    else:
-        sup = design._supremum(r.method, r.zo, r.zi, axis, s, r.config)
+        grid = _scan_grid(r, lo)
+        sup = design._numeric_supremum(fn, (), grid[0], grid[-1])
     return InfeasibleTarget(r.target_power, sup)
 
 

@@ -243,6 +243,16 @@ def test_infeasible_supremum_respects_c_lower(capsys):
                    "supremum 0.989556\n")
 
 
+def test_infeasible_supremum_is_reached_within_c_cap(capsys):
+    # PPi nears its c -> inf limit 0.767305 only far beyond c = 1e9, the
+    # largest size searched; the message reports the maximum below it
+    code, _, err = run(["solve", "--method", "ppi", "--target", "0.76",
+                        "--zi", "0.73", "--c-stage1", "3e5"], capsys)
+    assert code == 1
+    assert err == ("error: target power 0.76 exceeds the attainable "
+                   "supremum 0.756835\n")
+
+
 def test_solve_on_c_stage1_axis_past_2_24(capsys):
     # from c_stage1 = 2**24 on, c_stage1 + 1e-9 rounds back to c_stage1,
     # which put the scan's first point at f = 1

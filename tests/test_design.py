@@ -239,3 +239,12 @@ def test_cached_critical_values_stay_out_of_fields():
                                        "both_tails": False}
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.alpha = 0.05
+
+
+def test_numeric_supremum_in_the_lower_tail():
+    # CBP with zd < 0 peaks inside (0, inf); mpmath at 40 digits, golden
+    # section on log c of Phi((c+1)/sqrt(c)*zd + sqrt((c+1)/c)*z_alpha_tilde)
+    r = cbp(FixedDesign(-2.5797003340358002, 1.0), DesignConfig(alpha=0.1))
+    assert r.supremum == pytest.approx(3.3655082311276734e-19, rel=1e-13,
+                                       abs=0.0)
+    assert not r.feasible_100

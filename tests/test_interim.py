@@ -6,10 +6,11 @@ Phi argument from the published weight expressions by hand.
 import numpy as np
 import pytest
 
-from repower import (DesignConfig, FixedDesign, InterimState, cpi,
-                     design_power, interim_ordering_holds, interim_power,
-                     ippi, ippi_limit, p_to_z, ppi, ppi_minimum,
-                     remaining_n_curve, std_normal_cdf,
+from repower import (DesignConfig, FixedDesign, InfeasibleTarget,
+                     InterimState, SolveRequest, cpi, design_power,
+                     interim_ordering_holds, interim_power, ippi,
+                     ippi_limit, p_to_z, ppi, ppi_minimum,
+                     remaining_n_curve, solve_c, std_normal_cdf,
                      weight_dominance_threshold)
 
 CFG = DesignConfig(alpha=0.05)
@@ -245,3 +246,30 @@ def test_c_stage1_supremum_at_large_interim_size():
     dense = interim_power("CPi", -1.0, 0.5, c, k / c, CFG).max()
     assert r.power <= r.supremum and not r.feasible_100
     assert r.supremum == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("zo, zi, expected", [
+    (-0.5, 0.8, 0.0012153716522770157437),
+    (-1.0, -1.0, 9.5219304661712996419e-10),
+    (-2.0, 0.8, 2.7578164881342900431e-7),
+])
+def test_cpi_interior_maximum_over_remaining_size(zo, zi, expected):
+    # ni / no = 5 fixed; mpmath at 40 digits, golden section on
+    # log(nj / no) of the CPi Phi expression at c = 5 + nj / no
+    r = cpi(FixedDesign(zo, 10.0), InterimState(zi, 0.5), CFG)
+    assert r.supremum == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("zo, zi, f, expected", [
+    (2.0, 1.0, 0.75, 0.13100601068911588736),
+    (-1.5, -1.0, 0.5, 0.39090897111824145234),
+    (2.0, 1.0, 0.25, 0.73825439451407977512),
+])
+def test_ippi_both_tails_interior_maximum_at_fixed_f(zo, zi, f, expected):
+    # the peak over c lies above the c -> inf limit; mpmath at 40
+    # digits, golden section on log c of both IPPi Phi terms
+    config = DesignConfig(alpha=0.05, both_tails=True)
+    with pytest.raises(InfeasibleTarget) as exc:
+        solve_c(SolveRequest("IPPi", 0.99, zo=zo, zi=zi, f=f,
+                             config=config))
+    assert exc.value.supremum == pytest.approx(expected, rel=1e-14, abs=0.0)
