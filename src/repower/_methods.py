@@ -3,14 +3,16 @@
 Every power is Phi(t + z), plus Phi(-t + z) when rejections in both
 directions count.  The data part t carries the shrunken original z
 ``zd`` and the interim z ``zi``, the quantile part z the critical value.
-A ``Method`` entry holds the Phi argument as ``parts(zd, zi, c, f,
-config) -> (t, z)``, the inputs the method needs, and its supremum rule
-``sup(zd, zi, axis, s, config)`` for the sizing axes it supports.  On
-axis "c" (fixed designs) and "f" (interim fraction s held fixed) c
-grows.  On "c_stage1", s = ni / no is held fixed and c = s + nj / no
-grows with the remaining size.  A rule returns the supremum where it is
-analytic, or else the tuple of limits for the numeric search in
-``design``.
+Sizes are relative to the original study: ``s = ni / no`` has already
+been observed and ``x = nj / no`` is still to come, so a replication of
+total size c at interim fraction f has s = c * f and x = c * (1 - f),
+and a fixed design is the case s = 0, x = c.  A ``Method`` entry holds
+the Phi argument as ``parts(zd, zi, s, x, config) -> (t, z)``, the
+inputs the method needs, and its supremum rule ``sup(zd, zi, s, f,
+config)``: with ``f`` None the rule covers x growing at fixed s, else c
+growing at the fixed interim fraction f.  A rule returns the supremum
+where it is analytic, or else the tuple of limits for the numeric
+search in ``design``.
 """
 from dataclasses import dataclass
 
@@ -37,41 +39,37 @@ def _significant(zi, cfg):
     return abs(zi) > -za if cfg.both_tails else zi + za > 0.0
 
 
-def _ippi_limit(zd, zi, k, cfg):
-    """IPPi as the remaining size grows with ni / no = k fixed."""
-    arg = np.sqrt(1.0 / (k + 1.0)) * zd + np.sqrt(k / (k + 1.0)) * zi
+def _ippi_limit(zd, zi, s, cfg):
+    """IPPi as the remaining size x grows at fixed s."""
+    arg = np.sqrt(1.0 / (s + 1.0)) * zd + np.sqrt(s / (s + 1.0)) * zi
     return _tail_power(arg, 0.0, cfg.both_tails)
 
 
-def _cp(zd, zi, c, f, cfg):
-    return np.sqrt(c) * zd, cfg.z_alpha * np.ones_like(c)
+def _cp(zd, zi, s, x, cfg):
+    return np.sqrt(x) * zd, cfg.z_alpha * np.ones_like(x)
 
 
-def _cp_sup(zd, zi, axis, s, cfg):
+def _cp_sup(zd, zi, s, f, cfg):
     if _counts(zd, cfg):
         return 1.0
     return (cfg.alpha,) if cfg.both_tails else cfg.alpha / 2.0
 
 
-def _pp(zd, zi, c, f, cfg):
-    return np.sqrt(c / (c + 1.0)) * zd, np.sqrt(1.0 / (c + 1.0)) * cfg.z_alpha
+def _pp(zd, zi, s, x, cfg):
+    return np.sqrt(x / (x + 1.0)) * zd, np.sqrt(1.0 / (x + 1.0)) * cfg.z_alpha
 
 
-def _pp_sup(zd, zi, axis, s, cfg):
+def _pp_sup(zd, zi, s, f, cfg):
     if cfg.both_tails:
         return 1.0      # both-tail rejection -> 1 as c grows
     return float(max(std_normal_cdf(zd), cfg.alpha / 2.0))
 
 
-def _fbp_weights(zd, c, zq):
-    return np.sqrt((c + 1.0) / c) * zd, np.sqrt(1.0 / c) * zq
+def _fbp(zd, zi, s, x, cfg):
+    return np.sqrt((x + 1.0) / x) * zd, np.sqrt(1.0 / x) * cfg.z_alpha_tilde
 
 
-def _fbp(zd, zi, c, f, cfg):
-    return _fbp_weights(zd, c, cfg.z_alpha_tilde)
-
-
-def _fbp_sup(zd, zi, axis, s, cfg):
+def _fbp_sup(zd, zi, s, f, cfg):
     # both tails: -> 1 as c grows.  Beyond the pooled threshold the
     # c -> 0 limit is 1.
     if cfg.both_tails or zd + cfg.z_alpha_tilde > 0.0:
@@ -79,12 +77,12 @@ def _fbp_sup(zd, zi, axis, s, cfg):
     return float(std_normal_cdf(zd))
 
 
-def _cbp(zd, zi, c, f, cfg):
-    return ((c + 1.0) / np.sqrt(c) * zd,
-            np.sqrt((c + 1.0) / c) * cfg.z_alpha_tilde)
+def _cbp(zd, zi, s, x, cfg):
+    return ((x + 1.0) / np.sqrt(x) * zd,
+            np.sqrt((x + 1.0) / x) * cfg.z_alpha_tilde)
 
 
-def _cbp_sup(zd, zi, axis, s, cfg):
+def _cbp_sup(zd, zi, s, f, cfg):
     if _counts(zd, cfg):
         return 1.0
     if zd == 0.0:
@@ -93,41 +91,44 @@ def _cbp_sup(zd, zi, axis, s, cfg):
     return ()
 
 
-def _cpi(zd, zi, c, f, cfg):
-    t = np.sqrt(c * (1.0 - f)) * zd + np.sqrt(f / (1.0 - f)) * zi
-    return t, np.sqrt(1.0 / (1.0 - f)) * cfg.z_alpha
+def _cpi(zd, zi, s, x, cfg):
+    q = s / x
+    return np.sqrt(x) * zd + np.sqrt(q) * zi, np.sqrt(1.0 + q) * cfg.z_alpha
 
 
-def _cpi_sup(zd, zi, axis, s, cfg):
+def _cpi_sup(zd, zi, s, f, cfg):
     # a significant interim forces success as nj -> 0, a counted point
     # effect as c grows
-    if _counts(zd, cfg) or (axis == "c_stage1" and _significant(zi, cfg)):
+    if _counts(zd, cfg) or (f is None and _significant(zi, cfg)):
         return 1.0
     return ()
 
 
-def _ippi(zd, zi, c, f, cfg):
-    cf1 = c * f + 1.0
-    w_o = np.sqrt(c * (1.0 - f) / (cf1 * (1.0 + c)))
-    w_i = np.sqrt(f * (1.0 + c) / ((1.0 - f) * cf1))
-    w_z = np.sqrt(cf1 / ((1.0 + c) * (1.0 - f)))
-    return w_o * zd + w_i * zi, w_z * cfg.z_alpha
+def _ippi(zd, zi, s, x, cfg):
+    # r: the remaining size against the stage-1 posterior, which holds
+    # s + 1 original sizes
+    r = x / (s + 1.0)
+    q = s / x
+    w_o = np.sqrt(r / ((1.0 + r) * (s + 1.0)))
+    w_i = np.sqrt(q * (1.0 + r))
+    return w_o * zd + w_i * zi, np.sqrt((1.0 + q) / (1.0 + r)) * cfg.z_alpha
 
 
-def _ippi_sup(zd, zi, axis, s, cfg):
-    if axis == "f":
+def _ippi_sup(zd, zi, s, f, cfg):
+    if f is not None:
         # the original's weight vanishes as c grows at fixed f
-        return (_tail_power(*_ppi(zd, zi, None, s, cfg), cfg.both_tails),)
+        return (_tail_power(*_ppi(zd, zi, f, 1.0 - f, cfg), cfg.both_tails),)
     return 1.0 if _significant(zi, cfg) else (_ippi_limit(zd, zi, s, cfg),)
 
 
-def _ppi(zd, zi, c, f, cfg):
-    # same weight structure as FBP at c = (1 - f) / f, with the
-    # flat-analysis quantile in place of the pooled one
-    return _fbp_weights(zi, (1.0 - f) / f, cfg.z_alpha)
+def _ppi(zd, zi, s, x, cfg):
+    # FBP's weights at c = x / s, with the flat-analysis quantile in
+    # place of the pooled one
+    q = s / x
+    return np.sqrt(1.0 + q) * zi, np.sqrt(q) * cfg.z_alpha
 
 
-def _ppi_sup(zd, zi, axis, s, cfg):
+def _ppi_sup(zd, zi, s, f, cfg):
     if _significant(zi, cfg):
         return 1.0
     # increasing in nj towards the interim evidence alone
@@ -150,7 +151,6 @@ class Method:
     needs: tuple
     parts: object
     sup: object
-    axes: tuple
     at_f0: str = None
     dominance: object = None
 
@@ -170,29 +170,24 @@ class Method:
         if not self.interim and any(v is not None for v in (zi, *stray)):
             raise ValueError(f"{self.tag} takes no interim {noun}")
 
-    def power(self, zd, zi, c, f, config):
-        return _tail_power(*self.parts(zd, zi, c, f, config),
+    def power(self, zd, zi, s, x, config):
+        return _tail_power(*self.parts(zd, zi, s, x, config),
                            config.both_tails)
 
 
-_FIXED = ("c",)
-_INTERIM = ("f", "c_stage1")
 METHODS = {m.tag: m for m in (
-    Method("CP", ("point", "flat"), ("zo",), _cp, _cp_sup, _FIXED),
-    Method("PP", ("normal", "flat"), ("zo",), _pp, _pp_sup, _FIXED),
-    Method("FBP", ("normal", "normal"), ("zo",), _fbp, _fbp_sup, _FIXED),
-    Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup, _FIXED),
-    Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup,
-           _INTERIM, "CP",
-           lambda c: 1.0 - (np.sqrt(4.0 * c + 1.0) - 1.0) / (2.0 * c)),
-    Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup,
-           _INTERIM, "PP",
-           lambda c: (c * c + 4.0 * c + 1.0 - (c + 1.0)
-                      * np.sqrt(c * c + 6.0 * c + 1.0)) / (2.0 * c)),
+    Method("CP", ("point", "flat"), ("zo",), _cp, _cp_sup),
+    Method("PP", ("normal", "flat"), ("zo",), _pp, _pp_sup),
+    Method("FBP", ("normal", "normal"), ("zo",), _fbp, _fbp_sup),
+    Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup),
+    Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup, "CP",
+           lambda c: 4.0 * c / (np.sqrt(4.0 * c + 1.0) + 1.0) ** 2),
+    Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup, "PP",
+           lambda c: 2.0 * c / (c * c + 4.0 * c + 1.0 + (c + 1.0)
+                                * np.sqrt(c * c + 6.0 * c + 1.0))),
     # a flat design prior only arises at interim, where the observed
     # stage-1 data replace it
-    Method("PPi", ("flat", "flat"), ("zi",), _ppi, _ppi_sup,
-           ("c_stage1",)),
+    Method("PPi", ("flat", "flat"), ("zi",), _ppi, _ppi_sup),
 )}
 
 

@@ -238,10 +238,8 @@ def _cmd_curve(args):
         if "zo" in entry.needs and args.zo is None:
             parser.error(f"--zo is required for {args.method}")
         grid = _range_grid(args.nj_range)
-        c = args.c_stage1 + grid
-        f = args.c_stage1 / c
-        power = interim.interim_power(method, args.zo, args.zi, c, f,
-                                      config)
+        power = design._at(entry, args.zo, args.zi, args.c_stage1, grid,
+                           config)
         axis = "nj_ratio"
     results = {"axis": axis, "x": [float(v) for v in grid],
                "power": [float(p) for p in power]}

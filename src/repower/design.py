@@ -28,9 +28,12 @@ counts, and ``both_tails=True`` adds the opposite-direction rejection
 term.
 
 Each method, design-stage or interim, is defined once, in the method
-table of ``_methods``: its Phi argument, its required inputs and its
-supremum rules.  This module evaluates the table (``design_power``,
-``_supremum``) and builds every ``PowerResult``.
+table of ``_methods``: its Phi argument in the stage sizes s (observed)
+and x (still to come), its required inputs and its supremum rule.  This
+module evaluates the table and builds every ``PowerResult``.  The
+public inputs (c, f) become s = c * f and x = c * (1 - f) in one place,
+``_power``; curves over the remaining size evaluate the table at (s, x)
+directly (``_at``, ``_along``), as does ``_supremum``.
 """
 from dataclasses import dataclass
 from functools import cached_property
@@ -131,24 +134,32 @@ def shrunken_zo(zo, config):
     return (1.0 - config.shrinkage) * zo
 
 
-def _power(method, zo, zi, c, f, config, interim):
-    """Power of one method of the given family, vectorized over c and f,
-    after checking every input against the method table."""
+def _power(method, zo, zi, c, f, config, interim=None):
+    """Power of one method (of the given family, if any) at total size c
+    and interim fraction f, vectorized over both, after checking every
+    input against the method table."""
     entry = _methods._lookup(method, interim)
     carr = np.asarray(c, dtype=float)
     if np.any(~np.isfinite(carr)) or np.any(carr <= 0.0):
         raise ValueError("c must be positive and finite")
-    farr = None
-    if interim:
+    s, x = 0.0, carr
+    if entry.interim:
         farr = np.asarray(f, dtype=float)
         # a method without a design counterpart at f = 0 needs f > 0
         lo_ok = farr >= 0.0 if entry.at_f0 else farr > 0.0
         if not np.all(lo_ok & (farr < 1.0)):     # also rejects NaN, inf
             raise ValueError("f must lie in [0, 1), strictly above 0 for PPi")
+        s, x = carr * farr, carr * (1.0 - farr)
+    out = _at(entry, zo, zi, s, x, config)
+    return float(out) if np.ndim(c) == 0 and np.ndim(f) == 0 else out
+
+
+def _at(entry, zo, zi, s, x, config):
+    """Power of a method-table entry at the stage sizes s and x (see
+    ``_methods``), after checking its zo and zi."""
     entry.check(zo, zi)
     zd = shrunken_zo(zo, config) if "zo" in entry.needs else 0.0
-    out = entry.power(zd, zi, carr, farr, config)
-    return float(out) if np.ndim(c) == 0 and np.ndim(f) == 0 else out
+    return entry.power(zd, zi, s, x, config)
 
 
 def design_power(method, zo, c, config=DEFAULT_CONFIG):
@@ -191,48 +202,43 @@ def _numeric_supremum(curve, limits, lo=1e-12, hi=1e12):
         grid = np.exp(t)
 
 
-def _supremum(method, zo, zi, axis, s, config):
-    """Least upper bound of a method's power along one sizing axis.
+def _along(entry, zd, zi, s, f, config):
+    """Power as a function of the growing size: the remaining size x at
+    fixed s when ``f`` is None, else c at the fixed interim fraction f."""
+    if f is None:
+        return lambda x: entry.power(zd, zi, s, x, config)
+    return lambda c: entry.power(zd, zi, c * f, c * (1.0 - f), config)
 
-    ``s`` is the value the axis holds fixed (see ``_methods``).  The
-    method's rule gives the supremum where it is analytic, else the
-    limits for the numeric search.
+
+def _supremum(method, zo, zi, s, config, f=None):
+    """Least upper bound of a method's power as its size grows.
+
+    With ``f`` None the remaining size x grows at fixed s, else c grows
+    at the fixed interim fraction f (see ``_methods``).  The method's
+    rule gives the supremum where it is analytic, else the limits for
+    the numeric search.
     """
     entry = _methods._lookup(method)
-    if axis == "c_stage1" and s == 0.0:
+    if f is None and s == 0.0:
         # no interim data yet: CPi is CP and IPPi is PP in disguise
-        if entry.at_f0 is None:
-            raise ValueError(f"{method} needs a positive interim fraction")
-        return _supremum(entry.at_f0, zo, zi, "c", None, config)
+        entry = _methods.METHODS.get(entry.at_f0, entry)
     zd = shrunken_zo(zo, config) if zo is not None else 0.0
-    rule = entry.sup(zd, zi, axis, s, config)
+    rule = entry.sup(zd, zi, s, f, config)
     if not isinstance(rule, tuple):
         return rule
-
-    def curve(x):
-        if axis != "c_stage1":
-            return entry.power(zd, zi, x, s, config)
-        c = s + x
-        return entry.power(zd, zi, c, s / c, config)
-    lo = 1e-12
-    if axis == "c_stage1":
-        # the first step must move c above s: 0.52 ulp of s rounds up to
-        # the next double, and is below 1e-12 wherever 1e-12 already was
-        lo = max(lo, 0.52 * np.spacing(s))
-    return _numeric_supremum(curve, rule, lo)
+    return _numeric_supremum(_along(entry, zd, zi, s, f, config), rule)
 
 
 def _result(method, fixed, state, config):
     """The PowerResult of a method at a design (and interim state): its
     power and its supremum over c, or over the remaining size."""
-    zi = f = s = None
-    axis = "c"
+    zi = f = None
+    s = 0.0
     if state is not None:
-        zi, f, axis, s = state.zi, state.f, "c_stage1", fixed.c * state.f
+        zi, f, s = state.zi, state.f, fixed.c * state.f
     power = float(_power(method, fixed.zo, zi, fixed.c, f, config,
                          interim=state is not None))
-    sup = float(max(_supremum(method, fixed.zo, zi, axis, s, config),
-                    power))
+    sup = float(max(_supremum(method, fixed.zo, zi, s, config), power))
     return PowerResult(method, power, sup, sup >= 1.0 - 1e-12)
 
 
@@ -291,7 +297,8 @@ def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
     zd = shrunken_zo(zo, config)
     if zd <= 0.0:
         raise ValueError("FBP and CBP only cross for a positive original z")
-    c = float((config.z_alpha_tilde / zd) ** 2 - 1.0)
+    zat = config.z_alpha_tilde
+    c = float((zat + zd) * (zat - zd) / (zd * zd))
     return CrossingPoint(c, c > 0.0)
 
 
@@ -316,8 +323,9 @@ def fbp_minimum(zo, config=DEFAULT_CONFIG):
         raise ValueError(
             "FBP has an interior minimum only when the original is "
             "significant at the pooled level alpha_tilde")
-    c = float(zd * zd / (zat * zat) - 1.0)
-    power = float(std_normal_cdf(np.sqrt(zd * zd - zat * zat)))
+    gap = (zd + zat) * (zd - zat)
+    c = float(gap / (zat * zat))
+    power = float(std_normal_cdf(np.sqrt(gap)))
     return PowerMinimum(c, power)
 
 

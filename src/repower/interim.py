@@ -142,7 +142,7 @@ def ppi_minimum(zi, config=DEFAULT_CONFIG):
     if zi + za <= 0.0:
         raise ValueError(
             "PPi has an interior minimum only for a significant interim")
-    return float(std_normal_cdf(np.sqrt(zi * zi - za * za)))
+    return float(std_normal_cdf(np.sqrt((zi + za) * (zi - za))))
 
 
 @dataclass(frozen=True)
@@ -177,14 +177,9 @@ def remaining_n_curve(zo, zi, c_stage1, nj_ratio, config=DEFAULT_CONFIG):
         raise ValueError("nj_ratio must be positive and finite")
     if not (np.isfinite(c_stage1) and c_stage1 > 0.0):
         raise ValueError("c_stage1 must be positive and finite")
-    c = c_stage1 + x
-    f = c_stage1 / c
-    return InterimPowerCurve(
-        nj_ratio=x,
-        cpi=interim_power("CPi", zo, zi, c, f, config),
-        ippi=interim_power("IPPi", zo, zi, c, f, config),
-        ppi=interim_power("PPi", None, zi, c, f, config),
-    )
+    cpi, ippi, ppi = (design._at(_methods.METHODS[m], zo, zi, c_stage1, x,
+                                 config) for m in ("CPi", "IPPi", "PPi"))
+    return InterimPowerCurve(nj_ratio=x, cpi=cpi, ippi=ippi, ppi=ppi)
 
 
 # short aliases matching the method tags

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import _methods
-from .design import DEFAULT_CONFIG, METHODS_FIXED, design_power, shrunken_zo
-from .interim import interim_power
+from . import _methods, design
+from .design import DEFAULT_CONFIG, METHODS_FIXED, shrunken_zo
 from .normal import std_normal_cdf
 
 BATCH_SIZE = 1 << 16
@@ -77,10 +76,8 @@ class SimResult:
 
 def closed_form(spec):
     """The closed-form power the simulation is meant to reproduce."""
-    if _methods._lookup(spec.method).interim:
-        return interim_power(spec.method, spec.zo, spec.zi, spec.c, spec.f,
-                             spec.config)
-    return design_power(spec.method, spec.zo, spec.c, spec.config)
+    return design._power(spec.method, spec.zo, spec.zi, spec.c, spec.f,
+                         spec.config)
 
 
 def _uniforms(gen, size):

@@ -1,15 +1,18 @@
 """Invert power curves for the relative sample size, and futility rules.
 
 ``solve_c`` finds the smallest relative sample size ``c`` at which a
-chosen method reaches a target power.  Because several of the curves
-are not monotone (FBP and CBP can dip before rising, interim curves can
-start high and fall), the solver scans a logarithmic grid for the first
-upward or downward crossing and refines it with an ITP root on log c
-(interpolate, truncate, project; Oliveira and Takahashi 2020), so it
-always returns the smallest crossing.  ITP converges superlinearly on
-these smooth curves and takes at most one step more than bisection to
-the same tolerance.  If the target exceeds the least upper bound of the
-curve, ``InfeasibleTarget`` is raised carrying that bound.
+chosen method reaches a target power.  It searches over the size that
+grows, u: the remaining size nj / no at a fixed ``c_stage1`` (so that
+c = c_stage1 + u), else c itself, and its scan ends where c reaches
+C_CAP.  Because several of the curves are not monotone (FBP and CBP can
+dip before rising, interim curves can start high and fall), the solver
+scans a logarithmic grid for the first upward or downward crossing and
+refines it with an ITP root on log u (interpolate, truncate, project;
+Oliveira and Takahashi 2020), so it always returns the smallest
+crossing.  ITP converges superlinearly on these smooth curves and takes
+at most one step more than bisection to the same tolerance.  If the
+target exceeds the least upper bound of the curve, ``InfeasibleTarget``
+is raised carrying that bound.
 """
 import math
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from .interim import interim_power
 C_CAP = 1e9
 _TOL = 1e-8
 _C_MIN = 1e-9
-# the scan grid of every request without c_stage1 or a positive c_lower
+# the scan grid of every request without c_stage1 or a c_lower above 1e-9
 _GRID = np.geomspace(_C_MIN, C_CAP, 1200)
 _GRID.setflags(write=False)
 
@@ -72,7 +75,9 @@ class SolveRequest:
                 "interim solving needs exactly one of f or c_stage1")
         if self.f is not None and not 0.0 < self.f < 1.0:
             raise ValueError("f must lie strictly in (0, 1)")
-        if self.f is not None and "f" not in entry.axes:
+        # without the original, the power at a fixed f is the same for
+        # every c
+        if self.f is not None and "zo" not in entry.needs:
             raise ValueError(
                 f"{self.method} at a fixed interim fraction does not vary "
                 "with c; fix c_stage1 instead")
@@ -96,21 +101,19 @@ class SolveResult:
 
 
 def _curve(request):
-    """Power as a function of c, plus the domain lower bound.
+    """Power as a function of the growing size u, plus the fixed size s.
 
-    Evaluates the method table directly: ``SolveRequest`` has checked
-    the inputs, and the solver passes only positive, finite c (and on
-    the c_stage1 axis only c above c_stage1, so f < 1).
+    u is the remaining size x = nj / no at fixed s = c_stage1 (s = 0 for
+    fixed designs), or the total size c at a fixed interim fraction f
+    (s = 0 again); either way c = s + u.  Evaluates the method table
+    directly: ``SolveRequest`` has checked the inputs, and the solver
+    passes only positive, finite u.
     """
     r = request
     entry = _methods._lookup(r.method)
     zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
-    k = r.c_stage1
-
-    def fn(c):
-        f = r.f if k is None else k / c
-        return entry.power(zd, r.zi, c, f, r.config)
-    return fn, max(r.c_lower, k or 0.0)
+    s = r.c_stage1 or 0.0
+    return design._along(entry, zd, r.zi, s, r.f, r.config), s
 
 
 def _infeasible(request):
@@ -121,21 +124,16 @@ def _infeasible(request):
     the maximum over the range ``solve_c`` scanned.
     """
     r = request
-    axis, s = "c", None
-    if r.f is not None:
-        axis, s = "f", r.f
-    elif r.c_stage1 is not None:
-        axis, s = "c_stage1", r.c_stage1
-    sup = design._supremum(r.method, r.zo, r.zi, axis, s, r.config)
-    if r.c_lower > (r.c_stage1 or 0.0) or sup >= r.target_power:
-        fn, lo = _curve(r)
-        grid = _scan_grid(r, lo)
+    fn, s = _curve(r)
+    sup = design._supremum(r.method, r.zo, r.zi, s, r.config, r.f)
+    if r.c_lower > s or sup >= r.target_power:
+        grid = _scan_grid(r, s)
         sup = design._numeric_supremum(fn, (), grid[0], grid[-1])
     return InfeasibleTarget(r.target_power, sup)
 
 
 def _root(fn, a, b, fa, fb, target, rising):
-    """Crossing of the target inside (a, b), refined by ITP on log c.
+    """Crossing of the target inside (a, b), refined by ITP on log u.
 
     On entry fa = fn(a) < target <= fb = fn(b) on a rising curve, and
     fa >= target > fb on a falling one.  Stops once
@@ -192,9 +190,9 @@ def solve_c(request):
         If no c up to 1e9 reaches the target; carries the least upper
         bound of the curve as ``supremum``.
     """
-    fn, lo = _curve(request)
+    fn, s = _curve(request)
     target = request.target_power
-    grid = _scan_grid(request, lo)
+    grid = _scan_grid(request, s)
     vals = np.asarray(fn(grid), dtype=float)
     warning = None
     # a curve that meets the target at the lower bound has its smallest
@@ -204,44 +202,37 @@ def solve_c(request):
     if cross.size == 0 and rising:
         raise _infeasible(request)
     if cross.size == 0:
-        c, power = float(grid[0]), float(vals[0])
+        u, power = float(grid[0]), float(vals[0])
         warning = ("every size down to the lower bound meets the "
                    "target; returning the bound itself")
     else:
         i = int(cross[0])
-        c, power = _root(fn, float(grid[i - 1]), float(grid[i]),
+        u, power = _root(fn, float(grid[i - 1]), float(grid[i]),
                          float(vals[i - 1]), float(vals[i]), target, rising)
     if power < target - _TOL:
         raise _infeasible(request)
-    ahead = float(fn(min(c * 1.001 + 1e-12, C_CAP)))
+    c = s + u
+    ahead = float(fn(min(c * 1.001 + 1e-12 - s, grid[-1])))
     if warning is None and ahead < power - 1e-12:
         warning = ("solution lies on a falling branch: slightly larger "
                    "designs have lower power")
-    f = request.f
-    if request.c_stage1 is not None:
-        f = request.c_stage1 / c
+    f = request.f if request.c_stage1 is None else s / c
     return SolveResult(c=c, power=power, f=f, warning=warning)
 
 
-def _scan_grid(request, lo):
-    """Log grid over the sizing axis, denser than any known dip width.
+def _scan_grid(request, s):
+    """Log grid over the growing size u, denser than any known dip width.
 
-    On the c_stage1 axis the grid steps away from c_stage1, keeping c
-    strictly above the already-observed stage.  It starts at ``lo``
-    itself when that lies higher.
+    It runs from u = c_lower - s, but at least 1e-9, to where c = s + u
+    reaches C_CAP; a start beyond that end is the whole grid.
     """
-    k = request.c_stage1 or 0.0
-    if k == 0.0 and lo <= _C_MIN:
-        grid = _GRID
-    else:
-        # the first step must move c above c_stage1: 0.52 ulp of it
-        # rounds up to the next double, and lies below 1e-9 for every
-        # c_stage1 under 2**24
-        start = max(lo - k, _C_MIN, 0.52 * np.spacing(k))
-        grid = k + np.geomspace(start, max(C_CAP - k, 1.0), 1200)
-    if lo > k:
-        grid = np.concatenate(([lo], grid[grid > lo]))
-    return grid
+    start = max(request.c_lower - s, _C_MIN)
+    stop = max(C_CAP - s, 1.0)
+    if start >= stop:
+        return np.array([start])
+    if start == _C_MIN and s == 0.0:
+        return _GRID
+    return np.geomspace(start, stop, 1200)
 
 
 @dataclass(frozen=True)

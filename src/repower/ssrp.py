@@ -19,7 +19,7 @@ continued studies a power-based stopping rule would have halted.
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .design import DEFAULT_CONFIG, DesignConfig, design_power
@@ -29,9 +29,6 @@ from .solver import FutilityRule
 
 ENV_DATA_PATH = "REPOWER_SSRP_DATA"
 
-_COLUMNS = ("study", "ro", "ri", "rr", "fiso", "fisi", "fisr",
-            "se_fiso", "se_fisi", "se_fisr", "no", "ni", "nr",
-            "po", "pi", "pr")
 _STAGE2 = ("rr", "fisr", "se_fisr", "nr", "pr")
 
 # published interim power, percent, for the ten continued studies
@@ -90,6 +87,10 @@ class SsrpRecord:
     @property
     def continued(self):
         return self.nr is not None
+
+
+# the columns a dataset file must have
+_COLUMNS = tuple(f.name for f in fields(SsrpRecord))
 
 
 def default_data_path():
@@ -157,21 +158,9 @@ def load_csv(path=None):
         study = (row["study"] or "").strip()
         if not study:
             raise DatasetError(f"{path}: row with empty study name")
-        rec = SsrpRecord(
-            study=study,
-            ro=_float(row, "ro", study), ri=_float(row, "ri", study),
-            rr=_float(row, "rr", study),
-            fiso=_float(row, "fiso", study),
-            fisi=_float(row, "fisi", study),
-            fisr=_float(row, "fisr", study),
-            se_fiso=_float(row, "se_fiso", study),
-            se_fisi=_float(row, "se_fisi", study),
-            se_fisr=_float(row, "se_fisr", study),
-            no=_int(row, "no", study), ni=_int(row, "ni", study),
-            nr=_int(row, "nr", study),
-            po=_float(row, "po", study), pi=_float(row, "pi", study),
-            pr=_float(row, "pr", study),
-        )
+        rec = SsrpRecord(study, *(
+            (_int if f.type is int else _float)(row, f.name, study)
+            for f in fields(SsrpRecord)[1:]))
         problems.extend(_row_problems(rec))
         records.append(rec)
     if problems:
@@ -202,8 +191,7 @@ def _check_triplet(study, label, r, fis, se, p, n, problems):
 
 def _row_problems(rec):
     problems = []
-    stage2 = [rec.rr, rec.fisr, rec.se_fisr, rec.nr, rec.pr]
-    filled = [v is not None for v in stage2]
+    filled = [getattr(rec, k) is not None for k in _STAGE2]
     if any(filled) != all(filled):
         problems.append(f"{rec.study}: stage-2 columns half filled")
         return problems

@@ -264,6 +264,17 @@ def test_solve_on_c_stage1_axis_past_2_24(capsys):
         assert res["power"] == pytest.approx(0.5, abs=1e-8)
 
 
+def test_curve_below_one_ulp_of_c_stage1(capsys):
+    # 1e8 + 1e-9 rounds to 1e8, which once gave every point f = 1
+    code, out, err = run(["curve", "--method", "cpi", "--zo", "2",
+                          "--zi", "1", "--c-stage1", "1e8",
+                          "--nj-range", "1e-9:3e-9:1e-9"], capsys)
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["nj_ratio", "power"] and len(rows) == 4
+    assert [float(r[1]) for r in rows[1:]] == [0.0, 0.0, 0.0]
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

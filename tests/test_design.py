@@ -248,3 +248,16 @@ def test_numeric_supremum_in_the_lower_tail():
     assert r.supremum == pytest.approx(3.3655082311276734e-19, rel=1e-13,
                                        abs=0.0)
     assert not r.feasible_100
+
+
+def test_pooled_threshold_helpers_next_to_the_threshold():
+    # mpmath at 50 digits with the double z_alpha_tilde; zd^2 - zat^2
+    # cancels unless formed as (zd + zat)(zd - zat)
+    zat = CFG.z_alpha_tilde
+    mn = fbp_minimum(-zat + 1e-9, CFG)
+    assert mn.c == pytest.approx(6.1972878863745042e-10, rel=1e-14, abs=0.0)
+    assert mn.power == pytest.approx(0.50003205082858216, rel=1e-14,
+                                     abs=0.0)
+    cross = fbp_cbp_intersection(-zat - 1e-9, CFG)
+    assert cross.c == pytest.approx(6.1972878882948231e-10, rel=1e-14,
+                                    abs=0.0)

@@ -273,3 +273,42 @@ def test_ippi_both_tails_interior_maximum_at_fixed_f(zo, zi, f, expected):
         solve_c(SolveRequest("IPPi", 0.99, zo=zo, zi=zi, f=f,
                              config=config))
     assert exc.value.supremum == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_c_stage1_curve_at_large_interim_size_is_exact():
+    # mpmath at 50 digits with the double z_alpha; at ni / no = 1e5 a
+    # remaining size rebuilt as 1 - ni / (ni + nj) would carry only
+    # the bits of nj / no that survive the sum
+    curve = remaining_n_curve(2.0, 1.9525, 1e5, [1.0], CFG)
+    assert curve.cpi[0] == pytest.approx(0.35814628244470256, rel=1e-13,
+                                         abs=0.0)
+
+
+def test_c_stage1_curve_below_one_ulp_of_the_interim_size():
+    # 1e8 + 1e-9 rounds to 1e8: no total size c and fraction f < 1
+    # describe this remainder, yet the stage sizes do.  A nonsignificant
+    # interim this large fails surely, a significant one succeeds.
+    nj = np.array([1e-9, 1.0])
+    for zi, expected in ((1.0, 0.0), (2.5, 1.0)):
+        curve = remaining_n_curve(2.0, zi, 1e8, nj, CFG)
+        for vals in (curve.cpi, curve.ippi, curve.ppi):
+            np.testing.assert_array_equal(vals, expected)
+
+
+@pytest.mark.parametrize("method, c, expected", [
+    ("CPi", 1e-9, 9.9999999800000006728e-10),
+    ("IPPi", 1e-9, 9.9999999600000007828e-10),
+    ("IPPi", 1e9, 9.99999996000000016e-10),
+])
+def test_weight_dominance_threshold_at_extreme_sizes(method, c, expected):
+    # mpmath at 50 digits; the thresholds are small differences of
+    # large terms unless written as ratios
+    assert weight_dominance_threshold(method, c) == pytest.approx(
+        expected, rel=1e-14, abs=0.0)
+
+
+def test_ppi_minimum_next_to_the_significance_threshold():
+    # mpmath at 50 digits with the double z_alpha: Phi(sqrt(zi^2 - za^2))
+    zi = -CFG.z_alpha + 1e-9
+    assert ppi_minimum(zi, CFG) == pytest.approx(0.50002497750915938,
+                                                 rel=1e-14, abs=0.0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
                      FixedDesign, InterimState, SolveRequest, _methods, cbp,
                      cp, cpi, design_power, fbp, interim_power, ippi, pp,
-                     ppi, solve_c)
+                     ppi, solve_c, std_normal_cdf)
 
 DRAWN = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -68,14 +68,54 @@ def test_interim_without_data_is_design(zo, zi, c, config):
         assert abs(at_f0.supremum - same.supremum) <= 1e-15
 
 
+def _cf_power(method, zo, zi, c, f, config):
+    """Interim power from the published (c, f) weights."""
+    zd = (1.0 - config.shrinkage) * zo
+    za = config.z_alpha
+    if method == "CPi":
+        t = np.sqrt(c * (1.0 - f)) * zd + np.sqrt(f / (1.0 - f)) * zi
+        z = np.sqrt(1.0 / (1.0 - f)) * za
+    elif method == "IPPi":
+        cf1 = c * f + 1.0
+        t = (np.sqrt(c * (1.0 - f) / (cf1 * (1.0 + c))) * zd
+             + np.sqrt(f * (1.0 + c) / ((1.0 - f) * cf1)) * zi)
+        z = np.sqrt(cf1 / ((1.0 + c) * (1.0 - f))) * za
+    else:
+        k = (1.0 - f) / f
+        t, z = np.sqrt((k + 1.0) / k) * zi, np.sqrt(1.0 / k) * za
+    power = std_normal_cdf(t + z)
+    if config.both_tails:
+        power = power + std_normal_cdf(-t + z)
+    return float(power)
+
+
+@settings(DRAWN, max_examples=600)
+@given(method=st.sampled_from(METHODS_INTERIM),
+       c=st.floats(-9.0, 9.0).map(lambda e: 10.0 ** e),
+       # subnormal f would overflow the oracle's (1 - f) / f
+       f=st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False),
+       zo=st.floats(-6.0, 8.0), zi=st.floats(-6.0, 8.0),
+       config=st.sampled_from((DesignConfig(), DesignConfig(both_tails=True),
+                               DesignConfig(alpha=0.01, shrinkage=0.25))))
+def test_stage_sizes_agree_with_the_published_weights(method, c, f, zo, zi,
+                                                      config):
+    assume(f > 0.0 or method != "PPi")
+    power = interim_power(method, zo, zi, c, f, config)
+    expected = _cf_power(method, zo, zi, c, f, config)
+    assert np.isfinite(power)
+    assert abs(power - expected) <= 1e-14
+    if expected > 1e-300:
+        assert abs(power - expected) <= 5e-12 * expected
+
+
 def _solve_counting(request):
     """solve_c's answer and its number of scalar method-table calls."""
     scalar_calls = []
     power = _methods.Method.power
 
-    def counting(entry, zd, zi, c, f, config):
-        scalar_calls.append(np.ndim(c) == 0)
-        return power(entry, zd, zi, c, f, config)
+    def counting(entry, zd, zi, s, x, config):
+        scalar_calls.append(np.ndim(x) == 0)
+        return power(entry, zd, zi, s, x, config)
     with mock.patch.object(_methods.Method, "power", counting):
         res = solve_c(request)
     return res, sum(scalar_calls)
