@@ -20,6 +20,10 @@ import numpy as np
 
 from .normal import std_normal_cdf
 
+# the roots of c^2 + 6c + 1 are -(3 -+ 2 sqrt(2)), correctly rounded
+_3_MINUS_2_SQRT2 = 0.1715728752538099
+_3_PLUS_2_SQRT2 = 5.82842712474619
+
 
 def _tail_power(t, z, both_tails):
     power = std_normal_cdf(t + z)
@@ -180,11 +184,16 @@ METHODS = {m.tag: m for m in (
     Method("PP", ("normal", "flat"), ("zo",), _pp, _pp_sup),
     Method("FBP", ("normal", "normal"), ("zo",), _fbp, _fbp_sup),
     Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup),
+    # the dominance thresholds 4c / (sqrt(4c + 1) + 1)^2 and
+    # 2c / (c^2 + 4c + 1 + (c + 1) sqrt(c^2 + 6c + 1)), divided through
+    # by c so that no square of c can overflow, and IPPi's also by 2 so
+    # that its two terms near c cannot overflow in their sum
     Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup, "CP",
-           lambda c: 4.0 * c / (np.sqrt(4.0 * c + 1.0) + 1.0) ** 2),
+           lambda c: 4.0 / (np.sqrt(4.0 + 1.0 / c) + 1.0 / np.sqrt(c)) ** 2),
     Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup, "PP",
-           lambda c: 2.0 * c / (c * c + 4.0 * c + 1.0 + (c + 1.0)
-                                * np.sqrt(c * c + 6.0 * c + 1.0))),
+           lambda c: 1.0 / (0.5 * c + 2.0 + 0.5 / c + (0.5 + 0.5 / c)
+                            * np.sqrt(c + _3_MINUS_2_SQRT2)
+                            * np.sqrt(c + _3_PLUS_2_SQRT2))),
     # a flat design prior only arises at interim, where the observed
     # stage-1 data replace it
     Method("PPi", ("flat", "flat"), ("zi",), _ppi, _ppi_sup),

@@ -181,13 +181,15 @@ def design_power(method, zo, c, config=DEFAULT_CONFIG):
     return _power(method, zo, None, c, None, config, interim=False)
 
 
-def _numeric_supremum(curve, limits, lo=1e-12, hi=1e12):
-    """Largest of ``curve`` over [lo, hi] and of ``limits``, capped at 1.
+def _numeric_supremum(curve, finish, limits, lo=1e-12, hi=1e12):
+    """Largest power along ``curve`` over [lo, hi] and of ``limits``,
+    capped at 1.
 
     ``curve`` is evaluated on a 481-point log grid over [lo, hi], then
     on a 33-point log grid spanning the two cells around the best point
     so far, and again on each new best cell until the log spacing is
-    below 1e-6.
+    below 1e-6.  ``finish`` maps its largest value to a power, see
+    ``_along``.
     """
     grid = np.geomspace(lo, hi, 481)
     t = np.log(grid)
@@ -197,17 +199,31 @@ def _numeric_supremum(curve, limits, lo=1e-12, hi=1e12):
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         if t[1] - t[0] < 1e-6:
-            return min(1.0, max([best, *limits]))
+            return min(1.0, max([finish(best), *limits]))
         t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], 33)
         grid = np.exp(t)
 
 
 def _along(entry, zd, zi, s, f, config):
-    """Power as a function of the growing size: the remaining size x at
-    fixed s when ``f`` is None, else c at the fixed interim fraction f."""
-    if f is None:
-        return lambda x: entry.power(zd, zi, s, x, config)
-    return lambda c: entry.power(zd, zi, c * f, c * (1.0 - f), config)
+    """The curve to search as the size grows, and the map from its
+    values to powers.
+
+    The growing size is the remaining size x at fixed s when ``f`` is
+    None, else c at the fixed interim fraction f.  When one tail counts,
+    the curve is the Phi argument t + z and the map is Phi: Phi is
+    increasing, so maxima and crossings of the argument are those of
+    the power, found without evaluating Phi.  When both tails count,
+    the curve is the power itself.
+    """
+    def curve(u):
+        if f is None:
+            t, z = entry.parts(zd, zi, s, u, config)
+        else:
+            t, z = entry.parts(zd, zi, u * f, u * (1.0 - f), config)
+        if config.both_tails:
+            return _methods._tail_power(t, z, True)
+        return t + z
+    return curve, (float if config.both_tails else std_normal_cdf)
 
 
 def _supremum(method, zo, zi, s, config, f=None):
@@ -216,7 +232,8 @@ def _supremum(method, zo, zi, s, config, f=None):
     With ``f`` None the remaining size x grows at fixed s, else c grows
     at the fixed interim fraction f (see ``_methods``).  The method's
     rule gives the supremum where it is analytic, else the limits for
-    the numeric search.
+    the numeric search, which runs on the Phi argument when one tail
+    counts (see ``_along``).
     """
     entry = _methods._lookup(method)
     if f is None and s == 0.0:
@@ -226,7 +243,8 @@ def _supremum(method, zo, zi, s, config, f=None):
     rule = entry.sup(zd, zi, s, f, config)
     if not isinstance(rule, tuple):
         return rule
-    return _numeric_supremum(_along(entry, zd, zi, s, f, config), rule)
+    curve, finish = _along(entry, zd, zi, s, f, config)
+    return _numeric_supremum(curve, finish, rule)
 
 
 def _result(method, fixed, state, config):

@@ -4,12 +4,14 @@ The simulator generates replication data on an absolute scale: a
 nominal original study of size ``n_o`` with unit-variance observations,
 a true effect drawn from the method's design prior, and sample means
 with their exact sampling noise.  Success is then judged exactly as the
-corresponding analysis would judge it (a z-test at level alpha, or a
-posterior tail probability compared with alpha_tilde / 2).  The
-simulator shares no algebra with the closed forms beyond scipy's
-``ndtri``, which turns uniforms into normals (not the package's
-Newton-polished ``std_normal_quantile``), so agreement within binomial
-error is a genuine check.
+corresponding analysis would judge it: a z-test at level alpha, or a
+posterior tail probability below alpha_tilde / 2, which is the event
+that the posterior z-statistic lies beyond the critical value
+``z_alpha_tilde``.  The simulator shares no algebra with the closed
+forms beyond scipy's ``ndtri``, which turns uniforms into normals, so
+agreement within binomial error is a genuine check.  ``ndtri`` is
+imported when the first batch is drawn, so scipy is needed for
+simulation only and importing the package does not load it.
 
 Reproducibility: simulations are carved into fixed-size batches, each
 batch seeded independently from ``(seed, batch_index)`` through a
@@ -20,11 +22,9 @@ parallel, and independent of batch scheduling.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _methods, design
 from .design import DEFAULT_CONFIG, METHODS_FIXED, shrunken_zo
-from .normal import std_normal_cdf
 
 BATCH_SIZE = 1 << 16
 _INV53 = 2.0 ** -53
@@ -86,7 +86,8 @@ def _uniforms(gen, size):
 
 
 def _normals(gen, size):
-    # k * 2**-53 is strictly inside (0, 1): no checks; Newton adds no accuracy
+    # k * 2**-53 is strictly inside (0, 1), so ndtri needs no checks
+    from scipy.special import ndtri
     return ndtri(_uniforms(gen, size))
 
 
@@ -95,19 +96,13 @@ def _batch_generator(seed, index):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _flat_success(stat, config):
-    za = config.z_alpha
-    success = stat > -za
+def _success(stat, z_crit, config):
+    """Rejections of a z-statistic at the (negative) critical value
+    ``z_crit``: a posterior tail probability below alpha_tilde / 2 is
+    the statistic beyond ``z_alpha_tilde``."""
+    success = stat > -z_crit
     if config.both_tails:
-        success = success | (stat < za)
-    return success
-
-
-def _pooled_success(zpost, config):
-    level = 0.5 * config.alpha_tilde
-    success = std_normal_cdf(-zpost) < level
-    if config.both_tails:
-        success = success | (std_normal_cdf(zpost) < level)
+        success = success | (stat < z_crit)
     return success
 
 
@@ -124,10 +119,11 @@ def _batch_successes(spec, gen, size):
             theta = theta_d
         ybar = theta + _normals(gen, size) / np.sqrt(n_r)
         if spec.method in ("CP", "PP"):
-            success = _flat_success(ybar * np.sqrt(n_r), cfg)
+            success = _success(ybar * np.sqrt(n_r), cfg.z_alpha, cfg)
         else:
             post = (n_o * theta_d + n_r * ybar) / (n_o + n_r)
-            success = _pooled_success(post * np.sqrt(n_o + n_r), cfg)
+            success = _success(post * np.sqrt(n_o + n_r),
+                               cfg.z_alpha_tilde, cfg)
     else:
         n_i = spec.f * n_r
         n_j = n_r - n_i
@@ -141,7 +137,7 @@ def _batch_successes(spec, gen, size):
             theta = theta_i + _normals(gen, size) / np.sqrt(n_i)
         ybar_j = theta + _normals(gen, size) / np.sqrt(n_j)
         pooled = (n_i * theta_i + n_j * ybar_j) / n_r
-        success = _flat_success(pooled * np.sqrt(n_r), cfg)
+        success = _success(pooled * np.sqrt(n_r), cfg.z_alpha, cfg)
     return int(np.count_nonzero(success))
 
 

@@ -2,24 +2,109 @@
 
 All power formulas in this package reduce to Phi evaluated at a linear
 combination of z-statistics, so everything funnels through the two
-functions below.  ``std_normal_cdf`` uses the complementary error
-function, which keeps full relative accuracy in the lower tail;
-``std_normal_quantile`` polishes the rational approximation of
-``scipy.special.ndtri`` with one tail-aware Newton step.  The step stays
-so that critical values and ``p_to_z``, and with them every number the
-CLI prints, keep their digits; it buys no accuracy, as polished or not
-the quantile lies within about 2 ulp of the true value.  The simulator
-therefore skips it and calls ``ndtri`` directly on its uniforms, which
-never leave (0, 1): the step and the checks are most of this wrapper's
-cost on large arrays.
+functions below, which need nothing beyond numpy and ``math``.
+
+``std_normal_cdf`` is W. J. Cody's rational Chebyshev approximation of
+erfc (Cody 1969, "Rational Chebyshev approximations for the error
+function", Math. Comp. 23, 631-637; the CALERF routine of SPECFUN) on
+y = |x| / sqrt(2), in its three ranges y <= 0.46875, y <= 4 and y > 4.
+It yields Phi(-|x|), and Phi(x) is that or one minus it.  The factor
+exp(-x^2 / 2) of the two outer ranges is computed from x itself, split
+into a head xh = trunc(16 |x|) / 16 whose square is exact and a tail
+d = (|x| - xh)(|x| + xh), as exp(-xh^2 / 2) exp(-d / 2), so no rounding
+of x / sqrt(2) is squared.  Phi(x) then keeps a relative error of about
+4 * 2^-52 or less for every x down to underflow (x near -38.5); the
+rounding of Cody's Horner sums is most of it.  Arrays go through one
+numpy version; a float goes through a twin that skips the array checks
+and performs the same operations in the same order, with the same
+``np.exp``, so the two agree bit for bit.
+
+``std_normal_quantile`` is Wichura's AS241 (PPND16, Applied Statistics
+37, 477-484, 1988), with the coefficients of the standard library's
+``statistics.NormalDist.inv_cdf``.  Beyond its central range
+(|p - 1/2| > 0.425) one Newton step on Phi follows, with the residual
+taken in the nearer tail so that it keeps relative precision down to
+the smallest normal tail; the result is then within about an ulp.  In
+the central range AS241 alone is within 2.5 * 2^-52 relative, and a
+step would only add the rounding of Phi near 1/2.  It works on floats;
+an array is mapped element by element.
 
 Functions accept scalars or numpy arrays and return matching types.
 """
-import numpy as np
-from scipy import special
+import math
+import sys
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+import numpy as np
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_INV_SQRT_PI = 5.6418958354775628695e-1
+# Phi(-x) underflows to zero beyond x = 38.5; clamping |x| here keeps
+# exp's head finite and its tail zero
+_X_MAX = 40.0
+
+# Cody's three approximations as (numerator, denominator) coefficients,
+# highest power first, each in its own variable v:
+#   y <= 0.46875:  erf(y) = y N(v) / D(v),                   v = y^2
+#   y <= 4:        erfc(y) = exp(-y^2) N(v) / D(v),          v = y
+#   y > 4:         erfc(y) = exp(-y^2) (1/sqrt(pi) - v N(v) / D(v)) / y,
+#                                                            v = 1 / y^2
+_CODY = (
+    ((1.85777706184603153e-1, 3.16112374387056560e+0,
+      1.13864154151050156e+2, 3.77485237685302021e+2,
+      3.20937758913846947e+3),
+     (1.0, 2.36012909523441209e+1, 2.44024637934444173e+2,
+      1.28261652607737228e+3, 2.84423683343917062e+3)),
+    ((2.15311535474403846e-8, 5.64188496988670089e-1,
+      8.88314979438837594e+0, 6.61191906371416295e+1,
+      2.98635138197400131e+2, 8.81952221241769090e+2,
+      1.71204761263407058e+3, 2.05107837782607147e+3,
+      1.23033935479799725e+3),
+     (1.0, 1.57449261107098347e+1, 1.17693950891312499e+2,
+      5.37181101862009858e+2, 1.62138957456669019e+3,
+      3.29079923573345963e+3, 4.36261909014324716e+3,
+      3.43936767414372164e+3, 1.23033935480374942e+3)),
+    ((1.63153871373020978e-2, 3.05326634961232344e-1,
+      3.60344899949804439e-1, 1.25781726111229246e-1,
+      1.60837851487422766e-2, 6.58749161529837803e-4),
+     (1.0, 2.56852019228982242e+0, 1.87295284992346725e+0,
+      5.27905102951428412e-1, 6.05183413124413191e-2,
+      2.33520497626869185e-3)),
+)
+# the range bounds y = 0.46875 and y = 4 on |x| = sqrt(2) y
+_CODY_BOUNDS = (0.46875 * _SQRT2, 4.0 * _SQRT2)
+
+# AS241's three rational approximations as (numerator, denominator)
+# coefficients, highest power first: the central one in
+# r = 0.180625 - (p - 1/2)^2, the tail ones in r = sqrt(-log(min(p,
+# 1 - p))) - 1.6 up to r = 5, and r - 5 beyond
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4,
+     6.7265770927008700853e+4, 4.5921953931549871457e+4,
+     1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+     3.9307895800092710610e+4, 2.1213794301586595867e+4,
+     5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2,
+     2.4178072517745061177e-1, 1.2704582524523683826e+0,
+     3.6478483247632045981e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4,
+     1.5198666563616457197e-2, 1.4810397642748007459e-1,
+     6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0))
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5,
+     1.2426609473880784386e-3, 2.6532189526576123093e-2,
+     2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7,
+     1.8463183175100546818e-5, 7.8686913114561325910e-4,
+     1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0))
 
 
 def _as_float_array(x, name):
@@ -35,10 +120,83 @@ def _scalar_or_array(out, *inputs):
     return out
 
 
+def _horner(coefs, v):
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * v + c
+    return acc
+
+
+def _lower_float(ax):
+    """Phi(-ax) for a float 0 <= ax <= _X_MAX; the twin of
+    ``_lower_array``."""
+    j = (ax > _CODY_BOUNDS[0]) + (ax > _CODY_BOUNDS[1])
+    y = ax / _SQRT2
+    v = y * y if j == 0 else y if j == 1 else 1.0 / (y * y)
+    num, den = _CODY[j]
+    r = _horner(num, v) / _horner(den, v)
+    if j == 0:
+        return 0.5 - 0.5 * (y * r)
+    if j == 2:
+        r = (_INV_SQRT_PI - v * r) / y
+    xh = math.trunc(16.0 * ax) / 16.0
+    d = (ax - xh) * (ax + xh)
+    return 0.5 * (float(np.exp(-0.5 * xh * xh) * np.exp(-0.5 * d)) * r)
+
+
+def _cdf_float(x):
+    """Phi(x) for a float x that is not NaN."""
+    lower = _lower_float(min(abs(x), _X_MAX))
+    return lower if x < 0.0 else 1.0 - lower
+
+
+def _lower_array(ax, j):
+    """Phi(-ax) over an array of ax that all lie in Cody's range j."""
+    y = ax / _SQRT2
+    v = y * y if j == 0 else y if j == 1 else 1.0 / (y * y)
+    num, den = _CODY[j]
+    # Horner in place; the denominators lead with 1, and 1 * v is v
+    p = num[0] * v
+    p += num[1]
+    q = v + den[1]
+    for a, b in zip(num[2:], den[2:]):
+        p *= v
+        p += a
+        q *= v
+        q += b
+    r = p / q
+    if j == 0:
+        return 0.5 - 0.5 * (y * r)
+    if j == 2:
+        r = (_INV_SQRT_PI - v * r) / y
+    xh = np.trunc(16.0 * ax) / 16.0
+    d = (ax - xh) * (ax + xh)
+    return 0.5 * (np.exp(-0.5 * xh * xh) * np.exp(-0.5 * d) * r)
+
+
+def _cdf_array(x):
+    """Phi over a 1-d float array without NaN; see the module docstring."""
+    ax = np.minimum(np.abs(x), _X_MAX)
+    k = np.searchsorted(_CODY_BOUNDS, ax)
+    lo, hi = int(k.min(initial=0)), int(k.max(initial=0))
+    if lo == hi:
+        lower = _lower_array(ax, lo)
+    else:
+        lower = np.empty_like(ax)
+        for j in range(lo, hi + 1):
+            sel = k == j
+            lower[sel] = _lower_array(ax[sel], j)
+    return np.where(x < 0.0, lower, 1.0 - lower)
+
+
 def std_normal_cdf(x):
     """Phi(x), the standard normal distribution function."""
+    if isinstance(x, float):
+        if math.isnan(x):
+            raise ValueError("x must not contain NaN")
+        return _cdf_float(float(x))
     arr = _as_float_array(x, "x")
-    out = 0.5 * special.erfc(-arr / _SQRT2)
+    out = _cdf_array(arr.ravel()).reshape(arr.shape)
     return _scalar_or_array(out, x)
 
 
@@ -49,26 +207,43 @@ def std_normal_pdf(x):
     return _scalar_or_array(out, x)
 
 
+def _quantile_float(p):
+    """Phi^{-1}(p) for a float p strictly inside (0, 1)."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num, den = _AS241_CENTRAL
+        return _horner(num, r) * q / _horner(den, r)
+    tail = p if q <= 0.0 else 1.0 - p      # exact for p > 1/2
+    r = math.sqrt(-math.log(tail))
+    num, den = _AS241_NEAR if r <= 5.0 else _AS241_FAR
+    r = r - (1.6 if r <= 5.0 else 5.0)
+    z = _horner(num, r) / _horner(den, r)
+    if tail >= sys.float_info.min:
+        # Newton on Phi(-z) = tail for z >= 0, which keeps relative
+        # precision down to the smallest normal tail
+        resid = _lower_float(z) - tail
+        z += resid / (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
+    return -z if q < 0.0 else z
+
+
 def std_normal_quantile(p):
     """Phi^{-1}(p) for p strictly inside (0, 1).
 
     Raises ValueError if any p lies outside the open unit interval
     (the quantile is unbounded at 0 and 1).
     """
+    if isinstance(p, float):
+        if math.isnan(p):
+            raise ValueError("p must not contain NaN")
+        if not 0.0 < p < 1.0:
+            raise ValueError("p must lie strictly between 0 and 1")
+        return _quantile_float(float(p))
     arr = _as_float_array(p, "p")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("p must lie strictly between 0 and 1")
-    q = special.ndtri(arr)
-    dens = _INV_SQRT_2PI * np.exp(-0.5 * q * q)
-    # one Newton step, using the nearer tail so the residual keeps
-    # relative precision; skipped where the density underflows
-    lower = arr <= 0.5
-    resid = np.where(lower,
-                     0.5 * special.erfc(-q / _SQRT2) - arr,
-                     (1.0 - arr) - 0.5 * special.erfc(q / _SQRT2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(dens > 1e-280, resid / np.maximum(dens, 1e-300), 0.0)
-    out = q - step
+    out = np.array([_quantile_float(v) for v in arr.ravel().tolist()],
+                   dtype=float).reshape(arr.shape)
     return _scalar_or_array(out, p)
 
 
@@ -112,5 +287,5 @@ def p_to_z(p, direction=1):
 def z_to_p(z):
     """Two-sided p-value of a z-statistic."""
     arr = _as_float_array(z, "z")
-    out = special.erfc(np.abs(arr) / _SQRT2)
+    out = 2.0 * std_normal_cdf(-np.abs(arr))
     return _scalar_or_array(out, z)

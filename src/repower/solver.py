@@ -3,14 +3,17 @@
 ``solve_c`` finds the smallest relative sample size ``c`` at which a
 chosen method reaches a target power.  It searches over the size that
 grows, u: the remaining size nj / no at a fixed ``c_stage1`` (so that
-c = c_stage1 + u), else c itself, and its scan ends where c reaches
-C_CAP.  Because several of the curves are not monotone (FBP and CBP can
-dip before rising, interim curves can start high and fall), the solver
-scans a logarithmic grid for the first upward or downward crossing and
-refines it with an ITP root on log u (interpolate, truncate, project;
-Oliveira and Takahashi 2020), so it always returns the smallest
-crossing.  ITP converges superlinearly on these smooth curves and takes
-at most one step more than bisection to the same tolerance.  If the
+c = c_stage1 + u), else c itself.  Its scan ends where c reaches C_CAP,
+or ten times c_stage1 if that is larger.  Because several of the
+curves are not monotone (FBP and CBP can dip before rising, interim
+curves can start high and fall), the solver scans a logarithmic grid
+for the first upward or downward crossing and refines it with an ITP
+root on log u (interpolate, truncate, project; Oliveira and Takahashi
+2020), so it always returns the smallest crossing.  ITP converges
+superlinearly on these smooth curves and takes at most one step more
+than bisection to the same tolerance.  When one tail counts, scan and
+root run on the Phi argument t + z against Phi^{-1} of the target (see
+``design._along``), and Phi is applied to the result only.  If the
 target exceeds the least upper bound of the curve, ``InfeasibleTarget``
 is raised carrying that bound.
 """
@@ -22,6 +25,7 @@ import numpy as np
 from . import _methods, design
 from .design import DEFAULT_CONFIG
 from .interim import interim_power
+from .normal import std_normal_quantile
 
 C_CAP = 1e9
 _TOL = 1e-8
@@ -32,7 +36,13 @@ _GRID.setflags(write=False)
 
 
 class InfeasibleTarget(ValueError):
-    """Target power above the least upper bound of the curve."""
+    """Target power above the least upper bound of the curve.
+
+    ``supremum`` is that bound, or the maximum over the sizes
+    ``solve_c`` scans (c up to C_CAP, or to ten times c_stage1 if that
+    is larger) where c_lower cuts the axis or the curve nears its bound
+    only beyond them.
+    """
 
     def __init__(self, target, supremum):
         self.target_power = float(target)
@@ -101,7 +111,8 @@ class SolveResult:
 
 
 def _curve(request):
-    """Power as a function of the growing size u, plus the fixed size s.
+    """The curve to search over the growing size u, the map from its
+    values to powers (see ``design._along``), and the fixed size s.
 
     u is the remaining size x = nj / no at fixed s = c_stage1 (s = 0 for
     fixed designs), or the total size c at a fixed interim fraction f
@@ -113,22 +124,22 @@ def _curve(request):
     entry = _methods._lookup(r.method)
     zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
     s = r.c_stage1 or 0.0
-    return design._along(entry, zd, r.zi, s, r.f, r.config), s
+    return (*design._along(entry, zd, r.zi, s, r.f, r.config), s)
 
 
 def _infeasible(request):
     """InfeasibleTarget carrying the supremum along the request's axis.
 
     When c_lower lies above the axis's lower end, or the curve nears a
-    supremum above the target only beyond C_CAP, the bound reported is
-    the maximum over the range ``solve_c`` scanned.
+    supremum above the target only beyond the end of the scan, the
+    bound reported is the maximum over the range ``solve_c`` scanned.
     """
     r = request
-    fn, s = _curve(r)
+    curve, finish, s = _curve(r)
     sup = design._supremum(r.method, r.zo, r.zi, s, r.config, r.f)
     if r.c_lower > s or sup >= r.target_power:
         grid = _scan_grid(r, s)
-        sup = design._numeric_supremum(fn, (), grid[0], grid[-1])
+        sup = design._numeric_supremum(curve, finish, (), grid[0], grid[-1])
     return InfeasibleTarget(r.target_power, sup)
 
 
@@ -138,8 +149,8 @@ def _root(fn, a, b, fa, fb, target, rising):
     On entry fa = fn(a) < target <= fb = fn(b) on a rising curve, and
     fa >= target > fb on a falling one.  Stops once
     b - a <= 1e-14 * max(1, b), or after 200 steps, and returns the
-    bracket end that meets the target with its power, so the achieved
-    power never falls below the target.  Positions are offsets x from
+    bracket end that meets the target with its value, so the value
+    reached never falls below the target.  Positions are offsets x from
     log a, which keeps them exact to a few ulp of the bracket width.
     """
     w0 = math.log1p((b - a) / a)
@@ -187,32 +198,41 @@ def solve_c(request):
     Raises
     ------
     InfeasibleTarget
-        If no c up to 1e9 reaches the target; carries the least upper
-        bound of the curve as ``supremum``.
+        If no c up to 1e9, or up to ten times c_stage1 if that is
+        larger, reaches the target; carries the least upper bound of
+        the curve as ``supremum``.
     """
-    fn, s = _curve(request)
+    fn, finish, s = _curve(request)
     target = request.target_power
+    # the least curve value whose power meets the target: Phi^{-1} of
+    # it when the curve is the Phi argument, raised past the rounding of
+    # both maps so that a root at or above it keeps the power there
+    level = (target if request.config.both_tails
+             else std_normal_quantile(target))
+    while finish(level) < target:
+        level = math.nextafter(level, math.inf)
     grid = _scan_grid(request, s)
     vals = np.asarray(fn(grid), dtype=float)
     warning = None
     # a curve that meets the target at the lower bound has its smallest
     # exact crossing, if any, where it first drops below
-    rising = not vals[0] >= target
-    cross = np.nonzero((vals >= target) == rising)[0]
+    rising = not vals[0] >= level
+    cross = np.nonzero((vals >= level) == rising)[0]
     if cross.size == 0 and rising:
         raise _infeasible(request)
     if cross.size == 0:
-        u, power = float(grid[0]), float(vals[0])
+        u, value = float(grid[0]), float(vals[0])
         warning = ("every size down to the lower bound meets the "
                    "target; returning the bound itself")
     else:
         i = int(cross[0])
-        u, power = _root(fn, float(grid[i - 1]), float(grid[i]),
-                         float(vals[i - 1]), float(vals[i]), target, rising)
+        u, value = _root(fn, float(grid[i - 1]), float(grid[i]),
+                         float(vals[i - 1]), float(vals[i]), level, rising)
+    power = finish(value)
     if power < target - _TOL:
         raise _infeasible(request)
     c = s + u
-    ahead = float(fn(min(c * 1.001 + 1e-12 - s, grid[-1])))
+    ahead = finish(float(fn(min(c * 1.001 + 1e-12 - s, grid[-1]))))
     if warning is None and ahead < power - 1e-12:
         warning = ("solution lies on a falling branch: slightly larger "
                    "designs have lower power")
@@ -224,10 +244,13 @@ def _scan_grid(request, s):
     """Log grid over the growing size u, denser than any known dip width.
 
     It runs from u = c_lower - s, but at least 1e-9, to where c = s + u
-    reaches C_CAP; a start beyond that end is the whole grid.
+    reaches C_CAP, or 10 s if that is larger: the interim curves vary
+    with u / s, and from c_stage1 near C_CAP on the cap alone would
+    leave them no room to grow.  A start beyond the end is the whole
+    grid.
     """
     start = max(request.c_lower - s, _C_MIN)
-    stop = max(C_CAP - s, 1.0)
+    stop = max(C_CAP, 10.0 * s) - s
     if start >= stop:
         return np.array([start])
     if start == _C_MIN and s == 0.0:

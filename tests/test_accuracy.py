@@ -1,0 +1,123 @@
+"""Accuracy of the normal primitives and the dominance thresholds against
+mpmath, and agreement of the float and array paths.
+
+Errors are in units of 2**-52 relative to the mpmath value, the unit of
+the accuracy targets, except in the quantile's tails, where they are in
+ulp of the mpmath root of Phi(z) = p.  Hypothesis runs derandomized, so
+every run draws the same cases.
+"""
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repower import (p_to_z, std_normal_cdf, std_normal_quantile,
+                     weight_dominance_threshold, z_to_p)
+
+UNIT = 2.0 ** -52
+TINY = 2.0 ** -1074
+DRAWN = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=300)
+# log grids in |x| from 1e-3 to where Phi(-|x|) underflows, and to
+# where Phi(x) rounds to 1
+GRID = np.concatenate([-np.geomspace(1e-3, 38.5, 1500),
+                       np.geomspace(1e-3, 8.3, 500), [0.0]])
+
+
+def test_cdf_within_four_units_down_to_underflow():
+    arr = std_normal_cdf(GRID)
+    with mpmath.workdps(40):
+        for x, a in zip(GRID.tolist(), arr.tolist()):
+            got = std_normal_cdf(x)
+            assert got == a
+            ref = mpmath.ncdf(x)
+            # a subnormal result keeps absolute precision only
+            assert abs(got - ref) <= 4.0 * UNIT * ref + 2.0 * TINY, x
+
+
+def test_quantile_tails_within_one_and_a_half_ulp():
+    # beyond |p - 1/2| = 0.425 AS241 is followed by a Newton step
+    p = np.concatenate([np.geomspace(1e-300, 0.074, 600),
+                        1.0 - np.geomspace(1e-16, 0.074, 100)])
+    with mpmath.workdps(40):
+        for pk in p.tolist():
+            z = std_normal_quantile(pk)
+            ref = mpmath.findroot(lambda t: mpmath.ncdf(t) - pk, z)
+            assert abs(z - ref) <= 1.5 * math.ulp(float(ref)), pk
+
+
+def test_quantile_central_range_within_three_units():
+    # AS241's central approximation alone, with its own rounding; a
+    # Newton step there would add the rounding of Phi near 1/2
+    p = np.linspace(0.075, 0.5, 400)[:-1]
+    with mpmath.workdps(40):
+        for pk in p.tolist():
+            z = std_normal_quantile(pk)
+            ref = mpmath.findroot(lambda t: mpmath.ncdf(t) - pk, z)
+            assert abs(z - ref) <= 3.0 * UNIT * abs(ref), pk
+
+
+def test_correctly_rounded_quantiles():
+    assert std_normal_quantile(5e-21) == -9.33604484923406
+    assert std_normal_quantile(0.025) == -1.9599639845400543
+    assert p_to_z(1e-20, +1) == 9.33604484923406
+
+
+def test_z_to_p_beyond_double_precision_of_the_upper_tail():
+    # 2 Phi(-38) is subnormal; an erfc of 38 / sqrt(2) underflowed to 0
+    with mpmath.workdps(40):
+        ref = 2 * mpmath.ncdf(-38)
+    assert abs(z_to_p(38.0) - ref) <= 2.0 * TINY
+    assert z_to_p(38.0) > 0.0
+
+
+@DRAWN
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_cdf_float_and_array_paths_agree(xs):
+    assert std_normal_cdf(np.array(xs)).tolist() == \
+        [std_normal_cdf(x) for x in xs]
+
+
+# Cody's ranges meet at |x| = 0.46875 sqrt(2) and 4 sqrt(2)
+EDGES = [sign * v for b in (0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0))
+         for v in (np.nextafter(b, 0.0), b, np.nextafter(b, 9.0))
+         for sign in (1.0, -1.0)]
+
+
+@DRAWN
+@given(st.lists(st.floats(-40.0, 40.0) | st.sampled_from(EDGES),
+                min_size=1, max_size=40))
+def test_cdf_paths_agree_across_the_range_boundaries(xs):
+    assert std_normal_cdf(np.array(xs)).tolist() == \
+        [std_normal_cdf(x) for x in xs]
+
+
+@DRAWN
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=40))
+def test_quantile_float_and_array_paths_agree(ps):
+    assert std_normal_quantile(np.array(ps)).tolist() == \
+        [std_normal_quantile(p) for p in ps]
+
+
+@pytest.mark.parametrize("method, sizes", [
+    # CPi's 4c overflowed near 4.5e307, IPPi's c * c above 1.3e154
+    ("CPi", (1e-9, 1.0, 1e200, 1e300, 1.7e308)),
+    ("IPPi", (1e-9, 1.0, 1e200, 1e300, 1.7e308)),
+])
+def test_dominance_threshold_at_extreme_c(method, sizes):
+    # 4c / (sqrt(4c + 1) + 1)^2 and
+    # 2c / (c^2 + 4c + 1 + (c + 1) sqrt(c^2 + 6c + 1)) at 50 digits
+    with mpmath.workdps(50):
+        for c in sizes:
+            k = mpmath.mpf(c)
+            if method == "CPi":
+                ref = 4 * k / (mpmath.sqrt(4 * k + 1) + 1) ** 2
+            else:
+                ref = 2 * k / (k * k + 4 * k + 1 + (k + 1)
+                               * mpmath.sqrt(k * k + 6 * k + 1))
+            got = weight_dominance_threshold(method, c)
+            assert abs(got - ref) <= 1e-14 * ref, c

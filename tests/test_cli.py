@@ -285,3 +285,45 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
          "import sys, repower.cli; print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_solve_on_c_stage1_axis_beyond_c_cap(capsys):
+    # c_stage1 = 2e9 is past C_CAP = 1e9, which once left no remaining
+    # size to scan ("supremum 0"); IPPi rises towards
+    # ippi_limit(2, 1, 2e9) = 0.841 as nj grows
+    data = envelope(["solve", "--method", "ippi", "--target", "0.5",
+                     "--zo", "2", "--zi", "1", "--c-stage1", "2e9"], capsys)
+    res = data["results"]
+    assert res["c"] > 2e9 and 0.0 < res["f"] < 1.0
+    assert res["power"] == pytest.approx(0.5, abs=1e-8)
+
+
+def test_package_and_cli_load_no_scipy_outside_simulate():
+    # scipy is needed for `simulate` only, whose ndtri is imported when
+    # the first batch is drawn
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import repower, repower.cli",
+        "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]",
+        "runs = [",
+        "    ['power', '--zo', '2.3', '--c', '1.5', '--both-tails'],",
+        "    ['interim', '--zo', '2.3', '--zi', '0.8', '--c', '2', '--f', '0.4'],",
+        "    ['solve', '--method', 'ippi', '--target', '0.8', '--zo', '2.8',",
+        "     '--zi', '1.2', '--c-stage1', '0.8'],",
+        "    ['curve', '--method', 'cp', '--zo', '2', '--c-range', '0.5:3:0.5'],",
+        "    ['ssrp', '--report', 'interim'],",
+        "]",
+        "for argv in runs:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert repower.cli.main(argv) == 0, argv",
+        "    loaded.append(sorted(m for m in sys.modules",
+        "                         if m.split('.')[0] == 'scipy'))",
+        "print(loaded)",
+    ])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == str([[]] * 6) + "\n"
