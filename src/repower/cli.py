@@ -103,6 +103,13 @@ def _add_config_args(parser):
                         help="count rejections in either direction")
 
 
+def _add_method_args(parser):
+    parser.add_argument("--method", type=str.lower, required=True,
+                        choices=tuple(_TAGS))
+    parser.add_argument("--zo", type=_finite, default=None)
+    parser.add_argument("--zi", type=_finite, default=None)
+
+
 def _config(args):
     return DesignConfig(alpha=args.alpha, shrinkage=args.shrinkage,
                         both_tails=args.both_tails)
@@ -213,20 +220,13 @@ def _cmd_solve(args):
 
 
 def _cmd_curve(args):
-    config = _config(args)
-    method = _TAGS[args.method]
-    entry = _methods.METHODS[method]
+    entry = _methods.METHODS[_TAGS[args.method]]
     parser = args._parser
     if not entry.interim:
         if args.c_range is None:
             parser.error(f"--c-range is required for {args.method}")
         if args.nj_range is not None:
             parser.error("--nj-range applies to interim methods only")
-        if args.zo is None:
-            parser.error(f"--zo is required for {args.method}")
-        grid = _range_grid(args.c_range)
-        power = design.design_power(method, args.zo, grid, config)
-        axis = "c"
     else:
         if args.nj_range is None:
             parser.error(f"--nj-range is required for {args.method}")
@@ -235,12 +235,13 @@ def _cmd_curve(args):
         if args.zi is None or args.c_stage1 is None:
             parser.error("interim curves need --zi and --c-stage1; the "
                          "grid is the remaining size nj / no")
-        if "zo" in entry.needs and args.zo is None:
-            parser.error(f"--zo is required for {args.method}")
-        grid = _range_grid(args.nj_range)
-        power = design._at(entry, args.zo, args.zi, args.c_stage1, grid,
-                           config)
-        axis = "nj_ratio"
+    if "zo" in entry.needs and args.zo is None:
+        parser.error(f"--zo is required for {args.method}")
+    # a fixed design is the case s = 0, with the whole grid still to come
+    axis, rng, zi, s = (("nj_ratio", args.nj_range, args.zi, args.c_stage1)
+                        if entry.interim else ("c", args.c_range, None, 0.0))
+    grid = _range_grid(rng)
+    power = design._at(entry, args.zo, zi, s, grid, _config(args))
     results = {"axis": axis, "x": [float(v) for v in grid],
                "power": [float(p) for p in power]}
     rows = [(f"{x:.10g}", f"{p:.10g}") for x, p in zip(grid, power)]
@@ -279,13 +280,11 @@ def _cmd_ssrp(args):
     inputs = {"report": args.report, "data": args.data}
     summary = []
     if args.report == "records":
-        rows = []
-        for rec in records:
-            d = ssrp.derive(rec)
-            rows.append({"study": rec.study, "no": rec.no, "ni": rec.ni,
-                         "nr": rec.nr, "zo": d.zo, "zi": d.zi, "c": d.c,
-                         "f": d.f, "continued": rec.continued})
-        results = {"rows": rows}
+        results = {"rows": [
+            {"study": rec.study, "no": rec.no, "ni": rec.ni, "nr": rec.nr,
+             "zo": d.zo, "zi": d.zi, "c": d.c, "f": d.f,
+             "continued": rec.continued}
+            for rec, d in ssrp._derived(records)]}
     elif args.report == "interim":
         results = asdict(ssrp.reproduce_interim_powers(records))
         summary.append(f"largest deviation from published values: "
@@ -410,10 +409,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_solve, _parser=p)
 
     p = sub.add_parser("curve", help="power along a sample-size grid")
-    p.add_argument("--method", type=str.lower, required=True,
-                   choices=tuple(_TAGS))
-    p.add_argument("--zo", type=_finite, default=None)
-    p.add_argument("--zi", type=_finite, default=None)
+    _add_method_args(p)
     p.add_argument("--c-stage1", type=_positive, default=None,
                    help="ni / no (interim methods)")
     p.add_argument("--c-range", type=_range_arg, default=None,
@@ -442,10 +438,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_ssrp, _parser=p)
 
     p = sub.add_parser("simulate", help="Monte-Carlo power check")
-    p.add_argument("--method", type=str.lower, required=True,
-                   choices=tuple(_TAGS))
-    p.add_argument("--zo", type=_finite, default=None)
-    p.add_argument("--zi", type=_finite, default=None)
+    _add_method_args(p)
     p.add_argument("--c", type=_positive, required=True)
     p.add_argument("--f", type=_unit_open, default=None)
     p.add_argument("--nsims", type=_posint, default=100_000)

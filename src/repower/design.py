@@ -302,7 +302,10 @@ def cp_pp_intersection(zo, config=DEFAULT_CONFIG):
     zd = shrunken_zo(zo, config)
     if zd <= 0.0:
         raise ValueError("CP and PP only cross for a positive original z")
-    return float((config.z_alpha / zd) ** 2)
+    try:
+        return float((config.z_alpha / zd) ** 2)
+    except OverflowError:       # a tiny zd puts the crossing beyond floats
+        return np.inf
 
 
 def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
@@ -316,7 +319,8 @@ def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
     if zd <= 0.0:
         raise ValueError("FBP and CBP only cross for a positive original z")
     zat = config.z_alpha_tilde
-    c = float((zat + zd) * (zat - zd) / (zd * zd))
+    zz = zd * zd        # 0 for a tiny zd, whose crossing lies beyond floats
+    c = float((zat + zd) * (zat - zd) / zz) if zz > 0.0 else np.inf
     return CrossingPoint(c, c > 0.0)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _methods, design
-from .design import DEFAULT_CONFIG, shrunken_zo
+from .design import DEFAULT_CONFIG, METHODS_INTERIM, shrunken_zo
 from .normal import std_normal_cdf
 
 
@@ -177,9 +177,9 @@ def remaining_n_curve(zo, zi, c_stage1, nj_ratio, config=DEFAULT_CONFIG):
         raise ValueError("nj_ratio must be positive and finite")
     if not (np.isfinite(c_stage1) and c_stage1 > 0.0):
         raise ValueError("c_stage1 must be positive and finite")
-    cpi, ippi, ppi = (design._at(_methods.METHODS[m], zo, zi, c_stage1, x,
-                                 config) for m in ("CPi", "IPPi", "PPi"))
-    return InterimPowerCurve(nj_ratio=x, cpi=cpi, ippi=ippi, ppi=ppi)
+    return InterimPowerCurve(x, *(
+        design._at(_methods.METHODS[m], zo, zi, c_stage1, x, config)
+        for m in METHODS_INTERIM))
 
 
 # short aliases matching the method tags

@@ -14,10 +14,9 @@ into a head xh = trunc(16 |x|) / 16 whose square is exact and a tail
 d = (|x| - xh)(|x| + xh), as exp(-xh^2 / 2) exp(-d / 2), so no rounding
 of x / sqrt(2) is squared.  Phi(x) then keeps a relative error of about
 4 * 2^-52 or less for every x down to underflow (x near -38.5); the
-rounding of Cody's Horner sums is most of it.  Arrays go through one
-numpy version; a float goes through a twin that skips the array checks
-and performs the same operations in the same order, with the same
-``np.exp``, so the two agree bit for bit.
+rounding of Cody's Horner sums is most of it.  One kernel evaluates a
+range for a float and for an array alike, so the two agree bit for bit;
+a float only skips the array checks.
 
 ``std_normal_quantile`` is Wichura's AS241 (PPND16, Applied Statistics
 37, 477-484, 1988), with the coefficients of the standard library's
@@ -71,6 +70,7 @@ _CODY = (
       5.27905102951428412e-1, 6.05183413124413191e-2,
       2.33520497626869185e-3)),
 )
+_CODY_REST = [tuple(zip(num[2:], den[2:])) for num, den in _CODY]
 # the range bounds y = 0.46875 and y = 4 on |x| = sqrt(2) y
 _CODY_BOUNDS = (0.46875 * _SQRT2, 4.0 * _SQRT2)
 
@@ -127,31 +127,9 @@ def _horner(coefs, v):
     return acc
 
 
-def _lower_float(ax):
-    """Phi(-ax) for a float 0 <= ax <= _X_MAX; the twin of
-    ``_lower_array``."""
-    j = (ax > _CODY_BOUNDS[0]) + (ax > _CODY_BOUNDS[1])
-    y = ax / _SQRT2
-    v = y * y if j == 0 else y if j == 1 else 1.0 / (y * y)
-    num, den = _CODY[j]
-    r = _horner(num, v) / _horner(den, v)
-    if j == 0:
-        return 0.5 - 0.5 * (y * r)
-    if j == 2:
-        r = (_INV_SQRT_PI - v * r) / y
-    xh = math.trunc(16.0 * ax) / 16.0
-    d = (ax - xh) * (ax + xh)
-    return 0.5 * (float(np.exp(-0.5 * xh * xh) * np.exp(-0.5 * d)) * r)
-
-
-def _cdf_float(x):
-    """Phi(x) for a float x that is not NaN."""
-    lower = _lower_float(min(abs(x), _X_MAX))
-    return lower if x < 0.0 else 1.0 - lower
-
-
-def _lower_array(ax, j):
-    """Phi(-ax) over an array of ax that all lie in Cody's range j."""
+def _lower(ax, j):
+    """Phi(-ax) for a float ax, or an array of them, in Cody's range j;
+    0 <= ax <= _X_MAX."""
     y = ax / _SQRT2
     v = y * y if j == 0 else y if j == 1 else 1.0 / (y * y)
     num, den = _CODY[j]
@@ -159,7 +137,7 @@ def _lower_array(ax, j):
     p = num[0] * v
     p += num[1]
     q = v + den[1]
-    for a, b in zip(num[2:], den[2:]):
+    for a, b in _CODY_REST[j]:
         p *= v
         p += a
         q *= v
@@ -169,9 +147,17 @@ def _lower_array(ax, j):
         return 0.5 - 0.5 * (y * r)
     if j == 2:
         r = (_INV_SQRT_PI - v * r) / y
-    xh = np.trunc(16.0 * ax) / 16.0
+    # trunc(16 ax) / 16, as floor division keeps a float a Python float
+    xh = 16.0 * ax // 1.0 / 16.0
     d = (ax - xh) * (ax + xh)
     return 0.5 * (np.exp(-0.5 * xh * xh) * np.exp(-0.5 * d) * r)
+
+
+def _cdf_float(x):
+    """Phi(x) for a float x that is not NaN."""
+    ax = min(abs(x), _X_MAX)
+    lower = float(_lower(ax, (ax > _CODY_BOUNDS[0]) + (ax > _CODY_BOUNDS[1])))
+    return lower if x < 0.0 else 1.0 - lower
 
 
 def _cdf_array(x):
@@ -180,12 +166,12 @@ def _cdf_array(x):
     k = np.searchsorted(_CODY_BOUNDS, ax)
     lo, hi = int(k.min(initial=0)), int(k.max(initial=0))
     if lo == hi:
-        lower = _lower_array(ax, lo)
+        lower = _lower(ax, lo)
     else:
         lower = np.empty_like(ax)
         for j in range(lo, hi + 1):
             sel = k == j
-            lower[sel] = _lower_array(ax[sel], j)
+            lower[sel] = _lower(ax[sel], j)
     return np.where(x < 0.0, lower, 1.0 - lower)
 
 
@@ -222,7 +208,7 @@ def _quantile_float(p):
     if tail >= sys.float_info.min:
         # Newton on Phi(-z) = tail for z >= 0, which keeps relative
         # precision down to the smallest normal tail
-        resid = _lower_float(z) - tail
+        resid = _cdf_float(-z) - tail
         z += resid / (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
     return -z if q < 0.0 else z
 

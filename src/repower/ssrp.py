@@ -22,7 +22,8 @@ import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from .design import DEFAULT_CONFIG, DesignConfig, design_power
+from .design import (DEFAULT_CONFIG, METHODS_FIXED, METHODS_INTERIM,
+                     DesignConfig, design_power)
 from .interim import interim_power
 from .normal import std_normal_cdf
 from .solver import FutilityRule
@@ -252,6 +253,16 @@ def derive(rec):
         f=(rec.ni - 3.0) / (rec.nr - 3.0), continued=True)
 
 
+def _derived(records, continued=False):
+    """(record, derived quantities) pairs in file order, derived as they
+    are iterated; only the continued studies if ``continued``.  The
+    bundled dataset is loaded when ``records`` is None."""
+    if records is None:
+        records = load_csv()
+    return ((rec, derive(rec)) for rec in records
+            if rec.continued or not continued)
+
+
 @dataclass(frozen=True)
 class InterimPowerRow:
     """Computed vs published interim power (percent) for one study."""
@@ -287,20 +298,14 @@ def reproduce_interim_powers(records=None, config=DEFAULT_CONFIG):
     published percentages; ``max_abs_diff_pp`` is the largest absolute
     difference in percentage points.
     """
-    if records is None:
-        records = load_csv()
     rows = []
-    for rec in records:
-        if not rec.continued:
-            continue
-        d = derive(rec)
+    for rec, d in _derived(records, continued=True):
         ref = REFERENCE_INTERIM_POWER_PCT.get(rec.study)
         if ref is None:
             raise DatasetError(f"{rec.study}: no published interim power")
-        cpi = 100.0 * interim_power("CPi", d.zo, d.zi, d.c, d.f, config)
-        ippi = 100.0 * interim_power("IPPi", d.zo, d.zi, d.c, d.f, config)
-        ppi = 100.0 * interim_power("PPi", None, d.zi, d.c, d.f, config)
-        rows.append(InterimPowerRow(rec.study, cpi, ippi, ppi, *ref))
+        rows.append(InterimPowerRow(rec.study, *(
+            100.0 * interim_power(m, d.zo, d.zi, d.c, d.f, config)
+            for m in METHODS_INTERIM), *ref))
     rows.sort(key=lambda r: r.study)
     return InterimPowerReport(
         rows=tuple(rows),
@@ -337,18 +342,10 @@ def reproduce_design_powers(records=None, shrinkage=0.25,
     given shrinkage of the original estimate, and summarizes the
     orderings across the 21 studies.
     """
-    if records is None:
-        records = load_csv()
     config = DesignConfig(alpha=alpha, shrinkage=shrinkage)
-    rows = []
-    for rec in records:
-        d = derive(rec)
-        rows.append(DesignPowerRow(
-            study=rec.study, c_stage1=d.c_stage1,
-            cp=design_power("CP", d.zo, d.c_stage1, config),
-            pp=design_power("PP", d.zo, d.c_stage1, config),
-            fbp=design_power("FBP", d.zo, d.c_stage1, config),
-            cbp=design_power("CBP", d.zo, d.c_stage1, config)))
+    rows = [DesignPowerRow(rec.study, d.c_stage1, *(
+        design_power(m, d.zo, d.c_stage1, config) for m in METHODS_FIXED))
+        for rec, d in _derived(records)]
     rows.sort(key=lambda r: r.study)
     signs = {r.fbp > r.pp for r in rows}
     return DesignPowerReport(
@@ -387,15 +384,10 @@ def futility_replay(records=None, rule=None, config=DEFAULT_CONFIG):
     stopped at interim by the rule, and how many successes it would
     have cost.
     """
-    if records is None:
-        records = load_csv()
     if rule is None:
         rule = FutilityRule()
     rows = []
-    for rec in records:
-        if not rec.continued:
-            continue
-        d = derive(rec)
+    for rec, d in _derived(records, continued=True):
         power = interim_power(rule.method, d.zo, d.zi, d.c, d.f, config)
         replicated = rec.pr < 0.05 and (rec.fisr > 0) == (rec.fiso > 0)
         rows.append(FutilityReplayRow(

@@ -327,3 +327,116 @@ def test_package_and_cli_load_no_scipy_outside_simulate():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout == str([[]] * 6) + "\n"
+
+
+# the stdout of `repower ssrp --report R` on the bundled data
+SSRP_PINNED = {
+    ("records", "text"): """\
+study                          no   ni   nr    zo     zi     c      f
+Ackerman et al. (2010)         55  266  611 1.976  2.267 11.69 0.4326
+Aviezer et al. (2012)          15   21    - 4.480  5.837     -      -
+Balafoutas and Sutter (2012)   72  253    - 2.300  3.536     -      -
+Derex et al. (2013)            51   63    - 4.089  4.902     -      -
+Duncan et al. (2012)           15   36   92 2.836  1.062 7.417 0.3708
+Gervais and Norenzayan (2012)  58  227  541 2.183 -0.821 9.782 0.4164
+Gneezy et al. (2014)          449  573    - 3.843  3.365     -      -
+Hauser et al. (2014)           20   38    - 3.343  3.658     -      -
+Janssen et al. (2010)          13   30    - 3.006  4.120     -      -
+Karpicke and Blunt (2011)      40   43    - 4.510  3.559     -      -
+Kidd and Castano (2013)        82  271  680 2.506 -1.111  8.57 0.3959
+Kovacs et al. (2010)           24   85    - 2.279  3.517     -      -
+Lee and Schwarz (2010)         40  122  286 2.479 -0.762 7.649 0.4205
+Morewedge et al. (2010)        51  126    - 2.772  3.433     -      -
+Nishi et al. (2015)           200  382    - 3.139  3.543     -      -
+Pyc and Rawson (2010)          36  132  306 2.276  1.698 9.182 0.4257
+Ramirez and Beilock (2011)     20   26   79 4.458 -0.363 4.471 0.3026
+Rand et al. (2012)            343 1002 2136 2.595  0.894 6.274 0.4684
+Shah et al. (2012)             55  273  607 1.999 -1.449 11.62  0.447
+Sparrow et al. (2011)          69  104  234 3.134  1.108   3.5 0.4372
+Wilson et al. (2014)           30   56    - 3.288  3.620     -      -
+""",
+    ("interim", "text"): """\
+study                         cpi_pct ippi_pct ppi_pct published_cpi published_ippi published_ppi
+Ackerman et al. (2010)          100.0     95.0    90.3         100.0           95.0          90.3
+Duncan et al. (2012)            100.0     74.6    43.4         100.0           74.6          43.4
+Gervais and Norenzayan (2012)    97.5      1.9     0.3          97.5            1.9           0.3
+Kidd and Castano (2013)          98.9      1.6     0.1          98.9            1.6           0.1
+Lee and Schwarz (2010)           97.7      3.1     0.4          97.7            3.1           0.4
+Pyc and Rawson (2010)           100.0     85.3    71.0         100.0           85.3          71.0
+Ramirez and Beilock (2011)      100.0     61.4     4.2         100.0           61.4           4.2
+Rand et al. (2012)               99.8     51.9    27.0          99.8           51.9          27.0
+Shah et al. (2012)               87.0      0.1     0.0          87.0            0.1           0.0
+Sparrow et al. (2011)            99.7     74.1    40.1          99.7           74.1          40.1
+largest deviation from published values: 0.047 percentage points
+""",
+    ("design-powers", "text"): """\
+study                         c_stage1     cp     pp    fbp    cbp
+Ackerman et al. (2010)           5.058 0.9152 0.7116 0.5742 0.6775
+Aviezer et al. (2012)            1.500 0.9844 0.9136 0.9557 0.9965
+Balafoutas and Sutter (2012)     3.623 0.9071 0.7309 0.5998 0.7067
+Derex et al. (2013)              1.250 0.9290 0.8362 0.8902 0.9672
+Duncan et al. (2012)             2.750 0.9414 0.7907 0.7045 0.8509
+Gervais and Norenzayan (2012)    4.073 0.9106 0.7248 0.5903 0.6965
+Gneezy et al. (2014)             1.278 0.9030 0.8052 0.8398 0.9331
+Hauser et al. (2014)             2.059 0.9492 0.8254 0.7901 0.9209
+Janssen et al. (2010)            2.700 0.9594 0.8177 0.7501 0.9029
+Karpicke and Blunt (2011)        1.081 0.9403 0.8598 0.9440 0.9891
+Kidd and Castano (2013)          3.392 0.9335 0.7632 0.6505 0.7911
+Kovacs et al. (2010)             3.905 0.9218 0.7389 0.6112 0.7342
+Lee and Schwarz (2010)           3.216 0.9153 0.7484 0.6290 0.7505
+Morewedge et al. (2010)          2.562 0.9143 0.7657 0.6682 0.7942
+Nishi et al. (2015)              1.924 0.9042 0.7774 0.7176 0.8376
+Pyc and Rawson (2010)            3.909 0.9214 0.7385 0.6105 0.7329
+Ramirez and Beilock (2011)       1.353 0.9731 0.8957 0.9489 0.9939
+Rand et al. (2012)               2.938 0.9156 0.7560 0.6445 0.7689
+Shah et al. (2012)               5.192 0.9273 0.7207 0.5873 0.7085
+Sparrow et al. (2011)            1.530 0.8283 0.7243 0.6603 0.7445
+Wilson et al. (2014)             1.963 0.9326 0.8075 0.7663 0.8945
+CP >= PP in all rows: True; CBP >= FBP in all rows: True; FBP - PP changes sign: True
+""",
+    ("futility", "text"): """\
+study                          power stop replicated
+Ackerman et al. (2010)        0.9504   no         no
+Duncan et al. (2012)          0.7460   no        yes
+Gervais and Norenzayan (2012) 0.0194  yes         no
+Kidd and Castano (2013)       0.0155  yes         no
+Lee and Schwarz (2010)        0.0312  yes         no
+Pyc and Rawson (2010)         0.8529   no        yes
+Ramirez and Beilock (2011)    0.6140   no         no
+Rand et al. (2012)            0.5193   no         no
+Shah et al. (2012)            0.0009  yes         no
+Sparrow et al. (2011)         0.7410   no         no
+rule IPPi < 0.3: stops 4 of 8 failed and 0 of 2 successful replications
+""",
+    ("records", "csv"): """\
+study,no,ni,nr,zo,zi,c,f
+Ackerman et al. (2010),55,266,611,1.976,2.267,11.69,0.4326
+Aviezer et al. (2012),15,21,-,4.480,5.837,-,-
+Balafoutas and Sutter (2012),72,253,-,2.300,3.536,-,-
+Derex et al. (2013),51,63,-,4.089,4.902,-,-
+Duncan et al. (2012),15,36,92,2.836,1.062,7.417,0.3708
+Gervais and Norenzayan (2012),58,227,541,2.183,-0.821,9.782,0.4164
+Gneezy et al. (2014),449,573,-,3.843,3.365,-,-
+Hauser et al. (2014),20,38,-,3.343,3.658,-,-
+Janssen et al. (2010),13,30,-,3.006,4.120,-,-
+Karpicke and Blunt (2011),40,43,-,4.510,3.559,-,-
+Kidd and Castano (2013),82,271,680,2.506,-1.111,8.57,0.3959
+Kovacs et al. (2010),24,85,-,2.279,3.517,-,-
+Lee and Schwarz (2010),40,122,286,2.479,-0.762,7.649,0.4205
+Morewedge et al. (2010),51,126,-,2.772,3.433,-,-
+Nishi et al. (2015),200,382,-,3.139,3.543,-,-
+Pyc and Rawson (2010),36,132,306,2.276,1.698,9.182,0.4257
+Ramirez and Beilock (2011),20,26,79,4.458,-0.363,4.471,0.3026
+Rand et al. (2012),343,1002,2136,2.595,0.894,6.274,0.4684
+Shah et al. (2012),55,273,607,1.999,-1.449,11.62,0.447
+Sparrow et al. (2011),69,104,234,3.134,1.108,3.5,0.4372
+Wilson et al. (2014),30,56,-,3.288,3.620,-,-
+""",
+}
+
+
+def test_ssrp_reports_are_pinned(capsys):
+    for (report, fmt), expected in SSRP_PINNED.items():
+        code, out, err = run(["ssrp", "--report", report, "--format", fmt],
+                             capsys)
+        assert (code, out, err) == (0, expected, "")

@@ -8,7 +8,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repower import (DesignConfig, FixedDesign, cbp, conditional_power,
+from repower import (CrossingPoint, DesignConfig, FixedDesign, cbp,
+                     conditional_power,
                      cp, cp_pp_intersection, design_power, fbp,
                      fbp_cbp_intersection, fbp_minimum, p_to_z, pp,
                      std_normal_cdf)
@@ -190,6 +191,13 @@ def test_fbp_cbp_intersection():
     assert not fbp_cbp_intersection(4.465, CFG).feasible
     with pytest.raises(ValueError):
         fbp_cbp_intersection(0.0, CFG)
+
+
+def test_crossings_of_a_tiny_original_z_lie_at_infinity():
+    # (z_alpha / zo)^2 overflows, and zo^2 underflows to 0 from 1e-162 on
+    for zo in (1e-160, 1e-200, 1e-300, 5e-324):
+        assert cp_pp_intersection(zo, CFG) == np.inf
+        assert fbp_cbp_intersection(zo, CFG) == CrossingPoint(np.inf, True)
 
 
 def test_fbp_minimum_matches_grid():

@@ -7,6 +7,7 @@ The solver's answer meets its target, is the first crossing, and
 costs few scalar evaluations of the method table.  Hypothesis runs
 derandomized, so every run draws the same cases.
 """
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,9 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
-                     FixedDesign, InterimState, SolveRequest, cbp, cp, cpi,
-                     design, design_power, fbp, interim_power, ippi, pp, ppi,
-                     solve_c, std_normal_cdf)
+                     FixedDesign, InterimState, SolveRequest, cbp, cp,
+                     cp_pp_intersection, cpi, design, design_power, fbp,
+                     fbp_cbp_intersection, fbp_minimum, interim_power, ippi,
+                     pp, ppi, ppi_minimum, solve_c, std_normal_cdf)
 
 DRAWN = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -27,6 +29,8 @@ AXIS = np.geomspace(1e-9, 1e9, 40_001)
 configs = st.builds(DesignConfig, alpha=st.floats(1e-4, 0.5),
                     shrinkage=st.floats(0.0, 0.9),
                     both_tails=st.booleans())
+both_tails = configs.map(lambda c: replace(c, both_tails=True))
+one_tail = configs.map(lambda c: replace(c, both_tails=False))
 z_stats = st.floats(-8.0, 8.0)
 sizes = st.floats(1e-3, 1e3)
 fractions = st.floats(0.01, 0.99)
@@ -149,3 +153,49 @@ def test_solve_c_first_crossing_in_few_evaluations(method, zo, config,
         # rising branch: just below the answer the target is missed
         assert design_power(method, zo, res.c * (1.0 - 1e-6),
                             config) < target
+
+
+@DRAWN
+@given(method=st.sampled_from(METHODS_FIXED), zo=z_stats, c=sizes,
+       config=both_tails)
+def test_both_tails_design_is_symmetric_in_zo(method, zo, c, config):
+    # Phi(t + z) + Phi(-t + z) only swaps its terms as t changes sign
+    assert (design_power(method, -zo, c, config)
+            == design_power(method, zo, c, config))
+    assert (RESULTS[method](FixedDesign(-zo, c), config)
+            == RESULTS[method](FixedDesign(zo, c), config))
+
+
+@DRAWN
+@given(method=st.sampled_from(METHODS_INTERIM), zo=z_stats, zi=z_stats,
+       c=sizes, f=fractions, config=both_tails)
+def test_both_tails_interim_is_symmetric_in_zo_and_zi(method, zo, zi, c, f,
+                                                      config):
+    assert (interim_power(method, -zo, -zi, c, f, config)
+            == interim_power(method, zo, zi, c, f, config))
+
+
+@DRAWN
+@given(zo=st.floats(1e-2, 8.0), config=one_tail)
+def test_crossings_are_at_half_power(zo, config):
+    c = cp_pp_intersection(zo, config)
+    for method in ("CP", "PP"):
+        assert abs(design_power(method, zo, c, config) - 0.5) <= 1e-13
+    cross = fbp_cbp_intersection(zo, config)
+    if cross.feasible:
+        for method in ("FBP", "CBP"):
+            assert abs(design_power(method, zo, cross.c, config)
+                       - 0.5) <= 1e-13
+
+
+@DRAWN
+@given(zo=z_stats, zi=z_stats, config=configs)
+def test_fbp_and_ppi_minima_lie_below_their_curves(zo, zi, config):
+    if (1.0 - config.shrinkage) * zo + config.z_alpha_tilde > 0.0:
+        mn = fbp_minimum(zo, config)
+        assert mn.power <= np.min(design_power("FBP", zo, AXIS, config))
+    if zi + config.z_alpha > 0.0:
+        # ni / no = 1 held, the remaining size along AXIS
+        total = 1.0 + AXIS
+        curve = interim_power("PPi", None, zi, total, 1.0 / total, config)
+        assert ppi_minimum(zi, config) <= np.min(curve)
