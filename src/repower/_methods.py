@@ -12,7 +12,9 @@ inputs the method needs, and its supremum rule ``sup(zd, zi, s, f,
 config)``: with ``f`` None the rule covers x growing at fixed s, else c
 growing at the fixed interim fraction f.  A rule returns the supremum
 where it is analytic, or else the tuple of limits for the numeric
-search in ``design``.
+search in ``design``.  The input rules live here too, each written
+once: every public entry point applies ``finite``, ``positive`` or
+``unit`` to its arguments, and nothing below it checks again.
 """
 from dataclasses import dataclass
 
@@ -23,6 +25,30 @@ from .normal import std_normal_cdf
 # the roots of c^2 + 6c + 1 are -(3 -+ 2 sqrt(2)), correctly rounded
 _3_MINUS_2_SQRT2 = 0.1715728752538099
 _3_PLUS_2_SQRT2 = 5.82842712474619
+
+
+def _within(name, v, lo, hi, closed, rule):
+    """ValueError naming ``name`` unless lo < v < hi (lo <= v if closed)."""
+    try:
+        ok = ((v >= lo) if closed else (v > lo)) & (v < hi)
+        ok = ok.all() if isinstance(ok, np.ndarray) else ok
+    except TypeError:       # None, a list: no number at all
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must {rule}")
+
+
+def finite(name, v):
+    _within(name, v, -np.inf, np.inf, False, "be finite")
+
+
+def positive(name, v):
+    _within(name, v, 0.0, np.inf, False, "be positive and finite")
+
+
+def unit(name, v, closed=False):
+    _within(name, v, 0.0, 1.0, closed,
+            "lie in [0, 1)" if closed else "lie strictly in (0, 1)")
 
 
 def _tail_power(t, z, both_tails):
@@ -50,7 +76,7 @@ def _ippi_limit(zd, zi, s, cfg):
 
 
 def _cp(zd, zi, s, x, cfg):
-    return np.sqrt(x) * zd, cfg.z_alpha * np.ones_like(x)
+    return np.sqrt(x) * zd, cfg.z_alpha
 
 
 def _cp_sup(zd, zi, s, f, cfg):
@@ -163,14 +189,13 @@ class Method:
         return "zi" in self.needs
 
     def check(self, zo, zi, stray=(), noun="arguments"):
-        """Required inputs given and not NaN.  ``stray`` holds the
+        """Required inputs given and finite.  ``stray`` holds the
         interim-only inputs, which fixed-design methods refuse."""
         for name, value in (("zi", zi), ("zo", zo)):
             if name in self.needs:
                 if value is None:
                     raise ValueError(f"{self.tag} requires {name}")
-                if np.any(np.isnan(value)):
-                    raise ValueError(f"{name} must not be NaN")
+                finite(name, value)
         if not self.interim and any(v is not None for v in (zi, *stray)):
             raise ValueError(f"{self.tag} takes no interim {noun}")
 

@@ -73,10 +73,8 @@ class DesignConfig:
     both_tails: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if not 0.0 <= self.shrinkage < 1.0:
-            raise ValueError("shrinkage must lie in [0, 1)")
+        _methods.unit("alpha", self.alpha)
+        _methods.unit("shrinkage", self.shrinkage, closed=True)
 
     @property
     def alpha_tilde(self):
@@ -107,10 +105,8 @@ class FixedDesign:
     c: float
 
     def __post_init__(self):
-        if not np.isfinite(self.zo):
-            raise ValueError("zo must be finite")
-        if not (np.isfinite(self.c) and self.c > 0.0):
-            raise ValueError("c must be positive")
+        _methods.finite("zo", self.zo)
+        _methods.positive("c", self.c)
 
 
 @dataclass(frozen=True)
@@ -136,28 +132,25 @@ def shrunken_zo(zo, config):
 
 def _power(method, zo, zi, c, f, config, interim=None):
     """Power of one method (of the given family, if any) at total size c
-    and interim fraction f, vectorized over both, after checking every
-    input against the method table."""
+    and interim fraction f, vectorized over both; checks every input."""
     entry = _methods._lookup(method, interim)
-    carr = np.asarray(c, dtype=float)
-    if np.any(~np.isfinite(carr)) or np.any(carr <= 0.0):
-        raise ValueError("c must be positive and finite")
-    s, x = 0.0, carr
+    # [()]: a scalar as a numpy float, which warns where floats raise
+    cv = np.asarray(c, dtype=float)[()]
+    _methods.positive("c", cv)
+    s, x = 0.0, cv
     if entry.interim:
-        farr = np.asarray(f, dtype=float)
+        fv = np.asarray(f, dtype=float)[()]
         # a method without a design counterpart at f = 0 needs f > 0
-        lo_ok = farr >= 0.0 if entry.at_f0 else farr > 0.0
-        if not np.all(lo_ok & (farr < 1.0)):     # also rejects NaN, inf
-            raise ValueError("f must lie in [0, 1), strictly above 0 for PPi")
-        s, x = carr * farr, carr * (1.0 - farr)
+        _methods._within("f", fv, 0.0, 1.0, entry.at_f0 is not None,
+                         "lie in [0, 1), strictly above 0 for PPi")
+        s, x = cv * fv, cv * (1.0 - fv)
+    entry.check(zo, zi)
     out = _at(entry, zo, zi, s, x, config)
     return float(out) if np.ndim(c) == 0 and np.ndim(f) == 0 else out
 
 
 def _at(entry, zo, zi, s, x, config):
-    """Power of a method-table entry at the stage sizes s and x (see
-    ``_methods``), after checking its zo and zi."""
-    entry.check(zo, zi)
+    """Power of a table entry at stage sizes s and x; the caller checks."""
     zd = shrunken_zo(zo, config) if "zo" in entry.needs else 0.0
     return entry.power(zd, zi, s, x, config)
 
@@ -299,13 +292,13 @@ def cp_pp_intersection(zo, config=DEFAULT_CONFIG):
     Requires a positive shrunken original z-statistic; the curves do
     not cross otherwise.
     """
+    _methods.finite("zo", zo)
     zd = shrunken_zo(zo, config)
     if zd <= 0.0:
         raise ValueError("CP and PP only cross for a positive original z")
-    try:
-        return float((config.z_alpha / zd) ** 2)
-    except OverflowError:       # a tiny zd puts the crossing beyond floats
-        return np.inf
+    # ** 2 calls pow, off by an ulp where r * r is correctly rounded
+    r = config.z_alpha / float(zd)
+    return r * r
 
 
 def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
@@ -315,6 +308,7 @@ def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
     significant at the pooled level alpha_tilde; otherwise the returned
     point is flagged infeasible.
     """
+    _methods.finite("zo", zo)
     zd = shrunken_zo(zo, config)
     if zd <= 0.0:
         raise ValueError("FBP and CBP only cross for a positive original z")
@@ -339,6 +333,7 @@ def fbp_minimum(zo, config=DEFAULT_CONFIG):
     level alpha_tilde (then FBP falls from 1 at c -> 0 before rising
     back towards its large-c bound).
     """
+    _methods.finite("zo", zo)
     zd = shrunken_zo(zo, config)
     zat = config.z_alpha_tilde
     if zd + zat <= 0.0:

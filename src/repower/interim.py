@@ -36,10 +36,8 @@ class InterimState:
     f: float
 
     def __post_init__(self):
-        if not np.isfinite(self.zi):
-            raise ValueError("zi must be finite")
-        if not (np.isfinite(self.f) and 0.0 <= self.f < 1.0):
-            raise ValueError("f must lie in [0, 1)")
+        _methods.finite("zi", self.zi)
+        _methods.unit("f", self.f, closed=True)
 
 
 def interim_power(method, zo, zi, c, f, config=DEFAULT_CONFIG):
@@ -109,8 +107,7 @@ def weight_dominance_threshold(method, c):
     weight; above it the interim dominates.
     """
     c = np.asarray(c, dtype=float)
-    if np.any(~np.isfinite(c)) or np.any(c <= 0.0):
-        raise ValueError("c must be positive and finite")
+    _methods.positive("c", c)
     entry = _methods.METHODS.get(method)
     if entry is None or entry.dominance is None:
         raise ValueError("threshold defined for CPi and IPPi only")
@@ -126,8 +123,8 @@ def ippi_limit(zo, zi, c_stage1, config=DEFAULT_CONFIG):
     certainty of success is never reached from a non-significant
     interim.
     """
-    if not (np.isfinite(c_stage1) and c_stage1 > 0.0):
-        raise ValueError("c_stage1 must be positive and finite")
+    _methods.positive("c_stage1", c_stage1)
+    _methods.METHODS["IPPi"].check(zo, zi)
     return float(_methods._ippi_limit(shrunken_zo(zo, config), zi,
                                       c_stage1, config))
 
@@ -138,6 +135,7 @@ def ppi_minimum(zi, config=DEFAULT_CONFIG):
     Exists only when the interim result is itself significant in the
     original direction; the minimum value depends on ``zi`` alone.
     """
+    _methods.finite("zi", zi)
     za = config.z_alpha
     if zi + za <= 0.0:
         raise ValueError(
@@ -173,10 +171,9 @@ def remaining_n_curve(zo, zi, c_stage1, nj_ratio, config=DEFAULT_CONFIG):
     InterimPowerCurve
     """
     x = np.asarray(nj_ratio, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("nj_ratio must be positive and finite")
-    if not (np.isfinite(c_stage1) and c_stage1 > 0.0):
-        raise ValueError("c_stage1 must be positive and finite")
+    _methods.positive("nj_ratio", x)
+    _methods.positive("c_stage1", c_stage1)
+    _methods.METHODS["CPi"].check(zo, zi)
     return InterimPowerCurve(x, *(
         design._at(_methods.METHODS[m], zo, zi, c_stage1, x, config)
         for m in METHODS_INTERIM))

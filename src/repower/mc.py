@@ -7,7 +7,10 @@ with their exact sampling noise.  Success is then judged exactly as the
 corresponding analysis would judge it: a z-test at level alpha, or a
 posterior tail probability below alpha_tilde / 2, which is the event
 that the posterior z-statistic lies beyond the critical value
-``z_alpha_tilde``.  The simulator shares no algebra with the closed
+``z_alpha_tilde``.  The simulator reads the priors from the method
+table: the design prior (point, normal or flat) sets how the effect is
+drawn, the analysis prior (flat or normal) the statistic and its
+critical value.  It shares no algebra with the closed
 forms beyond scipy's ``ndtri``, which turns uniforms into normals, so
 agreement within binomial error is a genuine check.  ``ndtri`` is
 imported when the first batch is drawn, so scipy is needed for
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _methods, design
-from .design import DEFAULT_CONFIG, METHODS_FIXED, shrunken_zo
+from .design import DEFAULT_CONFIG, shrunken_zo
 
 BATCH_SIZE = 1 << 16
 _INV53 = 2.0 ** -53
@@ -46,8 +49,7 @@ class SimSpec:
 
     def __post_init__(self):
         entry = _methods._lookup(self.method)
-        if not (np.isfinite(self.c) and self.c > 0.0):
-            raise ValueError("c must be positive and finite")
+        _methods.positive("c", self.c)
         if not (isinstance(self.n_sims, (int, np.integer))
                 and self.n_sims >= 1000):
             raise ValueError("n_sims must be an integer of at least 1000")
@@ -55,8 +57,7 @@ class SimSpec:
             raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "n_sims", int(self.n_sims))
         object.__setattr__(self, "seed", int(self.seed))
-        if not (np.isfinite(self.n_o) and self.n_o > 0.0):
-            raise ValueError("n_o must be positive and finite")
+        _methods.positive("n_o", self.n_o)
         entry.check(self.zo, self.zi, (self.f,), noun="inputs")
         if entry.interim and (self.f is None or not 0.0 < self.f < 1.0):
             raise ValueError(f"{self.method} requires f in (0, 1)")
@@ -96,48 +97,37 @@ def _batch_generator(seed, index):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _success(stat, z_crit, config):
-    """Rejections of a z-statistic at the (negative) critical value
-    ``z_crit``: a posterior tail probability below alpha_tilde / 2 is
-    the statistic beyond ``z_alpha_tilde``."""
-    success = stat > -z_crit
-    if config.both_tails:
-        success = success | (stat < z_crit)
-    return success
-
-
 def _batch_successes(spec, gen, size):
+    """Successes in one batch, drawn and judged as ``Method.priors`` say."""
     cfg = spec.config
+    design_prior, analysis_prior = _methods.METHODS[spec.method].priors
     n_o = spec.n_o
     n_r = spec.c * n_o
+    n_i = 0.0 if spec.f is None else spec.f * n_r     # fixed: n_i = 0
+    n_j = n_r - n_i
     if spec.zo is not None:
         theta_d = shrunken_zo(spec.zo, cfg) / np.sqrt(n_o)
-    if spec.method in METHODS_FIXED:
-        if spec.method in ("PP", "FBP"):
-            theta = theta_d + _normals(gen, size) / np.sqrt(n_o)
-        else:
-            theta = theta_d
-        ybar = theta + _normals(gen, size) / np.sqrt(n_r)
-        if spec.method in ("CP", "PP"):
-            success = _success(ybar * np.sqrt(n_r), cfg.z_alpha, cfg)
-        else:
-            post = (n_o * theta_d + n_r * ybar) / (n_o + n_r)
-            success = _success(post * np.sqrt(n_o + n_r),
-                               cfg.z_alpha_tilde, cfg)
+    theta_i = spec.zi / np.sqrt(n_i) if n_i else None
+    if design_prior == "point":
+        theta = theta_d
+    elif design_prior == "flat":        # the stage-1 data alone
+        theta = theta_i + _normals(gen, size) / np.sqrt(n_i)
+    elif n_i:                           # the original updated by stage 1
+        post = (n_o * theta_d + n_i * theta_i) / (n_o + n_i)
+        theta = post + _normals(gen, size) / np.sqrt(n_o + n_i)
     else:
-        n_i = spec.f * n_r
-        n_j = n_r - n_i
-        theta_i = spec.zi / np.sqrt(n_i)
-        if spec.method == "CPi":
-            theta = theta_d
-        elif spec.method == "IPPi":
-            post = (n_o * theta_d + n_i * theta_i) / (n_o + n_i)
-            theta = post + _normals(gen, size) / np.sqrt(n_o + n_i)
-        else:
-            theta = theta_i + _normals(gen, size) / np.sqrt(n_i)
-        ybar_j = theta + _normals(gen, size) / np.sqrt(n_j)
-        pooled = (n_i * theta_i + n_j * ybar_j) / n_r
-        success = _success(pooled * np.sqrt(n_r), cfg.z_alpha, cfg)
+        theta = theta_d + _normals(gen, size) / np.sqrt(n_o)
+    ybar = theta + _normals(gen, size) / np.sqrt(n_j)
+    if analysis_prior == "normal":      # pooled with the original
+        post = (n_o * theta_d + n_r * ybar) / (n_o + n_r)
+        stat, z_crit = post * np.sqrt(n_o + n_r), cfg.z_alpha_tilde
+    else:
+        if n_i:                         # the mean over both stages
+            ybar = (n_i * theta_i + n_j * ybar) / n_r
+        stat, z_crit = ybar * np.sqrt(n_r), cfg.z_alpha
+    success = stat > -z_crit
+    if cfg.both_tails:
+        success = success | (stat < z_crit)
     return int(np.count_nonzero(success))
 
 

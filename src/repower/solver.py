@@ -72,8 +72,7 @@ class SolveRequest:
     config: design.DesignConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        if not 0.0 < self.target_power < 1.0:
-            raise ValueError("target power must lie strictly in (0, 1)")
+        _methods.unit("target_power", self.target_power)
         if self.c_lower < 0.0 or not np.isfinite(self.c_lower):
             raise ValueError("c_lower must be finite and nonnegative")
         entry = _methods._lookup(self.method)
@@ -83,16 +82,15 @@ class SolveRequest:
         if (self.f is None) == (self.c_stage1 is None):
             raise ValueError(
                 "interim solving needs exactly one of f or c_stage1")
-        if self.f is not None and not 0.0 < self.f < 1.0:
-            raise ValueError("f must lie strictly in (0, 1)")
-        # without the original, the power at a fixed f is the same for
-        # every c
+        if self.f is not None:
+            _methods.unit("f", self.f)
+        # without the original, power at a fixed f is the same for every c
         if self.f is not None and "zo" not in entry.needs:
             raise ValueError(
                 f"{self.method} at a fixed interim fraction does not vary "
                 "with c; fix c_stage1 instead")
-        if self.c_stage1 is not None and not 0.0 < self.c_stage1 < np.inf:
-            raise ValueError("c_stage1 must be positive and finite")
+        if self.c_stage1 is not None:
+            _methods.positive("c_stage1", self.c_stage1)
 
 
 @dataclass(frozen=True)
@@ -268,8 +266,7 @@ class FutilityRule:
     def __post_init__(self):
         if self.method not in ("IPPi", "PPi"):
             raise ValueError("futility rules use IPPi or PPi")
-        if not 0.0 < self.boundary < 1.0:
-            raise ValueError("boundary must lie strictly in (0, 1)")
+        _methods.unit("boundary", self.boundary)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ from dataclasses import dataclass, fields
 from importlib import resources
 
 from .design import (DEFAULT_CONFIG, METHODS_FIXED, METHODS_INTERIM,
-                     DesignConfig, design_power)
-from .interim import interim_power
+                     DesignConfig, FixedDesign, design_power)
+from .interim import InterimState, interim_power
 from .normal import std_normal_cdf
-from .solver import FutilityRule
+from .solver import FutilityRule, futility_decision
 
 ENV_DATA_PATH = "REPOWER_SSRP_DATA"
 
@@ -242,7 +242,8 @@ def derive(rec):
                                  c=None, c_stage1=c_stage1, f=None,
                                  continued=False)
     c_sizes = (rec.nr - 3.0) / (rec.no - 3.0)
-    c_se = (rec.se_fiso / rec.se_fisr) ** 2
+    ratio = rec.se_fiso / rec.se_fisr
+    c_se = ratio * ratio
     if abs(c_sizes - c_se) > 1e-6 * c_sizes:
         raise InvariantViolation(
             [f"{rec.study}: relative size from counts ({c_sizes:.8g}) "
@@ -388,11 +389,11 @@ def futility_replay(records=None, rule=None, config=DEFAULT_CONFIG):
         rule = FutilityRule()
     rows = []
     for rec, d in _derived(records, continued=True):
-        power = interim_power(rule.method, d.zo, d.zi, d.c, d.f, config)
-        replicated = rec.pr < 0.05 and (rec.fisr > 0) == (rec.fiso > 0)
+        decision = futility_decision(FixedDesign(d.zo, d.c),
+                                     InterimState(d.zi, d.f), rule, config)
         rows.append(FutilityReplayRow(
-            study=rec.study, power=float(power),
-            stop=bool(power < rule.boundary), replicated=replicated))
+            rec.study, decision.power, decision.stop,
+            replicated=rec.pr < 0.05 and (rec.fisr > 0) == (rec.fiso > 0)))
     rows.sort(key=lambda r: r.study)
     failed = [r for r in rows if not r.replicated]
     return FutilityReplayReport(

@@ -269,3 +269,16 @@ def test_pooled_threshold_helpers_next_to_the_threshold():
     cross = fbp_cbp_intersection(-zat - 1e-9, CFG)
     assert cross.c == pytest.approx(6.1972878882948231e-10, rel=1e-14,
                                     abs=0.0)
+
+
+def test_crossing_squares_without_pow():
+    # mpmath at 200 bits: (z_alpha / 1.2249)^2 = 2.5603239146688748...;
+    # ** 2 called pow, which returned the neighbour ...875
+    assert cp_pp_intersection(1.2249, CFG) == 2.5603239146688748
+
+
+@pytest.mark.parametrize("zo", [np.nan, np.inf, -np.inf, None])
+def test_analysis_helpers_name_a_bad_zo(zo):
+    for helper in (cp_pp_intersection, fbp_cbp_intersection, fbp_minimum):
+        with pytest.raises(ValueError, match="^zo must be finite$"):
+            helper(zo, CFG)

@@ -312,3 +312,26 @@ def test_ppi_minimum_next_to_the_significance_threshold():
     zi = -CFG.z_alpha + 1e-9
     assert ppi_minimum(zi, CFG) == pytest.approx(0.50002497750915938,
                                                  rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_interim_helpers_name_a_bad_z(bad):
+    with pytest.raises(ValueError, match="^zi must be finite$"):
+        ppi_minimum(bad, CFG)
+    with pytest.raises(ValueError, match="^zo must be finite$"):
+        ippi_limit(bad, 1.0, 1.0, CFG)
+    with pytest.raises(ValueError, match="^zi must be finite$"):
+        ippi_limit(1.0, bad, 1.0, CFG)
+    # an infinite z is refused before it reaches the arithmetic, so no
+    # RuntimeWarning (an error under this suite's settings) comes first
+    with pytest.raises(ValueError, match="^zi must be finite$"):
+        interim_power("IPPi", 2.0, bad, 2.0, 0.5, CFG)
+    with pytest.raises(ValueError, match="^zo must be finite$"):
+        interim_power("IPPi", bad, 1.0, 2.0, 0.5, CFG)
+
+
+def test_missing_z_is_named():
+    with pytest.raises(ValueError, match="^IPPi requires zo$"):
+        ippi_limit(None, 1.0, 1.0, CFG)
+    with pytest.raises(ValueError, match="^zi must be finite$"):
+        ppi_minimum(None, CFG)

@@ -7,6 +7,7 @@ from repower import (DesignConfig, SimSpec, closed_form, derive,
                      std_normal_cdf)
 
 CFG = DesignConfig(alpha=0.05)
+PAIRS = DesignConfig(alpha=0.01, shrinkage=0.25, both_tails=True)
 
 
 def test_seeded_determinism():
@@ -142,6 +143,20 @@ def test_numpy_integers_accepted():
     (SimSpec(method="PPi", zi=1.1, c=6.0, f=0.45, seed=37), 38807),
     (SimSpec(method="FBP", zo=1.5, c=2.0, seed=38,
              config=DesignConfig(both_tails=True)), 32974),
+    # every (design prior, analysis prior) pair with shrinkage, a
+    # stricter level and both tails, then a small nominal original
+    (SimSpec(method="CP", zo=2.0, c=4.0, seed=41, config=PAIRS), 66369),
+    (SimSpec(method="PP", zo=2.0, c=2.0, seed=42, config=PAIRS), 40074),
+    (SimSpec(method="FBP", zo=4.465, c=0.6, seed=43, config=PAIRS), 59144),
+    (SimSpec(method="CBP", zo=-2.5, c=5.0, seed=44, config=PAIRS), 72365),
+    (SimSpec(method="CPi", zo=2.81, zi=1.2, c=2.0, f=0.4, seed=45,
+             config=PAIRS), 48457),
+    (SimSpec(method="IPPi", zo=2.81, zi=-0.5, c=4.0, f=0.3, seed=46,
+             config=PAIRS), 7331),
+    (SimSpec(method="PPi", zi=-1.1, c=6.0, f=0.45, seed=47, config=PAIRS),
+     19737),
+    (SimSpec(method="IPPi", zo=2.2, zi=0.8, c=1.5, f=0.25, seed=48,
+             n_o=37.5), 57784),
 ])
 def test_success_counts_are_pinned(spec, n_success):
     # the random stream is part of the interface: a seed always gives

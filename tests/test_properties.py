@@ -4,21 +4,25 @@ The supremum of a PowerResult is the least upper bound of the method's
 power along its sizing axis: c for the design-stage methods, the
 remaining size nj / no (with ni / no = c * f held fixed) at interim.
 The solver's answer meets its target, is the first crossing, and
-costs few scalar evaluations of the method table.  Hypothesis runs
+costs few scalar evaluations of the method table.  The input rules
+treat a number and a one-element array alike.  Hypothesis runs
 derandomized, so every run draws the same cases.
 """
+import math
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
-                     FixedDesign, InterimState, SolveRequest, cbp, cp,
-                     cp_pp_intersection, cpi, design, design_power, fbp,
+                     FixedDesign, InterimState, SolveRequest, _methods, cbp,
+                     cp, cp_pp_intersection, cpi, design, design_power, fbp,
                      fbp_cbp_intersection, fbp_minimum, interim_power, ippi,
-                     pp, ppi, ppi_minimum, solve_c, std_normal_cdf)
+                     ippi_limit, pp, ppi, ppi_minimum, solve_c,
+                     std_normal_cdf)
 
 DRAWN = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -199,3 +203,48 @@ def test_fbp_and_ppi_minima_lie_below_their_curves(zo, zi, config):
         total = 1.0 + AXIS
         curve = interim_power("PPi", None, zi, total, 1.0 / total, config)
         assert ppi_minimum(zi, config) <= np.min(curve)
+
+
+# each input rule with the floats it accepts
+RULES = {
+    "finite": (_methods.finite, math.isfinite),
+    "positive": (_methods.positive, lambda v: 0.0 < v < math.inf),
+    "unit": (_methods.unit, lambda v: 0.0 < v < 1.0),
+    "unit closed": (lambda name, v: _methods.unit(name, v, closed=True),
+                    lambda v: 0.0 <= v < 1.0),
+}
+edges = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1.0 - 2.0 ** -53,
+                         math.inf, -math.inf, math.nan])
+
+
+def _refusal(check, value):
+    """The message a rule raises for ``value``, or None if it passes."""
+    try:
+        check("v", value)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@DRAWN
+@given(rule=st.sampled_from(sorted(RULES)),
+       v=st.floats(allow_nan=True, allow_infinity=True) | edges)
+def test_rules_treat_a_number_and_a_one_element_array_alike(rule, v):
+    check, accepts = RULES[rule]
+    message = _refusal(check, v)
+    assert (message is None) == accepts(v)
+    if message is not None:
+        assert message.startswith("v must ")
+    assert _refusal(check, np.float64(v)) == message
+    assert _refusal(check, np.array(v)) == message
+    assert _refusal(check, np.array([v])) == message
+
+
+def test_scalar_fields_refuse_lists():
+    with pytest.raises(ValueError, match="^zo must be finite$"):
+        FixedDesign(zo=[1.0, 0.0], c=1.0)
+    with pytest.raises(ValueError, match="^c_stage1 must be positive"):
+        SolveRequest(method="IPPi", target_power=0.5, zo=2.0, zi=1.0,
+                     c_stage1=[1, 2])
+    with pytest.raises(ValueError, match="^c_stage1 must be positive"):
+        ippi_limit(2.0, 1.0, c_stage1=[1, 2])
