@@ -440,3 +440,59 @@ def test_ssrp_reports_are_pinned(capsys):
         code, out, err = run(["ssrp", "--report", report, "--format", fmt],
                              capsys)
         assert (code, out, err) == (0, expected, "")
+
+
+WARNING_ORDER = "warning: CPi >= IPPi >= PPi is not guaranteed for these inputs"
+SIM = ["simulate", "--method", "cp", "--c", "2", "--zo", "2"]
+CURVE_CP = ["curve", "--method", "cp", "--zo", "2"]
+CURVE_IPPI = ["curve", "--method", "ippi", "--zo", "2", "--zi", "1",
+              "--c-stage1", "1"]
+
+
+@pytest.mark.parametrize("argv, code, last_err, warning", [
+    (["interim", "--zo", "2.4", "--zi", "1.2", "--c", "2", "--f", "0.3",
+      "--alpha", "0.01"], 0, None, WARNING_ORDER),
+    (CURVE_CP, 2, "repower curve: error: --c-range is required for cp",
+     None),
+    (CURVE_CP + ["--c-range", "1:2:1", "--nj-range", "1:2:1"], 2,
+     "repower curve: error: --nj-range applies to interim methods only",
+     None),
+    (CURVE_IPPI, 2, "repower curve: error: --nj-range is required for ippi",
+     None),
+    (CURVE_IPPI + ["--nj-range", "1:2:1", "--c-range", "1:2:1"], 2,
+     "repower curve: error: --c-range applies to fixed-design methods only",
+     None),
+    (["curve", "--method", "ippi", "--zo", "2", "--nj-range", "1:2:1"], 2,
+     "repower curve: error: interim curves need --zi and --c-stage1; the "
+     "grid is the remaining size nj / no", None),
+    (["curve", "--method", "cp", "--c-range", "1:2:1"], 2,
+     "repower curve: error: --zo is required for cp", None),
+    (CURVE_CP + ["--c-range", "1:2"], 2,
+     "repower curve: error: argument --c-range: expected start:stop:step",
+     None),
+    (CURVE_CP + ["--c-range", "a:2:1"], 2,
+     "repower curve: error: argument --c-range: expected numeric "
+     "start:stop:step", None),
+    (CURVE_CP + ["--c-range", "1:inf:1"], 2,
+     "repower curve: error: argument --c-range: range values must be "
+     "finite", None),
+    (SIM + ["--nsims", "0"], 2,
+     "repower simulate: error: argument --nsims: must be a positive integer",
+     None),
+    (SIM + ["--nsims", "2000", "--seed", "-1"], 2,
+     "repower simulate: error: argument --seed: must be a nonnegative "
+     "integer", None),
+    (SIM + ["--nsims", "10"], 2,
+     "repower simulate: error: n_sims must be an integer of at least 1000",
+     None),
+    (["simulate", "--method", "cpi", "--c", "2", "--zo", "2", "--zi", "1",
+      "--nsims", "2000"], 2,
+     "repower simulate: error: CPi requires f in (0, 1)", None),
+])
+def test_cli_branches_are_pinned(argv, code, last_err, warning, capsys):
+    got, out, err = run(argv, capsys)
+    assert got == code
+    assert (err.splitlines()[-1] if err else None) == last_err
+    lines = [line for line in out.splitlines()
+             if line.startswith("warning: ")]
+    assert lines == ([warning] if warning else [])
