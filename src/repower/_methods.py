@@ -13,9 +13,10 @@ config)``: with ``f`` None the rule covers x growing at fixed s, else c
 growing at the fixed interim fraction f.  A rule returns the supremum
 where it is analytic, or else the tuple of limits for the numeric
 search in ``design``.  The input rules live here too, each written
-once: every public entry point applies ``finite``, ``positive`` or
-``unit`` to its arguments, and nothing below it checks again.
+once: every public entry point applies ``finite``, ``positive``,
+``unit`` or ``size`` to its arguments, and nothing below checks again.
 """
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .normal import std_normal_cdf
 # the roots of c^2 + 6c + 1 are -(3 -+ 2 sqrt(2)), correctly rounded
 _3_MINUS_2_SQRT2 = 0.1715728752538099
 _3_PLUS_2_SQRT2 = 5.82842712474619
+# formatted once: the repr of a float this small takes microseconds
+_SIZE_RULE = f"be at least {sys.float_info.min!r}"
 
 
 def _within(name, v, lo, hi, closed, rule):
@@ -49,6 +52,11 @@ def positive(name, v):
 def unit(name, v, closed=False):
     _within(name, v, 0.0, 1.0, closed,
             "lie in [0, 1)" if closed else "lie strictly in (0, 1)")
+
+
+def size(name, v):
+    """A size the table divides by: at least the smallest normal double."""
+    _within(name, v, sys.float_info.min, np.inf, True, _SIZE_RULE)
 
 
 def _tail_power(t, z, both_tails):

@@ -14,9 +14,14 @@ All subcommands accept ``--format``; ``json`` emits a stable envelope
 the tabular commands (curve, ssrp) additionally accept ``csv``.  Exit
 status: 0 on success, 2 on malformed or inconsistent arguments, 1 on
 domain errors and infeasible targets.
+
+Each flag is declared once, in the flag table ``_FLAGS``, with types
+that apply the input rules of ``_methods``; ``_COMMANDS`` lists each
+subcommand's flags in usage order for ``build_parser``.
 """
 import argparse
 import csv as _csv
+import functools
 import io
 import json
 import sys
@@ -34,35 +39,25 @@ _TAGS = {m.lower(): m for m in _methods.METHODS}
 _NOT_ECHOED = ("command", "format", "handler", "_parser")
 
 
-def _typed(check, message):
+def _typed(rule, message, cast=float):
+    """An argparse type: ``cast``, then a ``_methods`` input rule that
+    fails with ``message``; argparse names the cast on a parse error."""
     def parse(text):
-        value = float(text)
-        if not check(value):
-            raise argparse.ArgumentTypeError(message)
+        value = cast(text)
+        try:
+            rule("value", value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(message) from None
         return value
+    parse.__name__ = cast.__name__
     return parse
 
 
-_unit_open = _typed(lambda x: 0.0 < x < 1.0,
-                    "must lie strictly between 0 and 1")
-_unit_half_open = _typed(lambda x: 0.0 <= x < 1.0, "must lie in [0, 1)")
-_positive = _typed(lambda x: np.isfinite(x) and x > 0.0,
-                   "must be positive")
-_finite = _typed(np.isfinite, "must be finite")
-
-
-def _posint(text):
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _nonnegint(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
+_finite = _typed(_methods.finite, "must be finite")
+_positive = _typed(_methods.positive, "must be positive")
+_unit_open = _typed(_methods.unit, "must lie strictly between 0 and 1")
+_unit_half_open = _typed(functools.partial(_methods.unit, closed=True),
+                         "must lie in [0, 1)")
 
 
 def _range_arg(text):
@@ -79,35 +74,10 @@ def _range_arg(text):
     if start <= 0.0 or stop <= start or step <= 0.0:
         raise argparse.ArgumentTypeError(
             "need 0 < start < stop and step > 0")
+    # the grid has floor((stop - start) / step + 1e-9) + 1 points
+    if not (stop - start) / step + 1e-9 < 1e6:
+        raise argparse.ArgumentTypeError("more than 1000000 points")
     return start, stop, step
-
-
-def _range_grid(rng):
-    start, stop, step = rng
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
-
-
-def _add_format_arg(parser, tabular=False):
-    choices = ("text", "csv", "json") if tabular else ("text", "json")
-    parser.add_argument("--format", choices=choices, default="text",
-                        help="output format")
-
-
-def _add_config_args(parser):
-    parser.add_argument("--alpha", type=_unit_open, default=0.05,
-                        help="two-sided significance level (default 0.05)")
-    parser.add_argument("--shrinkage", type=_unit_half_open, default=0.0,
-                        help="discount on the original z (default 0)")
-    parser.add_argument("--both-tails", action="store_true",
-                        help="count rejections in either direction")
-
-
-def _add_method_args(parser):
-    parser.add_argument("--method", type=str.lower, required=True,
-                        choices=tuple(_TAGS))
-    parser.add_argument("--zo", type=_finite, default=None)
-    parser.add_argument("--zi", type=_finite, default=None)
 
 
 def _config(args):
@@ -137,37 +107,36 @@ def _csv_lines(header, rows):
     return buf.getvalue().splitlines()
 
 
-def _inputs(args):
-    """The parsed arguments, as echoed in the JSON envelope."""
-    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+def _powers(methods, fixed, state, config):
+    """Each method's power and supremum, as JSON results and text lines."""
+    results, lines = {}, []
+    for m in methods:
+        res = design._result(m, fixed, state, config)
+        results[m] = {"power": res.power, "supremum": res.supremum,
+                      "feasible_100": res.feasible_100}
+        lines.append(f"{m:<5} power={res.power:.6f}  "
+                     f"supremum={res.supremum:.6f}  "
+                     f"feasible_100={'yes' if res.feasible_100 else 'no'}")
+    return results, lines
 
 
-def _result_dict(res):
-    return {"power": res.power, "supremum": res.supremum,
-            "feasible_100": res.feasible_100}
-
-
-def _power_lines(results):
-    lines = []
-    for method, vals in results.items():
-        lines.append(f"{method:<5} power={vals['power']:.6f}  "
-                     f"supremum={vals['supremum']:.6f}  "
-                     f"feasible_100={'yes' if vals['feasible_100'] else 'no'}")
-    return lines
+def _usage(args, build, **kwargs):
+    """``build(**kwargs)``, with the library's ValueError a usage error."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        args._parser.error(str(exc))
 
 
 def _cmd_power(args):
-    zo = _resolve_zo(args)
+    # the echo shows the resolved zo in place of --po and --dir
+    args.zo = _resolve_zo(args)
+    del args.po, args.dir
     methods = (METHODS_FIXED if args.method == "all"
                else (_TAGS[args.method],))
-    fixed = FixedDesign(zo, args.c)
-    config = _config(args)
-    results = {m: _result_dict(design._result(m, fixed, None, config))
-               for m in methods}
-    inputs = {"method": args.method, "zo": zo, "c": args.c,
-              "alpha": args.alpha, "shrinkage": args.shrinkage,
-              "both_tails": args.both_tails}
-    return inputs, results, [], _power_lines(results), None
+    results, lines = _powers(methods, FixedDesign(args.zo, args.c), None,
+                             _config(args))
+    return results, [], lines, None
 
 
 def _cmd_interim(args):
@@ -191,32 +160,28 @@ def _cmd_interim(args):
     # PPi depends on neither the original nor the total relative size
     fixed = FixedDesign(args.zo if args.zo is not None else 0.0,
                         args.c or 1.0)
-    results = {m: _result_dict(design._result(m, fixed, state, config))
-               for m in methods}
+    results, lines = _powers(methods, fixed, state, config)
     if args.zo is not None and len(methods) == 3:
         held = interim.interim_ordering_holds(fixed, state, config)
         if held == "not_guaranteed":
             warnings.append("CPi >= IPPi >= PPi is not guaranteed for "
                             "these inputs")
-    return _inputs(args), results, warnings, _power_lines(results), None
+    return results, warnings, lines, None
 
 
 def _cmd_solve(args):
-    try:
-        request = solver.SolveRequest(
-            method=_TAGS[args.method], target_power=args.target,
-            zo=args.zo, zi=args.zi, f=args.f, c_stage1=args.c_stage1,
-            c_lower=args.c_lower if args.c_lower is not None else 0.0,
-            config=_config(args))
-    except ValueError as exc:
-        args._parser.error(str(exc))
-    res = solver.solve_c(request)
+    res = solver.solve_c(_usage(
+        args, solver.SolveRequest, method=_TAGS[args.method],
+        target_power=args.target, zo=args.zo, zi=args.zi, f=args.f,
+        c_stage1=args.c_stage1,
+        c_lower=args.c_lower if args.c_lower is not None else 0.0,
+        config=_config(args)))
     results = {"c": res.c, "power": res.power, "f": res.f}
     warnings = [res.warning] if res.warning else []
     lines = [f"c={res.c:.8g}", f"power={res.power:.6f}"]
     if res.f is not None:
         lines.append(f"f={res.f:.6g}")
-    return _inputs(args), results, warnings, lines, None
+    return results, warnings, lines, None
 
 
 def _cmd_curve(args):
@@ -240,13 +205,15 @@ def _cmd_curve(args):
     # a fixed design is the case s = 0, with the whole grid still to come
     axis, rng, zi, s = (("nj_ratio", args.nj_range, args.zi, args.c_stage1)
                         if entry.interim else ("c", args.c_range, None, 0.0))
-    grid = _range_grid(rng)
+    start, stop, step = rng
+    grid = start + step * np.arange(np.floor((stop - start) / step + 1e-9) + 1)
+    _methods.size(axis, grid)
     power = design._at(entry, args.zo, zi, s, grid, _config(args))
     results = {"axis": axis, "x": [float(v) for v in grid],
                "power": [float(p) for p in power]}
     rows = [(f"{x:.10g}", f"{p:.10g}") for x, p in zip(grid, power)]
     lines = _csv_lines((axis, "power"), rows)
-    return _inputs(args), results, [], lines, lines
+    return results, [], lines, lines
 
 
 # (header, row key, format) of each ssrp report's columns
@@ -277,7 +244,11 @@ def _cell(value, spec):
 
 def _cmd_ssrp(args):
     records = ssrp.load_csv(args.data)
-    inputs = {"report": args.report, "data": args.data}
+    # the echo shows only the flags this report reads
+    if args.report != "design-powers":
+        del args.shrinkage
+    if args.report != "futility":
+        del args.futility_method, args.boundary
     summary = []
     if args.report == "records":
         results = {"rows": [
@@ -292,7 +263,6 @@ def _cmd_ssrp(args):
     elif args.report == "design-powers":
         results = asdict(ssrp.reproduce_design_powers(
             records, shrinkage=args.shrinkage))
-        inputs["shrinkage"] = args.shrinkage
         summary.append(
             f"CP >= PP in all rows: {results['cp_ge_pp_all']}; "
             f"CBP >= FBP in all rows: {results['cbp_ge_fbp_all']}; "
@@ -302,8 +272,6 @@ def _cmd_ssrp(args):
                                    boundary=args.boundary)
         results = asdict(ssrp.futility_replay(records, rule))
         results.update(results.pop("rule"))
-        inputs.update(futility_method=args.futility_method,
-                      boundary=args.boundary)
         summary.append(
             f"rule {rule.method} < {rule.boundary:g}: stops "
             f"{results['n_failed_stopped']} of {results['n_failed']} failed "
@@ -314,7 +282,7 @@ def _cmd_ssrp(args):
     header = tuple(h for h, _, _ in columns)
     table = [tuple(_cell(row[key], spec) for _, key, spec in columns)
              for row in results["rows"]]
-    return (inputs, results, [], _aligned(header, table) + summary,
+    return (results, [], _aligned(header, table) + summary,
             _csv_lines(header, table))
 
 
@@ -330,13 +298,9 @@ def _aligned(header, rows):
 
 
 def _cmd_simulate(args):
-    try:
-        spec = mc.SimSpec(method=_TAGS[args.method], c=args.c,
-                          zo=args.zo, zi=args.zi, f=args.f,
-                          n_sims=args.nsims, seed=args.seed, n_o=args.n_o,
-                          config=_config(args))
-    except ValueError as exc:
-        args._parser.error(str(exc))
+    spec = _usage(args, mc.SimSpec, method=_TAGS[args.method], c=args.c,
+                  zo=args.zo, zi=args.zi, f=args.f, n_sims=args.nsims,
+                  seed=args.seed, n_o=args.n_o, config=_config(args))
     res = mc.simulate_power(spec)
     exact = mc.closed_form(spec)
     z = ((res.estimate - exact) / res.std_err if res.std_err > 0.0
@@ -348,7 +312,87 @@ def _cmd_simulate(args):
              f"std_err={res.std_err:.6f}",
              f"closed_form={exact:.6f}",
              f"z_score={z:+.3f}"]
-    return _inputs(args), results, [], lines, None
+    return results, [], lines, None
+
+
+# the argparse keywords of each flag; where a flag's meaning differs
+# between subcommands, "--flag/variant" keys its second entry
+_FLAGS = {
+    "--method": dict(type=str.lower, choices=tuple(_TAGS),
+                     help="power method"),
+    "--method/fixed": dict(type=str.lower, default="all", help="power method",
+                           choices=(*map(str.lower, METHODS_FIXED), "all")),
+    "--method/interim": dict(
+        type=str.lower, default="all", help="power method",
+        choices=(*map(str.lower, METHODS_INTERIM), "all")),
+    "--target": dict(type=_unit_open, help="power to reach"),
+    "--zo": dict(type=_finite, help="original z-statistic"),
+    "--po": dict(type=_unit_open,
+                 help="original two-sided p-value (needs --dir)"),
+    "--dir": dict(choices=("+", "-"),
+                  help="sign of the original effect when using --po"),
+    "--zi": dict(type=_finite, help="interim z-statistic"),
+    "--c": dict(type=_positive, help="relative sample size nr / no"),
+    "--f": dict(type=_unit_open, help="interim fraction ni / nr"),
+    "--f/interim": dict(type=_unit_half_open,
+                        help="interim fraction ni / nr, 0 before any data"),
+    "--c-stage1": dict(type=_positive, help="ni / no (interim methods)"),
+    "--c-lower": dict(type=_positive, help="lower bound for the search"),
+    "--c-range": dict(type=_range_arg, metavar="START:STOP:STEP",
+                      help="grid of c values (fixed-design methods)"),
+    "--nj-range": dict(type=_range_arg, metavar="START:STOP:STEP",
+                       help="grid of nj / no values (interim methods)"),
+    "--report": dict(default="interim", choices=tuple(_SSRP_COLUMNS)),
+    "--data": dict(help="alternative dataset CSV path"),
+    "--futility-method": dict(type=str.lower, default="ippi", choices=tuple(
+        map(str.lower, solver.FUTILITY_METHODS))),
+    "--boundary": dict(type=_unit_open, default=0.30,
+                       help="futility boundary (default 0.30)"),
+    "--nsims": dict(type=_typed(_methods.positive,
+                                "must be a positive integer", int),
+                    default=100_000, help="draws (default 100000)"),
+    # an integer n is nonnegative where n + 1 is positive
+    "--seed": dict(type=_typed(lambda name, n: _methods.positive(name, n + 1),
+                               "must be a nonnegative integer", int),
+                   default=0, help="random seed (default 0)"),
+    "--n-o": dict(type=_positive, default=1000.0,
+                  help="nominal original sample size"),
+    "--alpha": dict(type=_unit_open, default=0.05,
+                    help="two-sided significance level (default 0.05)"),
+    "--shrinkage": dict(type=_unit_half_open, default=0.0,
+                        help="discount on the original z (default 0)"),
+    "--shrinkage/ssrp": dict(type=_unit_half_open, default=0.25,
+                             help="design-powers shrinkage (default 0.25)"),
+    "--both-tails": dict(action="store_true",
+                         help="count rejections in either direction"),
+    "--format": dict(choices=("text", "json"), default="text",
+                     help="output format"),
+    "--format/tabular": dict(choices=("text", "csv", "json"),
+                             default="text", help="output format"),
+}
+_CONFIG = ("--alpha", "--shrinkage", "--both-tails")
+# each subcommand's help, handler and flags in usage order; a trailing
+# "!" marks a required flag
+_COMMANDS = {
+    "power": ("design-stage power", _cmd_power,
+              ("--method/fixed", "--zo", "--po", "--dir", "--c!", *_CONFIG,
+               "--format")),
+    "interim": ("interim power", _cmd_interim,
+                ("--method/interim", "--zo", "--zi!", "--c", "--f/interim!",
+                 *_CONFIG, "--format")),
+    "solve": ("smallest c reaching a target power", _cmd_solve,
+              ("--method!", "--target!", "--zo", "--zi", "--f", "--c-stage1",
+               "--c-lower", *_CONFIG, "--format")),
+    "curve": ("power along a sample-size grid", _cmd_curve,
+              ("--method!", "--zo", "--zi", "--c-stage1", "--c-range",
+               "--nj-range", *_CONFIG, "--format/tabular")),
+    "ssrp": ("bundled replication dataset", _cmd_ssrp,
+             ("--report", "--data", "--shrinkage/ssrp", "--futility-method",
+              "--boundary", "--format/tabular")),
+    "simulate": ("Monte-Carlo power check", _cmd_simulate,
+                 ("--method!", "--zo", "--zi", "--c!", "--f", "--nsims",
+                  "--seed", "--n-o", *_CONFIG, "--format")),
+}
 
 
 def build_parser():
@@ -360,94 +404,13 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"repower {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("power", help="design-stage power")
-    p.add_argument("--method", type=str.lower, default="all",
-                   choices=(*(m.lower() for m in METHODS_FIXED), "all"))
-    p.add_argument("--zo", type=_finite, default=None,
-                   help="original z-statistic")
-    p.add_argument("--po", type=_unit_open, default=None,
-                   help="original two-sided p-value (needs --dir)")
-    p.add_argument("--dir", choices=("+", "-"), default=None,
-                   help="sign of the original effect when using --po")
-    p.add_argument("--c", type=_positive, required=True,
-                   help="relative sample size nr / no")
-    _add_config_args(p)
-    _add_format_arg(p)
-    p.set_defaults(handler=_cmd_power, _parser=p)
-
-    p = sub.add_parser("interim", help="interim power")
-    p.add_argument("--method", type=str.lower, default="all",
-                   choices=(*(m.lower() for m in METHODS_INTERIM), "all"))
-    p.add_argument("--zo", type=_finite, default=None,
-                   help="original z-statistic (cpi and ippi)")
-    p.add_argument("--zi", type=_finite, required=True,
-                   help="interim z-statistic")
-    p.add_argument("--c", type=_positive, default=None,
-                   help="relative total sample size nr / no")
-    p.add_argument("--f", type=_unit_half_open, required=True,
-                   help="interim fraction ni / nr")
-    _add_config_args(p)
-    _add_format_arg(p)
-    p.set_defaults(handler=_cmd_interim, _parser=p)
-
-    p = sub.add_parser("solve",
-                       help="smallest c reaching a target power")
-    p.add_argument("--method", type=str.lower, required=True,
-                   choices=tuple(_TAGS))
-    p.add_argument("--target", type=_unit_open, required=True)
-    p.add_argument("--zo", type=_finite, default=None)
-    p.add_argument("--zi", type=_finite, default=None)
-    p.add_argument("--f", type=_unit_open, default=None,
-                   help="hold the interim fraction fixed")
-    p.add_argument("--c-stage1", type=_positive, default=None,
-                   help="hold ni / no fixed and grow the remainder")
-    p.add_argument("--c-lower", type=_positive, default=None,
-                   help="lower bound for the search")
-    _add_config_args(p)
-    _add_format_arg(p)
-    p.set_defaults(handler=_cmd_solve, _parser=p)
-
-    p = sub.add_parser("curve", help="power along a sample-size grid")
-    _add_method_args(p)
-    p.add_argument("--c-stage1", type=_positive, default=None,
-                   help="ni / no (interim methods)")
-    p.add_argument("--c-range", type=_range_arg, default=None,
-                   metavar="START:STOP:STEP",
-                   help="grid of c values (fixed-design methods)")
-    p.add_argument("--nj-range", type=_range_arg, default=None,
-                   metavar="START:STOP:STEP",
-                   help="grid of nj / no values (interim methods)")
-    _add_config_args(p)
-    _add_format_arg(p, tabular=True)
-    p.set_defaults(handler=_cmd_curve, _parser=p)
-
-    p = sub.add_parser("ssrp", help="bundled replication dataset")
-    p.add_argument("--report", default="interim",
-                   choices=("records", "interim", "design-powers",
-                            "futility"))
-    p.add_argument("--data", default=None,
-                   help="alternative dataset CSV path")
-    p.add_argument("--shrinkage", type=_unit_half_open, default=0.25,
-                   help="shrinkage for design-powers (default 0.25)")
-    p.add_argument("--futility-method", type=str.lower, default="ippi",
-                   choices=("ippi", "ppi"))
-    p.add_argument("--boundary", type=_unit_open, default=0.30,
-                   help="futility boundary (default 0.30)")
-    _add_format_arg(p, tabular=True)
-    p.set_defaults(handler=_cmd_ssrp, _parser=p)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo power check")
-    _add_method_args(p)
-    p.add_argument("--c", type=_positive, required=True)
-    p.add_argument("--f", type=_unit_open, default=None)
-    p.add_argument("--nsims", type=_posint, default=100_000)
-    p.add_argument("--seed", type=_nonnegint, default=0)
-    p.add_argument("--n-o", type=_positive, default=1000.0,
-                   help="nominal original sample size")
-    _add_config_args(p)
-    _add_format_arg(p)
-    p.set_defaults(handler=_cmd_simulate, _parser=p)
+    for name, (summary, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for key in flags:
+            entry = key.rstrip("!")
+            p.add_argument(entry.split("/")[0], required=key != entry,
+                           **_FLAGS[entry])
+        p.set_defaults(handler=handler, _parser=p)
     return parser
 
 
@@ -455,11 +418,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        inputs, results, warnings, lines, csv_lines = args.handler(args)
+        results, warnings, lines, csv_lines = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
+        inputs = {k: v for k, v in vars(args).items()
+                  if k not in _NOT_ECHOED}
         envelope = {"command": args.command, "inputs": inputs,
                     "results": results, "warnings": warnings}
         print(json.dumps(envelope, indent=2, sort_keys=True))

@@ -144,6 +144,7 @@ def _power(method, zo, zi, c, f, config, interim=None):
         _methods._within("f", fv, 0.0, 1.0, entry.at_f0 is not None,
                          "lie in [0, 1), strictly above 0 for PPi")
         s, x = cv * fv, cv * (1.0 - fv)
+    _methods.size("c * (1 - f)" if entry.interim else "c", x)
     entry.check(zo, zi)
     out = _at(entry, zo, zi, s, x, config)
     return float(out) if np.ndim(c) == 0 and np.ndim(f) == 0 else out

@@ -172,6 +172,7 @@ def remaining_n_curve(zo, zi, c_stage1, nj_ratio, config=DEFAULT_CONFIG):
     """
     x = np.asarray(nj_ratio, dtype=float)
     _methods.positive("nj_ratio", x)
+    _methods.size("nj_ratio", x)
     _methods.positive("c_stage1", c_stage1)
     _methods.METHODS["CPi"].check(zo, zi)
     return InterimPowerCurve(x, *(

@@ -33,6 +33,7 @@ _C_MIN = 1e-9
 # the scan grid of every request without c_stage1 or a c_lower above 1e-9
 _GRID = np.geomspace(_C_MIN, C_CAP, 1200)
 _GRID.setflags(write=False)
+FUTILITY_METHODS = ("IPPi", "PPi")
 
 
 class InfeasibleTarget(ValueError):
@@ -264,7 +265,7 @@ class FutilityRule:
     boundary: float = 0.30
 
     def __post_init__(self):
-        if self.method not in ("IPPi", "PPi"):
+        if self.method not in FUTILITY_METHODS:
             raise ValueError("futility rules use IPPi or PPi")
         _methods.unit("boundary", self.boundary)
 

@@ -488,6 +488,27 @@ CURVE_IPPI = ["curve", "--method", "ippi", "--zo", "2", "--zi", "1",
     (["simulate", "--method", "cpi", "--c", "2", "--zo", "2", "--zi", "1",
       "--nsims", "2000"], 2,
      "repower simulate: error: CPi requires f in (0, 1)", None),
+    # sizes too small to evaluate, ranges too long to build, and the type
+    # argparse could not parse
+    (["power", "--zo", "2", "--c", "5e-324"], 1,
+     "error: c must be at least 2.2250738585072014e-308", None),
+    (["curve", "--method", "fbp", "--zo", "2",
+      "--c-range", "1e-320:3e-320:1e-320"], 1,
+     "error: c must be at least 2.2250738585072014e-308", None),
+    (CURVE_CP + ["--c-range", "1:1e300:1e-300"], 2,
+     "repower curve: error: argument --c-range: more than 1000000 points",
+     None),
+    (CURVE_IPPI + ["--nj-range", "1:1000001:1"], 2,
+     "repower curve: error: argument --nj-range: more than 1000000 points",
+     None),
+    (["power", "--zo", "2", "--c", "xyz"], 2,
+     "repower power: error: argument --c: invalid float value: 'xyz'", None),
+    (SIM + ["--nsims", "abc"], 2,
+     "repower simulate: error: argument --nsims: invalid int value: 'abc'",
+     None),
+    (SIM + ["--seed", "x"], 2,
+     "repower simulate: error: argument --seed: invalid int value: 'x'",
+     None),
 ])
 def test_cli_branches_are_pinned(argv, code, last_err, warning, capsys):
     got, out, err = run(argv, capsys)
@@ -496,3 +517,7 @@ def test_cli_branches_are_pinned(argv, code, last_err, warning, capsys):
     lines = [line for line in out.splitlines()
              if line.startswith("warning: ")]
     assert lines == ([warning] if warning else [])
+
+
+def test_range_of_one_million_points_is_accepted():
+    assert cli._range_arg("1:1000000:1") == (1.0, 1e6, 1.0)

@@ -335,3 +335,21 @@ def test_missing_z_is_named():
         ippi_limit(None, 1.0, 1.0, CFG)
     with pytest.raises(ValueError, match="^zi must be finite$"):
         ppi_minimum(None, CFG)
+
+
+def test_sizes_below_the_smallest_normal_double_are_named():
+    # 1 / c overflows below sys.float_info.min; CBP once returned 0 at
+    # c = 5e-324, where its limit is 1, and the others failed on NaN
+    smallest = 2.2250738585072014e-308
+    assert design_power("CBP", 4.0, smallest, CFG) == 1.0
+    tiny = [("c", lambda: design_power("CBP", 4.0, 5e-324, CFG)),
+            ("c", lambda: design_power("FBP", 4.0, 1e-310, CFG)),
+            ("c * (1 - f)", lambda: interim_power("CPi", 2, 1, 5e-324, 0.5)),
+            ("c * (1 - f)", lambda: interim_power("CPi", 2, 1, 3e-308, 0.5)),
+            ("nj_ratio", lambda: remaining_n_curve(2, 1, 0.5, [1e-310])),
+            ("c * (1 - f)",
+             lambda: ippi(FixedDesign(2, 5e-324), InterimState(1, 0.5)))]
+    for name, call in tiny:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"{name} must be at least {smallest!r}"
