@@ -11,10 +11,11 @@ the Phi argument as ``parts(zd, zi, s, x, config) -> (t, z)``, the
 inputs the method needs, and its supremum rule ``sup(zd, zi, s, f,
 config)``: with ``f`` None the rule covers x growing at fixed s, else c
 growing at the fixed interim fraction f.  A rule returns the supremum
-where it is analytic, or else the tuple of limits for the numeric
-search in ``design``.  The input rules live here too, each written
-once: every public entry point applies ``finite``, ``positive``,
-``unit`` or ``size`` to its arguments, and nothing below checks again.
+where it is analytic, or else, where the curve can peak inside the
+axis, the tuple of limits for the numeric search in ``design``.  The
+input rules live here too, each written once: every public entry point
+applies ``finite``, ``positive``, ``unit`` or ``size`` to its
+arguments, and nothing below checks again.
 """
 import sys
 from dataclasses import dataclass
@@ -90,7 +91,7 @@ def _cp(zd, zi, s, x, cfg):
 def _cp_sup(zd, zi, s, f, cfg):
     if _counts(zd, cfg):
         return 1.0
-    return (cfg.alpha,) if cfg.both_tails else cfg.alpha / 2.0
+    return cfg.alpha if cfg.both_tails else cfg.alpha / 2.0
 
 
 def _pp(zd, zi, s, x, cfg):
@@ -124,8 +125,7 @@ def _cbp_sup(zd, zi, s, f, cfg):
     if _counts(zd, cfg):
         return 1.0
     if zd == 0.0:
-        level = cfg.alpha_tilde
-        return (level,) if cfg.both_tails else level / 2.0
+        return cfg.alpha_tilde if cfg.both_tails else cfg.alpha_tilde / 2.0
     return ()
 
 
@@ -139,6 +139,9 @@ def _cpi_sup(zd, zi, s, f, cfg):
     # effect as c grows
     if _counts(zd, cfg) or (f is None and _significant(zi, cfg)):
         return 1.0
+    if zd == 0.0 and f is None:
+        # the interim's weight vanishes as nj grows, leaving CP's level
+        return (_cp_sup(zd, zi, s, f, cfg),)
     return ()
 
 
@@ -156,7 +159,10 @@ def _ippi_sup(zd, zi, s, f, cfg):
     if f is not None:
         # the original's weight vanishes as c grows at fixed f
         return (_tail_power(*_ppi(zd, zi, f, 1.0 - f, cfg), cfg.both_tails),)
-    return 1.0 if _significant(zi, cfg) else (_ippi_limit(zd, zi, s, cfg),)
+    # both tails: Phi(a) + Phi(-a) = 1 as the quantile's weight vanishes
+    if cfg.both_tails or _significant(zi, cfg):
+        return 1.0
+    return (_ippi_limit(zd, zi, s, cfg),)
 
 
 def _ppi(zd, zi, s, x, cfg):
@@ -167,11 +173,10 @@ def _ppi(zd, zi, s, x, cfg):
 
 
 def _ppi_sup(zd, zi, s, f, cfg):
-    if _significant(zi, cfg):
+    if cfg.both_tails or _significant(zi, cfg):
         return 1.0
     # increasing in nj towards the interim evidence alone
-    limit = _tail_power(zi, 0.0, cfg.both_tails)
-    return (limit,) if cfg.both_tails else limit
+    return std_normal_cdf(zi)
 
 
 @dataclass(frozen=True)

@@ -220,25 +220,26 @@ def _along(entry, zd, zi, s, f, config):
     return curve, (float if config.both_tails else std_normal_cdf)
 
 
-def _supremum(method, zo, zi, s, config, f=None):
-    """Least upper bound of a method's power as its size grows.
+def _supremum(entry, zd, zi, s, config, f=None):
+    """Least upper bound of a table entry's power as its size grows, at
+    the shrunken original z ``zd``.
 
     With ``f`` None the remaining size x grows at fixed s, else c grows
     at the fixed interim fraction f (see ``_methods``).  The method's
     rule gives the supremum where it is analytic, else the limits for
     the numeric search, which runs on the Phi argument when one tail
-    counts (see ``_along``).
+    counts (see ``_along``).  Its x starts at max(1e-12, s * 1e-300),
+    so that s / x stays finite: below that a curve is near 0, or its
+    interim is significant and the rule returns 1.
     """
-    entry = _methods._lookup(method)
     if f is None and s == 0.0:
         # no interim data yet: CPi is CP and IPPi is PP in disguise
         entry = _methods.METHODS.get(entry.at_f0, entry)
-    zd = shrunken_zo(zo, config) if zo is not None else 0.0
     rule = entry.sup(zd, zi, s, f, config)
     if not isinstance(rule, tuple):
         return rule
     curve, finish = _along(entry, zd, zi, s, f, config)
-    return _numeric_supremum(curve, finish, rule)
+    return _numeric_supremum(curve, finish, rule, max(1e-12, s * 1e-300))
 
 
 def _result(method, fixed, state, config):
@@ -250,7 +251,9 @@ def _result(method, fixed, state, config):
         zi, f, s = state.zi, state.f, fixed.c * state.f
     power = float(_power(method, fixed.zo, zi, fixed.c, f, config,
                          interim=state is not None))
-    sup = float(max(_supremum(method, fixed.zo, zi, s, config), power))
+    sup = _supremum(_methods.METHODS[method], shrunken_zo(fixed.zo, config),
+                    zi, s, config)
+    sup = float(max(sup, power))
     return PowerResult(method, power, sup, sup >= 1.0 - 1e-12)
 
 

@@ -61,6 +61,8 @@ class SimSpec:
         entry.check(self.zo, self.zi, (self.f,), noun="inputs")
         if entry.interim and (self.f is None or not 0.0 < self.f < 1.0):
             raise ValueError(f"{self.method} requires f in (0, 1)")
+        _methods.size("c * (1 - f)" if entry.interim else "c",
+                      self.c * (1.0 - self.f) if entry.interim else self.c)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .interim import interim_power
 from .normal import std_normal_quantile
 
 C_CAP = 1e9
-_TOL = 1e-8
 _C_MIN = 1e-9
 # the scan grid of every request without c_stage1 or a c_lower above 1e-9
 _GRID = np.geomspace(_C_MIN, C_CAP, 1200)
@@ -74,8 +73,8 @@ class SolveRequest:
 
     def __post_init__(self):
         _methods.unit("target_power", self.target_power)
-        if self.c_lower < 0.0 or not np.isfinite(self.c_lower):
-            raise ValueError("c_lower must be finite and nonnegative")
+        _methods._within("c_lower", self.c_lower, 0.0, np.inf, True,
+                         "be finite and nonnegative")
         entry = _methods._lookup(self.method)
         entry.check(self.zo, self.zi, (self.f, self.c_stage1))
         if not entry.interim:
@@ -107,39 +106,6 @@ class SolveResult:
     power: float
     f: float = None
     warning: str = None
-
-
-def _curve(request):
-    """The curve to search over the growing size u, the map from its
-    values to powers (see ``design._along``), and the fixed size s.
-
-    u is the remaining size x = nj / no at fixed s = c_stage1 (s = 0 for
-    fixed designs), or the total size c at a fixed interim fraction f
-    (s = 0 again); either way c = s + u.  Evaluates the method table
-    directly: ``SolveRequest`` has checked the inputs, and the solver
-    passes only positive, finite u.
-    """
-    r = request
-    entry = _methods._lookup(r.method)
-    zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
-    s = r.c_stage1 or 0.0
-    return (*design._along(entry, zd, r.zi, s, r.f, r.config), s)
-
-
-def _infeasible(request):
-    """InfeasibleTarget carrying the supremum along the request's axis.
-
-    When c_lower lies above the axis's lower end, or the curve nears a
-    supremum above the target only beyond the end of the scan, the
-    bound reported is the maximum over the range ``solve_c`` scanned.
-    """
-    r = request
-    curve, finish, s = _curve(r)
-    sup = design._supremum(r.method, r.zo, r.zi, s, r.config, r.f)
-    if r.c_lower > s or sup >= r.target_power:
-        grid = _scan_grid(r, s)
-        sup = design._numeric_supremum(curve, finish, (), grid[0], grid[-1])
-    return InfeasibleTarget(r.target_power, sup)
 
 
 def _root(fn, a, b, fa, fb, target, rising):
@@ -201,16 +167,23 @@ def solve_c(request):
         larger, reaches the target; carries the least upper bound of
         the curve as ``supremum``.
     """
-    fn, finish, s = _curve(request)
-    target = request.target_power
+    r = request
+    # the growing size u is the remaining size x at fixed s = c_stage1,
+    # or c at a fixed interim fraction f (s = 0, as for fixed designs);
+    # either way c = s + u.  SolveRequest has checked the inputs, and
+    # every u the solver passes is positive and finite.
+    entry = _methods._lookup(r.method)
+    zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
+    s = r.c_stage1 or 0.0
+    fn, finish = design._along(entry, zd, r.zi, s, r.f, r.config)
+    target = r.target_power
     # the least curve value whose power meets the target: Phi^{-1} of
     # it when the curve is the Phi argument, raised past the rounding of
     # both maps so that a root at or above it keeps the power there
-    level = (target if request.config.both_tails
-             else std_normal_quantile(target))
+    level = target if r.config.both_tails else std_normal_quantile(target)
     while finish(level) < target:
         level = math.nextafter(level, math.inf)
-    grid = _scan_grid(request, s)
+    grid = _scan_grid(r, s)
     vals = np.asarray(fn(grid), dtype=float)
     warning = None
     # a curve that meets the target at the lower bound has its smallest
@@ -218,7 +191,13 @@ def solve_c(request):
     rising = not vals[0] >= level
     cross = np.nonzero((vals >= level) == rising)[0]
     if cross.size == 0 and rising:
-        raise _infeasible(request)
+        # where c_lower cuts the axis, or the curve nears a supremum
+        # above the target only beyond the scan, the bound is the
+        # maximum over the scanned range
+        sup = design._supremum(entry, zd, r.zi, s, r.config, r.f)
+        if r.c_lower > s or sup >= target:
+            sup = design._numeric_supremum(fn, finish, (), grid[0], grid[-1])
+        raise InfeasibleTarget(target, sup)
     if cross.size == 0:
         u, value = float(grid[0]), float(vals[0])
         warning = ("every size down to the lower bound meets the "
@@ -228,14 +207,12 @@ def solve_c(request):
         u, value = _root(fn, float(grid[i - 1]), float(grid[i]),
                          float(vals[i - 1]), float(vals[i]), level, rising)
     power = finish(value)
-    if power < target - _TOL:
-        raise _infeasible(request)
     c = s + u
     ahead = finish(float(fn(min(c * 1.001 + 1e-12 - s, grid[-1]))))
     if warning is None and ahead < power - 1e-12:
         warning = ("solution lies on a falling branch: slightly larger "
                    "designs have lower power")
-    f = request.f if request.c_stage1 is None else s / c
+    f = r.f if r.c_stage1 is None else s / c
     return SolveResult(c=c, power=power, f=f, warning=warning)
 
 

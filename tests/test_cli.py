@@ -509,6 +509,15 @@ CURVE_IPPI = ["curve", "--method", "ippi", "--zo", "2", "--zi", "1",
     (SIM + ["--seed", "x"], 2,
      "repower simulate: error: argument --seed: invalid int value: 'x'",
      None),
+    # a size below the smallest normal double is refused before any draw
+    (["simulate", "--method", "cp", "--zo", "2", "--c", "5e-324",
+      "--nsims", "2000"], 2,
+     "repower simulate: error: c must be at least 2.2250738585072014e-308",
+     None),
+    # a c_lower beyond the end of the scan: the grid is that one point
+    (["solve", "--method", "cp", "--target", "0.8", "--zo", "2.3",
+      "--c-lower", "2e9"], 0, None, "warning: every size down to the lower "
+     "bound meets the target; returning the bound itself"),
 ])
 def test_cli_branches_are_pinned(argv, code, last_err, warning, capsys):
     got, out, err = run(argv, capsys)

@@ -353,3 +353,32 @@ def test_sizes_below_the_smallest_normal_double_are_named():
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == f"{name} must be at least {smallest!r}"
+
+
+@pytest.mark.parametrize("both_tails, level", [(False, 0.025), (True, 0.05)])
+def test_cpi_supremum_at_a_zero_original_is_the_level(both_tails, level):
+    # zd = 0: the interim's weight vanishes as nj grows, so CPi tends to
+    # CP's level alpha / 2, or alpha with both tails; a search up to
+    # nj / no = 1e12 stopped short of it, at 0.024883 with one tail
+    config = DesignConfig(alpha=0.05, both_tails=both_tails)
+    r = cpi(FixedDesign(0.0, 1e7), InterimState(-1.0, 0.4), config)
+    assert r.supremum == level and not r.feasible_100
+
+
+@pytest.mark.parametrize("both_tails", [False, True])
+@pytest.mark.parametrize("zo", [2.0, -1.0])
+def test_suprema_at_a_huge_interim_size(zo, both_tails):
+    # ni / no = 4e299: the remaining-size search starts at nj / no =
+    # 1e-300 * ni / no, so that ni / nj stays finite and no RuntimeWarning
+    # (an error under this suite's settings) is raised
+    config = DesignConfig(alpha=0.05, both_tails=both_tails)
+    fixed, state = FixedDesign(zo, 1e300), InterimState(0.8, 0.4)
+    limits = {ippi: ippi_limit(zo, 0.8, 4e299, config),
+              ppi: float(std_normal_cdf(0.8))}
+    for result in (cpi, ippi, ppi):
+        r = result(fixed, state, config)
+        assert r.power <= r.supremum <= 1.0
+        if both_tails:
+            assert r.supremum == 1.0
+        elif result in limits:
+            assert r.supremum == pytest.approx(limits[result], rel=1e-12)

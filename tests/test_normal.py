@@ -116,3 +116,17 @@ def test_p_to_z_far_tail():
         assert p_to_z(p, -1) == pytest.approx(-ref, rel=1e-15)
     assert p_to_z(1e-20, +1) == pytest.approx(9.336044849234058, rel=1e-15)
     assert p_to_z(1e-300, +1) == pytest.approx(37.0658, abs=1e-4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: std_normal_cdf(float("nan")), "x must not contain NaN"),
+    (lambda: std_normal_cdf(np.array([0.0, np.nan])),
+     "x must not contain NaN"),
+    (lambda: std_normal_quantile(np.array([0.5, 1.0])),
+     "p must lie strictly between 0 and 1"),
+    (lambda: p_to_z(0.05, direction=0), "direction must be +1 or -1"),
+])
+def test_domain_errors_name_the_argument(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

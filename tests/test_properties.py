@@ -66,6 +66,20 @@ def test_interim_supremum_bounds_the_curve(method, zo, zi, c, f, config):
 
 
 @DRAWN
+@given(method=st.sampled_from(("CP", "PP", "FBP", "CBP", "IPPi", "PPi")),
+       zo=z_stats.filter(lambda z: abs(z) >= 1e-3), zi=z_stats, c=sizes,
+       f=fractions, config=both_tails)
+def test_both_tail_suprema_need_no_search(method, zo, zi, c, f, config):
+    # with both tails these curves tend to 1 as the size grows, which
+    # their rules state without the numeric search
+    state = (InterimState(zi, f),) if method in METHODS_INTERIM else ()
+    with mock.patch.object(design, "_numeric_supremum",
+                           side_effect=AssertionError("numeric search")):
+        res = RESULTS[method](FixedDesign(zo, c), *state, config)
+    assert res.supremum == 1.0 and res.feasible_100
+
+
+@DRAWN
 @given(zo=z_stats, zi=z_stats, c=sizes, config=configs)
 def test_interim_without_data_is_design(zo, zi, c, config):
     fixed = FixedDesign(zo, c)

@@ -188,3 +188,10 @@ def test_request_refuses_infinite_c_stage1():
         with pytest.raises(ValueError, match="c_stage1 must be positive"):
             SolveRequest(method="IPPi", target_power=0.5, zo=2.0, zi=1.0,
                          c_stage1=k)
+
+
+@pytest.mark.parametrize("c_lower", [-1.0, np.inf, np.nan, None, [1.0, 2.0]])
+def test_request_names_a_bad_c_lower(c_lower):
+    with pytest.raises(ValueError,
+                       match="^c_lower must be finite and nonnegative$"):
+        SolveRequest(method="CP", target_power=0.5, zo=2.0, c_lower=c_lower)
