@@ -175,27 +175,27 @@ def design_power(method, zo, c, config=DEFAULT_CONFIG):
     return _power(method, zo, None, c, None, config, interim=False)
 
 
-def _numeric_supremum(curve, finish, limits, lo=1e-12, hi=1e12):
-    """Largest power along ``curve`` over [lo, hi] and of ``limits``,
-    capped at 1.
-
-    ``curve`` is evaluated on a 481-point log grid over [lo, hi], then
-    on a 33-point log grid spanning the two cells around the best point
-    so far, and again on each new best cell until the log spacing is
-    below 1e-6.  ``finish`` maps its largest value to a power, see
-    ``_along``.
+def _numeric_supremum(curve, grid, vals, level=np.inf, rising=True):
+    """Best value of ``curve`` from a log grid and its values, and the
+    first cell (a, b, f(a), f(b)) where f passes ``level`` (reaches it
+    if ``rising``, else drops below it), or None.  Till one passes, the
+    search zooms on the argmax (argmin if not ``rising``) with 33-point
+    log grids over its two cells until the log spacing is below 1e-6.
     """
-    grid = np.geomspace(lo, hi, 481)
-    t = np.log(grid)
-    best = -np.inf
+    best = -np.inf if rising else np.inf
+    t = None    # the log grid, taken only if the search zooms
     while True:
-        vals = curve(grid)
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        if t[1] - t[0] < 1e-6:
-            return min(1.0, max([finish(best), *limits]))
+        i = int(vals.argmax() if rising else vals.argmin())
+        if (float(vals[i]) >= level) == rising:
+            j = max(int(((vals >= level) == rising).argmax()), 1)
+            return best, (grid[j - 1], grid[j], vals[j - 1], vals[j])
+        best = (max if rising else min)(best, float(vals[i]))
+        t = np.log(grid) if t is None else t
+        if t.size < 2 or t[1] - t[0] < 1e-6:
+            return best, None
         t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], 33)
         grid = np.exp(t)
+        vals = curve(grid)
 
 
 def _along(entry, zd, zi, s, f, config):
@@ -228,9 +228,9 @@ def _supremum(entry, zd, zi, s, config, f=None):
     at the fixed interim fraction f (see ``_methods``).  The method's
     rule gives the supremum where it is analytic, else the limits for
     the numeric search, which runs on the Phi argument when one tail
-    counts (see ``_along``).  Its x starts at max(1e-12, s * 1e-300),
-    so that s / x stays finite: below that a curve is near 0, or its
-    interim is significant and the rule returns 1.
+    counts (see ``_along``) on a 481-point log grid in x up to 1e12,
+    from max(1e-12, s * 1e-300) so that s / x stays finite: below that a
+    curve is near 0, or its interim is significant and the rule gives 1.
     """
     if f is None and s == 0.0:
         # no interim data yet: CPi is CP and IPPi is PP in disguise
@@ -239,7 +239,9 @@ def _supremum(entry, zd, zi, s, config, f=None):
     if not isinstance(rule, tuple):
         return rule
     curve, finish = _along(entry, zd, zi, s, f, config)
-    return _numeric_supremum(curve, finish, rule, max(1e-12, s * 1e-300))
+    grid = np.geomspace(max(1e-12, s * 1e-300), 1e12, 481)
+    best, _ = _numeric_supremum(curve, grid, curve(grid))
+    return min(1.0, max([finish(best), *rule]))
 
 
 def _result(method, fixed, state, config):

@@ -7,15 +7,16 @@ c = c_stage1 + u), else c itself.  Its scan ends where c reaches C_CAP,
 or ten times c_stage1 if that is larger.  Because several of the
 curves are not monotone (FBP and CBP can dip before rising, interim
 curves can start high and fall), the solver scans a logarithmic grid
-for the first upward or downward crossing and refines it with an ITP
+for the first upward or downward crossing, zooms in on the curve's
+closest approach to the target if no scanned size passes it (see
+``design._numeric_supremum``), and refines the crossing with an ITP
 root on log u (interpolate, truncate, project; Oliveira and Takahashi
-2020), so it always returns the smallest crossing.  ITP converges
-superlinearly on these smooth curves and takes at most one step more
-than bisection to the same tolerance.  When one tail counts, scan and
-root run on the Phi argument t + z against Phi^{-1} of the target (see
-``design._along``), and Phi is applied to the result only.  If the
-target exceeds the least upper bound of the curve, ``InfeasibleTarget``
-is raised carrying that bound.
+2020).  ITP converges superlinearly on these smooth curves and takes
+at most one step more than bisection to the same tolerance.  When one
+tail counts, scan and root run on the Phi argument t + z against
+Phi^{-1} of the target (see ``design._along``), and Phi is applied to
+the result only.  If the target exceeds the least upper bound of the
+curve, ``InfeasibleTarget`` is raised carrying that bound.
 """
 import math
 from dataclasses import dataclass
@@ -168,10 +169,9 @@ def solve_c(request):
         the curve as ``supremum``.
     """
     r = request
-    # the growing size u is the remaining size x at fixed s = c_stage1,
-    # or c at a fixed interim fraction f (s = 0, as for fixed designs);
-    # either way c = s + u.  SolveRequest has checked the inputs, and
-    # every u the solver passes is positive and finite.
+    # c = s + u, with s = c_stage1, or 0 at a fixed f (see the module
+    # docstring); SolveRequest has checked the inputs, and every u the
+    # solver passes is positive and finite.
     entry = _methods._lookup(r.method)
     zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
     s = r.c_stage1 or 0.0
@@ -185,31 +185,29 @@ def solve_c(request):
         level = math.nextafter(level, math.inf)
     grid = _scan_grid(r, s)
     vals = np.asarray(fn(grid), dtype=float)
-    warning = None
     # a curve that meets the target at the lower bound has its smallest
     # exact crossing, if any, where it first drops below
     rising = not vals[0] >= level
-    cross = np.nonzero((vals >= level) == rising)[0]
-    if cross.size == 0 and rising:
-        # where c_lower cuts the axis, or the curve nears a supremum
-        # above the target only beyond the scan, the bound is the
-        # maximum over the scanned range
+    best, cell = design._numeric_supremum(fn, grid, vals, level, rising)
+    if cell is None and rising:
+        # where c_lower cuts the axis, or the curve nears a supremum above
+        # the target only beyond the scan, the bound is the scan's best
         sup = design._supremum(entry, zd, r.zi, s, r.config, r.f)
         if r.c_lower > s or sup >= target:
-            sup = design._numeric_supremum(fn, finish, (), grid[0], grid[-1])
+            sup = min(1.0, finish(best))
         raise InfeasibleTarget(target, sup)
-    if cross.size == 0:
+    warning = None
+    if cell is None:
         u, value = float(grid[0]), float(vals[0])
         warning = ("every size down to the lower bound meets the "
                    "target; returning the bound itself")
     else:
-        i = int(cross[0])
-        u, value = _root(fn, float(grid[i - 1]), float(grid[i]),
-                         float(vals[i - 1]), float(vals[i]), level, rising)
+        u, value = _root(fn, *map(float, cell), level, rising)
     power = finish(value)
     c = s + u
-    ahead = finish(float(fn(min(c * 1.001 + 1e-12 - s, grid[-1]))))
-    if warning is None and ahead < power - 1e-12:
+    # a downward crossing falls; a probe alone can step past a dip
+    if warning is None and (not rising or finish(float(fn(
+            min(c * 1.001 + 1e-12 - s, grid[-1])))) < power - 1e-12):
         warning = ("solution lies on a falling branch: slightly larger "
                    "designs have lower power")
     f = r.f if r.c_stage1 is None else s / c

@@ -518,6 +518,13 @@ CURVE_IPPI = ["curve", "--method", "ippi", "--zo", "2", "--zi", "1",
     (["solve", "--method", "cp", "--target", "0.8", "--zo", "2.3",
       "--c-lower", "2e9"], 0, None, "warning: every size down to the lower "
      "bound meets the target; returning the bound itself"),
+    # a target a hair under an interior peak, and one a hair over an
+    # interior dip, both inside a window narrower than the scan spacing
+    (["solve", "--method", "cbp", "--target", "5.9294e-07", "--zo", "-0.5"],
+     0, None, None),
+    (["solve", "--method", "fbp", "--target", "0.9989853976", "--zo",
+      "4.46518391558482"], 0, None, "warning: solution lies on a falling "
+     "branch: slightly larger designs have lower power"),
 ])
 def test_cli_branches_are_pinned(argv, code, last_err, warning, capsys):
     got, out, err = run(argv, capsys)

@@ -18,11 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
-                     FixedDesign, InterimState, SolveRequest, _methods, cbp,
-                     cp, cp_pp_intersection, cpi, design, design_power, fbp,
-                     fbp_cbp_intersection, fbp_minimum, interim_power, ippi,
-                     ippi_limit, pp, ppi, ppi_minimum, solve_c,
-                     std_normal_cdf)
+                     FixedDesign, InfeasibleTarget, InterimState,
+                     SolveRequest, _methods, cbp, cp, cp_pp_intersection,
+                     cpi, design, design_power, fbp, fbp_cbp_intersection,
+                     fbp_minimum, interim_power, ippi, ippi_limit, pp, ppi,
+                     ppi_minimum, solve_c, std_normal_cdf)
 
 DRAWN = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -171,6 +171,52 @@ def test_solve_c_first_crossing_in_few_evaluations(method, zo, config,
         # rising branch: just below the answer the target is missed
         assert design_power(method, zo, res.c * (1.0 - 1e-6),
                             config) < target
+
+
+LOWER_BOUND = ("every size down to the lower bound meets the target; "
+               "returning the bound itself")
+
+
+@settings(DRAWN, max_examples=100)
+@given(method=st.sampled_from(METHODS_FIXED + METHODS_INTERIM), zo=z_stats,
+       zi=z_stats, c_stage1=st.sampled_from((None, 0.1, 1.0, 20.0)),
+       f=fractions, both=st.booleans())
+def test_solve_c_finds_narrow_peaks_and_dips(method, zo, zi, c_stage1, f,
+                                              both):
+    # targets a hair under an interior maximum, or over an interior
+    # minimum of a curve that starts above it, lie inside a window that
+    # can fall between the solver's scan points
+    config = DesignConfig(both_tails=both)
+    kwargs = dict(zo=zo, config=config)
+    if method in METHODS_INTERIM:
+        assume(c_stage1 is not None or method != "PPi")
+        s = c_stage1 or 0.0
+        axis = np.geomspace(1e-9, max(1e9, 10.0 * s) - s, 20_001)
+        c = s + axis
+        kwargs.update(zi=zi, **({"f": f} if c_stage1 is None
+                                else {"c_stage1": c_stage1}))
+        curve = interim_power(method, zo, zi, c,
+                              f if c_stage1 is None else s / c, config)
+    else:
+        curve = design_power(method, zo, AXIS, config)
+    targets = []
+    top, bottom = np.argmax(curve), np.argmin(curve)
+    if 0 < top < curve.size - 1:
+        targets += [curve[top] * (1.0 - 10.0 ** -k) for k in range(1, 10)]
+    if 0 < bottom < curve.size - 1:
+        targets += [curve[bottom] + (1.0 - curve[bottom]) * 10.0 ** -k
+                    for k in range(1, 10)]
+    for target in targets:
+        if not 0.0 < target < 1.0:
+            continue
+        try:
+            res = solve_c(SolveRequest(method, target, **kwargs))
+        except InfeasibleTarget as exc:
+            assert exc.supremum < target
+            continue
+        assert res.power >= target
+        if np.min(curve) < target:
+            assert res.warning != LOWER_BOUND
 
 
 @DRAWN

@@ -4,8 +4,8 @@ import pytest
 
 from repower import (DesignConfig, FixedDesign, FutilityRule,
                      InfeasibleTarget, InterimState, SolveRequest,
-                     design_power, futility_decision, interim_power,
-                     p_to_z, solve_c, std_normal_cdf)
+                     design_power, fbp_minimum, futility_decision,
+                     interim_power, p_to_z, solve_c, std_normal_cdf)
 
 CFG = DesignConfig(alpha=0.05)
 
@@ -108,6 +108,24 @@ def test_smallest_crossing_is_returned():
     assert "falling" in res.warning
     later = _power_at(req, res.c * 1.5)
     assert later < 0.98
+
+
+def test_crossings_between_scan_points_are_found():
+    # CPi peaks at 0.000735129... inside a window narrower than the
+    # scan spacing; a target just under the peak is reached there
+    req = SolveRequest("CPi", 0.000735128, zo=-1, zi=1, c_stage1=3)
+    res = solve_c(req)
+    assert res.power >= 0.000735128
+    # recomputed from (c, f), the stage sizes round a little differently
+    assert _power_at(req, res.c) == pytest.approx(0.000735128, rel=1e-12)
+    # FBP dips to 0.99898539753 at c = 0.914; a target a hair above the
+    # dip is first missed just left of it, on the falling branch
+    zo = 4.46518391558482
+    req = SolveRequest("FBP", 0.9989853976, zo=zo)
+    res = solve_c(req)
+    assert res.power >= 0.9989853976
+    assert 0.9 < res.c < fbp_minimum(zo).c
+    assert "falling" in res.warning
 
 
 def test_request_validation():
