@@ -175,23 +175,22 @@ def design_power(method, zo, c, config=DEFAULT_CONFIG):
     return _power(method, zo, None, c, None, config, interim=False)
 
 
-def _numeric_supremum(curve, grid, vals, level=np.inf, rising=True):
-    """Best value of ``curve`` from a log grid and its values, and the
-    first cell (a, b, f(a), f(b)) where f passes ``level`` (reaches it
-    if ``rising``, else drops below it), or None.  Till one passes, the
-    search zooms on the argmax (argmin if not ``rising``) with 33-point
-    log grids over its two cells until the log spacing is below 1e-6.
+def _numeric_supremum(curve, grid, vals, level=np.inf):
+    """Largest value of ``curve`` from a log grid and its values, and
+    the first cell (a, b, f(a), f(b)) where f reaches ``level``, or
+    None; till one does, zooms on the largest value (NaN aside) with a
+    33-point log grid over its two cells to a log spacing below 1e-6.
     """
-    best = -np.inf if rising else np.inf
-    t = None    # the log grid, taken only if the search zooms
+    best, t = -np.inf, None     # t: the log grid, taken on a zoom
     while True:
-        i = int(vals.argmax() if rising else vals.argmin())
-        if (float(vals[i]) >= level) == rising:
-            j = max(int(((vals >= level) == rising).argmax()), 1)
+        i = int(vals.argmax())      # stops at a NaN: then skip them
+        i = i if vals[i] == vals[i] else int(np.fmax(vals, -np.inf).argmax())
+        if vals[i] >= level:
+            j = max(int((vals >= level).argmax()), 1)
             return best, (grid[j - 1], grid[j], vals[j - 1], vals[j])
-        best = (max if rising else min)(best, float(vals[i]))
+        best = max(best, float(vals[i]))
         t = np.log(grid) if t is None else t
-        if t.size < 2 or t[1] - t[0] < 1e-6:
+        if t.size < 2 or not t[1] - t[0] >= 1e-6:
             return best, None
         t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], 33)
         grid = np.exp(t)

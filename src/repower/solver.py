@@ -6,14 +6,13 @@ grows, u: the remaining size nj / no at a fixed ``c_stage1`` (so that
 c = c_stage1 + u), else c itself.  Its scan ends where c reaches C_CAP,
 or ten times c_stage1 if that is larger.  Because several of the
 curves are not monotone (FBP and CBP can dip before rising, interim
-curves can start high and fall), the solver scans a logarithmic grid
-for the first upward or downward crossing, zooms in on the curve's
-closest approach to the target if no scanned size passes it (see
-``design._numeric_supremum``), and refines the crossing with an ITP
-root on log u (interpolate, truncate, project; Oliveira and Takahashi
-2020).  ITP converges superlinearly on these smooth curves and takes
-at most one step more than bisection to the same tolerance.  When one
-tail counts, scan and root run on the Phi argument t + z against
+curves can start high and fall), it scans a logarithmic grid for the
+first upward or downward crossing, zooming in where the curve comes
+closest if no scanned size passes (``design._numeric_supremum``), and
+refines it with an ITP root on log u (interpolate, truncate, project;
+Oliveira and Takahashi 2020), which converges superlinearly on these
+smooth curves and takes at most one step more than bisection.  When
+one tail counts, scan and root run on the Phi argument t + z against
 Phi^{-1} of the target (see ``design._along``), and Phi is applied to
 the result only.  If the target exceeds the least upper bound of the
 curve, ``InfeasibleTarget`` is raised carrying that bound.
@@ -169,9 +168,8 @@ def solve_c(request):
         the curve as ``supremum``.
     """
     r = request
-    # c = s + u, with s = c_stage1, or 0 at a fixed f (see the module
-    # docstring); SolveRequest has checked the inputs, and every u the
-    # solver passes is positive and finite.
+    # c = s + u, s = c_stage1 or 0 (see the module docstring); inputs
+    # are checked by SolveRequest, and every u passed is finite and > 0
     entry = _methods._lookup(r.method)
     zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
     s = r.c_stage1 or 0.0
@@ -188,14 +186,18 @@ def solve_c(request):
     # a curve that meets the target at the lower bound has its smallest
     # exact crossing, if any, where it first drops below
     rising = not vals[0] >= level
-    best, cell = design._numeric_supremum(fn, grid, vals, level, rising)
-    if cell is None and rising:
-        # where c_lower cuts the axis, or the curve nears a supremum above
-        # the target only beyond the scan, the bound is the scan's best
+    if rising and r.c_lower <= s and not vals[vals.argmax()] >= level:
         sup = design._supremum(entry, zd, r.zi, s, r.config, r.f)
-        if r.c_lower > s or sup >= target:
-            sup = min(1.0, finish(best))
-        raise InfeasibleTarget(target, sup)
+        if sup < target:    # then no zoom can find a crossing
+            raise InfeasibleTarget(target, sup)
+    if rising:
+        best, cell = design._numeric_supremum(fn, grid, vals, level)
+    else:   # where f drops below level, -f passes -level
+        best, cell = design._numeric_supremum(
+            lambda u: -fn(u), grid, -vals, math.nextafter(-level, math.inf))
+        cell = cell and (*cell[:2], -cell[2], -cell[3])
+    if cell is None and rising:     # the bound over the scanned sizes
+        raise InfeasibleTarget(target, min(1.0, finish(best)))
     warning = None
     if cell is None:
         u, value = float(grid[0]), float(vals[0])
@@ -217,13 +219,12 @@ def solve_c(request):
 def _scan_grid(request, s):
     """Log grid over the growing size u, denser than any known dip width.
 
-    It runs from u = c_lower - s, but at least 1e-9, to where c = s + u
-    reaches C_CAP, or 10 s if that is larger: the interim curves vary
-    with u / s, and from c_stage1 near C_CAP on the cap alone would
-    leave them no room to grow.  A start beyond the end is the whole
-    grid.
+    It runs from u = c_lower - s, but at least 1e-9 and s * 1e-300 (s / u
+    stays finite), to c = s + u = C_CAP, or 10 s if larger: the interim
+    curves vary with u / s, and from c_stage1 near C_CAP the cap alone
+    leaves them no room to grow.  A start past the end is the whole grid.
     """
-    start = max(request.c_lower - s, _C_MIN)
+    start = max(request.c_lower - s, _C_MIN, s * 1e-300)
     stop = max(C_CAP, 10.0 * s) - s
     if start >= stop:
         return np.array([start])

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repower import (CrossingPoint, DesignConfig, FixedDesign, cbp,
-                     conditional_power,
-                     cp, cp_pp_intersection, design_power, fbp,
+                     conditional_power, cp, cp_pp_intersection, design,
+                     design_power, fbp,
                      fbp_cbp_intersection, fbp_minimum, p_to_z, pp,
                      std_normal_cdf)
 
@@ -256,6 +256,19 @@ def test_numeric_supremum_in_the_lower_tail():
     assert r.supremum == pytest.approx(3.3655082311276734e-19, rel=1e-13,
                                        abs=0.0)
     assert not r.feasible_100
+
+
+def test_numeric_search_steps_over_nan():
+    # inf - inf at extreme sizes leaves NaN on a curve: it neither leads
+    # the zoom nor hides the first cell that reaches the level
+    def curve(u):
+        return np.where(u < 1e-2, np.nan, -(np.log(u) - 0.05) ** 2)
+    grid = np.geomspace(1e-3, 1e3, 61)
+    best, cell = design._numeric_supremum(curve, grid, curve(grid))
+    assert cell is None and best == pytest.approx(0.0, abs=1e-11)
+    a, b, fa, fb = design._numeric_supremum(curve, grid, curve(grid),
+                                            -1.0)[1]
+    assert a < np.exp(-0.95) <= b and fa < -1.0 <= fb
 
 
 def test_pooled_threshold_helpers_next_to_the_threshold():

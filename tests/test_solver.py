@@ -128,6 +128,19 @@ def test_crossings_between_scan_points_are_found():
     assert "falling" in res.warning
 
 
+@pytest.mark.parametrize("method,target", [("CPi", 0.8), ("IPPi", 0.6)])
+def test_stage_sizes_near_the_top_of_the_doubles(method, target):
+    # at c_stage1 = 1e300 the scan starts where s / u stays finite, so
+    # no size overflows to a NaN power that would hide the crossing
+    req = SolveRequest(method, target, zo=2, zi=1, c_stage1=1e300)
+    assert solve_c(req).power >= target
+    # IPPi nears its supremum 0.841 only far beyond the scan, whose
+    # best, 0.656, is the bound
+    with pytest.raises(InfeasibleTarget) as exc:
+        solve_c(SolveRequest("IPPi", 0.8, zo=2, zi=1, c_stage1=1e300))
+    assert exc.value.supremum == pytest.approx(0.6557057, rel=1e-6)
+
+
 def test_request_validation():
     with pytest.raises(ValueError):
         SolveRequest(method="CP", target_power=1.0, zo=2.0)
