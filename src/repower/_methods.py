@@ -10,13 +10,15 @@ and a fixed design is the case s = 0, x = c.  A ``Method`` entry holds
 the Phi argument as ``parts(zd, zi, s, x, config) -> (t, z)``, the
 inputs the method needs, and its supremum rule ``sup(zd, zi, s, f,
 config)``: with ``f`` None the rule covers x growing at fixed s, else c
-growing at the fixed interim fraction f.  A rule returns the supremum
-where it is analytic, or else, where the curve can peak inside the
-axis, the tuple of limits for the numeric search in ``design``.  The
-input rules live here too, each written once: every public entry point
-applies ``finite``, ``positive``, ``unit`` or ``size`` to its
+growing at the fixed interim fraction f.  A rule returns the supremum,
+a limit or Phi at a root of the slope of the argument (``_newton``),
+except for both-tail CPi at zd = 0 over x and IPPi over c at a fixed
+f: the tuple of their limits for the numeric search in ``design``.
+The input rules live here too, each written once: every public entry
+point applies ``finite``, ``positive``, ``unit`` or ``size`` to its
 arguments, and nothing below checks again.
 """
+import math
 import sys
 from dataclasses import dataclass
 
@@ -78,6 +80,25 @@ def _significant(zi, cfg):
     return abs(zi) > -za if cfg.both_tails else zi + za > 0.0
 
 
+def _newton(fn, lo, hi):
+    """A root of ``fn`` (value, slope) in [lo, hi], 0 < lo, where fn(lo)
+    and fn(hi) differ in sign, by Newton steps from hi; a step that
+    leaves the bracket, or is not half the one before, becomes a
+    geometric bisection.  It stops at a step below 1e-13 relative."""
+    below, x, last = fn(lo)[0] < 0.0, hi, hi - lo
+    for _ in range(200):
+        f, df = fn(x)
+        lo, hi = (x, hi) if (f < 0.0) == below else (lo, x)
+        step = f / df if df != 0.0 else math.inf
+        if abs(step) <= 1e-13 * x:
+            return x - step
+        xn = x - step
+        if not lo < xn < hi or abs(step) > 0.5 * abs(last):
+            xn = math.sqrt(lo) * math.sqrt(hi)
+        last, x = x - xn, xn
+    return x
+
+
 def _ippi_limit(zd, zi, s, cfg):
     """IPPi as the remaining size x grows at fixed s."""
     arg = np.sqrt(1.0 / (s + 1.0)) * zd + np.sqrt(s / (s + 1.0)) * zi
@@ -126,7 +147,15 @@ def _cbp_sup(zd, zi, s, f, cfg):
         return 1.0
     if zd == 0.0:
         return cfg.alpha_tilde if cfg.both_tails else cfg.alpha_tilde / 2.0
-    return ()
+    # one tail, zd < 0: the argument peaks where v = x + 1 solves
+    # zd (v - 2) + k / sqrt(v) = 0, k = -z_alpha_tilde, a falling slope,
+    # in [max(2, v0), max(4, 1.6 v0)]
+    k = -cfg.z_alpha_tilde
+    v0 = k ** (2.0 / 3.0) * (-zd) ** (-2.0 / 3.0)
+    v = _newton(lambda v: (zd * (v - 2.0) + k / math.sqrt(v),
+                           zd - 0.5 * k / (v * math.sqrt(v))),
+                max(2.0, v0), max(4.0, 1.6 * v0))
+    return _tail_power(*_cbp(zd, zi, s, v - 1.0, cfg), False)
 
 
 def _cpi(zd, zi, s, x, cfg):
@@ -139,10 +168,27 @@ def _cpi_sup(zd, zi, s, f, cfg):
     # effect as c grows
     if _counts(zd, cfg) or (f is None and _significant(zi, cfg)):
         return 1.0
-    if zd == 0.0 and f is None:
-        # the interim's weight vanishes as nj grows, leaving CP's level
+    if f is not None:
+        # at fixed f the argument falls in c, or is level at zd = 0: its
+        # c -> 0 limit, where the zd term vanishes
+        return _tail_power(*_cpi(0.0, zi, f, 1.0 - f, cfg), cfg.both_tails)
+    if cfg.both_tails:      # zd = 0: a curve of q = s / x alone
         return (_cp_sup(zd, zi, s, f, cfg),)
-    return ()
+    # one tail in u = x / s: the argument is -w sqrt(u) + zi / sqrt(u)
+    # - k sqrt(1 + 1 / u), w = -zd sqrt(s) >= 0, k = -z_alpha, its slope
+    # of the sign of -w u - zi + k / sqrt(1 + u), which falls, with its
+    # root in [(k - zi) / (2w + k), (k - zi) / w]
+    k, w = -cfg.z_alpha, -zd * math.sqrt(s)
+    hi = (k - zi) / w if w > 0.0 else math.inf
+    if hi == math.inf:
+        # w = 0 or negligible: a peak of -sqrt(k^2 - zi^2) if 0 < zi, else -k
+        return cfg.alpha / 2.0 if zi <= 0.0 else max(
+            cfg.alpha / 2.0, std_normal_cdf(-math.sqrt((k - zi) * (k + zi))))
+    u = _newton(lambda u: (-w * u - zi + k / math.sqrt(1.0 + u),
+                           -w - 0.5 * k / ((1.0 + u) * math.sqrt(1.0 + u))),
+                (k - zi) / (2.0 * w + k), hi)
+    return std_normal_cdf(-w * math.sqrt(u) + zi / math.sqrt(u)
+                          - k * math.sqrt(1.0 + 1.0 / u))
 
 
 def _ippi(zd, zi, s, x, cfg):
@@ -162,7 +208,34 @@ def _ippi_sup(zd, zi, s, f, cfg):
     # both tails: Phi(a) + Phi(-a) = 1 as the quantile's weight vanishes
     if cfg.both_tails or _significant(zi, cfg):
         return 1.0
-    return (_ippi_limit(zd, zi, s, cfg),)
+    limit = float(_ippi_limit(zd, zi, s, cfg))
+    # the argument's slope in x has the sign of P(v) = k v^4 + (zd - r zi)
+    # v^3 - (s zd + r zi) v + k s, v = sqrt(x + s) > r = sqrt(s), k =
+    # -z_alpha: P > 0 at v = r and as v grows, with at most one
+    # inflection, so the argument peaks at most once, at the first root,
+    # below the minimiser of P.  In y = v / r, dp = P'(v) / v^2 and p =
+    # P(v) / v^3 cannot overflow (products, not **: a huge y gives inf).
+    k, r = -cfg.z_alpha, math.sqrt(s)
+    d = zd + zi / r
+
+    def dp(y):
+        return (r * (4.0 * k * y - 3.0 * zi) + 3.0 * zd - d / (y * y),
+                4.0 * r * k + 2.0 * d / (y * y * y))
+
+    def p(y):
+        return (r * (k * y - zi) + zd - d / (y * y) + k / (r * y * y * y),
+                r * k + 2.0 * d / (y * y * y) - 3.0 * k / (r * y * y * y * y))
+    # dp rises for d >= 0, else is convex with its minimum at y = cube
+    cube = (abs(d) / (2.0 * k)) ** (1.0 / 3.0) / r ** (1.0 / 3.0)
+    lo = max(1.0, cube if d < 0.0 else 1.0)
+    if dp(lo)[0] >= 0.0:
+        return limit
+    y = _newton(dp, lo, 2.0 * max(lo, 1.5 * abs(zd - r * zi) / (r * k), cube))
+    if p(y)[0] >= 0.0:
+        return limit
+    y = _newton(p, 1.0, y)
+    x = s * (y - 1.0) * (y + 1.0)
+    return max(limit, float(_tail_power(*_ippi(zd, zi, s, x, cfg), False)))
 
 
 def _ppi(zd, zi, s, x, cfg):

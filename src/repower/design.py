@@ -225,11 +225,11 @@ def _supremum(entry, zd, zi, s, config, f=None):
 
     With ``f`` None the remaining size x grows at fixed s, else c grows
     at the fixed interim fraction f (see ``_methods``).  The method's
-    rule gives the supremum where it is analytic, else the limits for
-    the numeric search, which runs on the Phi argument when one tail
-    counts (see ``_along``) on a 481-point log grid in x up to 1e12,
-    from max(1e-12, s * 1e-300) so that s / x stays finite: below that a
-    curve is near 0, or its interim is significant and the rule gives 1.
+    rule gives the supremum, except for both-tail CPi at zd = 0, a curve
+    of q = s / x alone, and IPPi at a fixed f, which only ``solve_c``
+    asks for: there the numeric search runs, on the Phi argument when
+    one tail counts (see ``_along``), on a 481-point log grid in x at
+    s = 1e6 (q from 1e-6 to 1e18) or in c, from 1e-12 to 1e12.
     """
     if f is None and s == 0.0:
         # no interim data yet: CPi is CP and IPPi is PP in disguise
@@ -237,8 +237,8 @@ def _supremum(entry, zd, zi, s, config, f=None):
     rule = entry.sup(zd, zi, s, f, config)
     if not isinstance(rule, tuple):
         return rule
-    curve, finish = _along(entry, zd, zi, s, f, config)
-    grid = np.geomspace(max(1e-12, s * 1e-300), 1e12, 481)
+    curve, finish = _along(entry, zd, zi, 1e6, f, config)
+    grid = np.geomspace(1e-12, 1e12, 481)
     best, _ = _numeric_supremum(curve, grid, curve(grid))
     return min(1.0, max([finish(best), *rule]))
 

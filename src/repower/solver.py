@@ -172,7 +172,7 @@ def solve_c(request):
     # are checked by SolveRequest, and every u passed is finite and > 0
     entry = _methods._lookup(r.method)
     zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
-    s = r.c_stage1 or 0.0
+    s = float(r.c_stage1 or 0.0)
     fn, finish = design._along(entry, zd, r.zi, s, r.f, r.config)
     target = r.target_power
     # the least curve value whose power meets the target: Phi^{-1} of
@@ -220,12 +220,12 @@ def _scan_grid(request, s):
     """Log grid over the growing size u, denser than any known dip width.
 
     It runs from u = c_lower - s, but at least 1e-9 and s * 1e-300 (s / u
-    stays finite), to c = s + u = C_CAP, or 10 s if larger: the interim
-    curves vary with u / s, and from c_stage1 near C_CAP the cap alone
-    leaves them no room to grow.  A start past the end is the whole grid.
+    stays finite), to c = s + u = C_CAP, or 10 s if larger, as the interim
+    curves vary with u / s, but no further than the largest double.  A
+    start past the end is the whole grid.
     """
     start = max(request.c_lower - s, _C_MIN, s * 1e-300)
-    stop = max(C_CAP, 10.0 * s) - s
+    stop = min(max(C_CAP, 10.0 * s), np.finfo(float).max) - s
     if start >= stop:
         return np.array([start])
     if start == _C_MIN and s == 0.0:

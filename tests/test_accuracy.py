@@ -103,6 +103,27 @@ def test_quantile_float_and_array_paths_agree(ps):
         [std_normal_quantile(p) for p in ps]
 
 
+def test_p_to_z_float_and_array_paths_agree():
+    # a float p takes the float quantile directly; down to p = 1e-300
+    # and up to the last double below 1 it matches the array path bit
+    # for bit, and refuses what the array path refuses with its message
+    ps = np.concatenate([np.geomspace(1e-300, 0.5, 2001),
+                         1.0 - np.geomspace(2.0 ** -53, 0.5, 500)])
+    for direction in (1, -1):
+        arrays = p_to_z(ps, direction).tolist()
+        assert [p_to_z(p, direction) for p in ps.tolist()] == arrays
+        assert [p_to_z(np.array(p), direction)
+                for p in ps.tolist()] == arrays
+    for p, direction in ((math.nan, 1), (0.0, 1), (1.0, -1), (1.5, 1),
+                         (TINY, 1), (0.05, 0), (0.05, 1.5)):
+        messages = []
+        for value in (p, np.array([p])):
+            with pytest.raises(ValueError) as exc:
+                p_to_z(value, direction)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize("method, sizes", [
     # CPi's 4c overflowed near 4.5e307, IPPi's c * c above 1.3e154
     ("CPi", (1e-9, 1.0, 1e200, 1e300, 1.7e308)),

@@ -365,6 +365,18 @@ def test_cpi_supremum_at_a_zero_original_is_the_level(both_tails, level):
     assert r.supremum == level and not r.feasible_100
 
 
+@pytest.mark.parametrize("c", [1.0, 1e7, 1e13, 1e300])
+def test_both_tail_cpi_peak_at_a_zero_original_at_any_size(c):
+    # zd = 0: both-tail CPi depends on q = ni / nj alone, and the search
+    # runs over q, so the peak at q = 1.41 no longer slips past the top
+    # of a grid in nj / no (at c = 1e13 it read 0.05); mpmath at 40
+    # digits, golden section on log q of both Phi terms
+    r = cpi(FixedDesign(0.0, c), InterimState(1.5, 0.9),
+            DesignConfig(both_tails=True))
+    assert r.supremum == pytest.approx(0.10355960436991364008, rel=1e-13,
+                                       abs=0.0)
+
+
 @pytest.mark.parametrize("both_tails", [False, True])
 @pytest.mark.parametrize("zo", [2.0, -1.0])
 def test_suprema_at_a_huge_interim_size(zo, both_tails):

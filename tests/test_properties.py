@@ -9,6 +9,7 @@ treat a number and a one-element array alike.  Hypothesis runs
 derandomized, so every run draws the same cases.
 """
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -77,6 +78,123 @@ def test_both_tail_suprema_need_no_search(method, zo, zi, c, f, config):
                            side_effect=AssertionError("numeric search")):
         res = RESULTS[method](FixedDesign(zo, c), *state, config)
     assert res.supremum == 1.0 and res.feasible_100
+
+
+@DRAWN
+@given(method=st.sampled_from(sorted(RESULTS)), zo=z_stats, zi=z_stats,
+       c=sizes, f=fractions, config=one_tail)
+def test_one_tail_suprema_need_no_search(method, zo, zi, c, f, config):
+    # with one tail Phi is increasing, so every rule states the supremum
+    # over the remaining size: a limit, or the value where the slope of
+    # the Phi argument vanishes
+    state = (InterimState(zi, f),) if method in METHODS_INTERIM else ()
+    with mock.patch.object(design, "_numeric_supremum",
+                           side_effect=AssertionError("numeric search")):
+        res = RESULTS[method](FixedDesign(zo, c), *state, config)
+    assert res.power <= res.supremum <= 1.0
+
+
+def _searched(curve, lo, hi):
+    """Largest value of ``curve`` on a 20001-point log grid from lo to
+    hi, zoomed on 33-point log grids over the two cells around the best
+    point down to a log spacing of 1e-9."""
+    t = np.linspace(math.log(lo), math.log(hi), 20_001)
+    while True:
+        vals = curve(np.exp(t))
+        i = int(np.argmax(vals))
+        if t[1] - t[0] < 1e-9:
+            return float(vals[i])
+        t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 33)
+
+
+def _rule(method, zd, zi, s, config, f=None):
+    """A one-tail supremum from the method table, with the numeric search
+    switched off."""
+    with mock.patch.object(design, "_numeric_supremum",
+                           side_effect=AssertionError("numeric search")):
+        return design._supremum(_methods.METHODS[method], zd, zi, s,
+                                config, f)
+
+
+def _argument(method, zd, zi, s=None, f=None, config=None):
+    """The Phi argument of a table entry along x at fixed s, or along c
+    at fixed f."""
+    entry = _methods.METHODS[method]
+
+    def arg(u):
+        sizes = (s, u) if f is None else (u * f, u * (1.0 - f))
+        t, z = entry.parts(zd, zi, *sizes, config)
+        return t + z
+    return arg
+
+
+@settings(DRAWN, max_examples=300)
+# interior peaks need a negative original, and most lie at stage sizes
+# from 1e-4 to 10; the rest of the draws run from 1e-300 to the top of
+# the doubles
+@given(method=st.sampled_from(("CPi", "IPPi")), zo=st.floats(-8.0, 1.0),
+       zi=z_stats,
+       s=(st.floats(-4.0, 1.0) | st.floats(-300.0, 308.2)).map(
+           lambda e: 10.0 ** e), config=one_tail)
+def test_peaks_over_the_remaining_size_match_a_dense_search(method, zo, zi,
+                                                            s, config):
+    # x from s * 1e-170 (at least 1e-320) to 1e170 max(s, 1), capped so
+    # that s + x stays finite: the peaks lie between, at every s
+    assume(zi + config.z_alpha < 0.0)
+    zd = design.shrunken_zo(zo, config)
+    if method == "CPi":
+        zd = min(zd, 0.0)      # a positive zd reaches 1 as x grows
+        limit = config.alpha / 2.0 if zd == 0.0 else 0.0
+    else:
+        limit = ippi_limit(zo, zi, s, config)
+    got = _rule(method, zd, zi, s, config)
+    hi = min(max(s, 1.0) * 1e170, 0.5 * (sys.float_info.max - s))
+    best = _searched(_argument(method, zd, zi, s, config=config),
+                     max(s * 1e-170, 1e-320), hi)
+    want = max(float(std_normal_cdf(best)), limit)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@DRAWN
+@given(zo=st.floats(-8.0, 0.0), zi=z_stats, f=fractions, config=one_tail)
+def test_design_and_fixed_f_peaks_match_a_dense_search(zo, zi, f, config):
+    zd = design.shrunken_zo(zo, config)
+    # CPi at a fixed f falls in c from its c -> 0 limit
+    got = _rule("CPi", zd, zi, 0.0, config, f)
+    best = _searched(_argument("CPi", zd, zi, f=f, config=config),
+                     1e-300, 1e12)
+    assert got == pytest.approx(float(std_normal_cdf(best)), rel=1e-12,
+                                abs=0.0)
+    if zd < 0.0:
+        # CBP peaks at c + 1 = v, v (v - 2)^2 = (z_alpha_tilde / zd)^2
+        got = _rule("CBP", zd, None, 0.0, config)
+        best = _searched(_argument("CBP", zd, None, 0.0, config=config),
+                         1e-300, 1e300)
+        assert got == pytest.approx(float(std_normal_cdf(best)), rel=1e-12,
+                                    abs=0.0)
+
+
+@pytest.mark.parametrize("method, zd, zi, s, f, expected", [
+    # mpmath at 40 digits with the double z_alpha (alpha = 0.05): golden
+    # section on log x of the published Phi argument, or its closed form
+    ("IPPi", -4.97, -2.59, 1e-300, None, 0.024999999999999997899),
+    ("IPPi", -5.98, 1.8, 1e-100, None, 0.21901098030927628892),
+    ("IPPi", -5.64, 0.21, 0.4, None, 4.3581884648574690427e-6),
+    ("IPPi", -5.07, 1.16, 0.4, None, 0.0018325360727715184357),
+    ("CPi", -1.0, 0.5, 1e-300, None, 0.029038619604236689625),
+    ("CPi", -1e-200, 1.0, 1.0, None, 0.0459303901866749719),
+    # Phi(-sqrt(z_alpha^2 - zi^2)) at zd = 0
+    ("CPi", 0.0, 1.5, 3.0, None, 0.10355891640924563705),
+    # the c -> 0 limit Phi(sqrt(q) zi + sqrt(1 + q) z_alpha), q = f / (1 - f)
+    ("CPi", -0.5, 1.0, 0.0, 0.4, 0.043282176619318568928),
+    ("CBP", -0.5, None, 0.0, None, 5.9294004212595272591e-7),
+    ("CBP", -3.0, None, 0.0, None, 4.3862351641975838006e-25),
+    ("CBP", -1e-100, None, 0.0, None, 0.00062500000000000000644),
+])
+def test_stationary_point_suprema_against_mpmath(method, zd, zi, s, f,
+                                                 expected):
+    got = _rule(method, zd, zi, s, DesignConfig(), f)
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @DRAWN

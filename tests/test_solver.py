@@ -1,10 +1,13 @@
 """Sample-size inversion and futility rules."""
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
 from repower import (DesignConfig, FixedDesign, FutilityRule,
-                     InfeasibleTarget, InterimState, SolveRequest,
-                     design_power, fbp_minimum, futility_decision,
+                     InfeasibleTarget, InterimState, SolveRequest, _methods,
+                     design, design_power, fbp_minimum, futility_decision,
                      interim_power, p_to_z, solve_c, std_normal_cdf)
 
 CFG = DesignConfig(alpha=0.05)
@@ -61,6 +64,42 @@ def test_round_trip_interim_methods():
             if "c_stage1" in kwargs:
                 assert res.f == pytest.approx(kwargs["c_stage1"] / res.c)
                 assert res.c > kwargs["c_stage1"]
+
+
+def test_cpi_at_a_fixed_f_peaks_below_the_smallest_scanned_size():
+    # CPi at a fixed f falls in c from its c -> 0 limit Phi(sqrt(q) zi +
+    # sqrt(1 + q) z_alpha), q = f / (1 - f): 0.0432821766193186 (mpmath);
+    # the search from c = 1e-12 read 0.043282141.  The target 0.04328215
+    # is met only below c = 5.6e-13, under the smallest size solve_c
+    # scans, 1e-9, so the bound it reports is the power there
+    entry = _methods.METHODS["CPi"]
+    assert design._supremum(entry, -0.5, 1.0, 0.0, CFG, 0.4) == \
+        pytest.approx(0.043282176619318568928, rel=1e-14, abs=0.0)
+    with pytest.raises(InfeasibleTarget) as exc:
+        solve_c(SolveRequest("CPi", 0.04328215, zo=-0.5, zi=1.0, f=0.4))
+    assert exc.value.supremum == interim_power("CPi", -0.5, 1.0, 1e-9, 0.4)
+    res = solve_c(SolveRequest("CPi", 0.04328, zo=-0.5, zi=1.0, f=0.4))
+    assert res.power >= 0.04328 and res.c > 1e-9
+
+
+def test_c_stage1_next_to_the_largest_double():
+    # the scan ended at max(C_CAP, 10 s) - s, which overflowed for s above
+    # 1.8e307 into an inf and NaN grid; it now ends where c reaches the
+    # largest double
+    top = sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_c(SolveRequest("CPi", 0.8, zo=2.0, zi=1.0,
+                                   c_stage1=1.7e308))
+        # IPPi nears ippi_limit = 0.84 only once nj outgrows ni, beyond
+        # the doubles: the bound is its power where the scan ends
+        with pytest.raises(InfeasibleTarget) as exc:
+            solve_c(SolveRequest("IPPi", 0.8, zo=2.0, zi=1.0,
+                                 c_stage1=1.7e308))
+        assert exc.value.supremum == pytest.approx(
+            interim_power("IPPi", 2.0, 1.0, top, 1.7e308 / top), rel=1e-12)
+    # the crossing lies at nj / no near 6e153, lost in c = ni / no + nj / no
+    assert res.c == 1.7e308 and res.power >= 0.8
 
 
 def test_infeasible_carries_supremum():
