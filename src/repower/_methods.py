@@ -10,12 +10,12 @@ and a fixed design is the case s = 0, x = c.  A ``Method`` entry holds
 the Phi argument as ``parts(zd, zi, s, x, config) -> (t, z)``, the
 inputs the method needs, and its supremum rule ``sup(zd, zi, s, f,
 config)``: with ``f`` None the rule covers x growing at fixed s, else c
-growing at the fixed interim fraction f.  A rule returns the supremum,
-a limit or Phi at a root of the slope of the argument (``_newton``),
-except for both-tail CPi at zd = 0 over x and IPPi over c at a fixed
-f: the tuple of their limits for the numeric search in ``design``.
-The input rules live here too, each written once: every public entry
-point applies ``finite``, ``positive``, ``unit`` or ``size`` to its
+growing at the fixed interim fraction f.  A rule returns the supremum:
+a limit, or Phi at a root of the argument's slope (``_newton``); only
+both-tail CPi at zd = 0 over x and IPPi over c at a fixed f return the
+tuple of their limits, for the numeric search in ``design``.  The input
+rules live here too, each written once: every public entry point
+applies ``finite``, ``positive``, ``unit`` or ``size`` to its
 arguments, and nothing below checks again.
 """
 import math
@@ -81,10 +81,9 @@ def _significant(zi, cfg):
 
 
 def _newton(fn, lo, hi):
-    """A root of ``fn`` (value, slope) in [lo, hi], 0 < lo, where fn(lo)
-    and fn(hi) differ in sign, by Newton steps from hi; a step that
-    leaves the bracket, or is not half the one before, becomes a
-    geometric bisection.  It stops at a step below 1e-13 relative."""
+    """A root of ``fn`` (value, slope) in [lo, hi], 0 < lo, where fn
+    changes sign, by Newton steps from hi; one that leaves the bracket or
+    fails to halve becomes a geometric bisection.  Stops below 1e-13 x."""
     below, x, last = fn(lo)[0] < 0.0, hi, hi - lo
     for _ in range(200):
         f, df = fn(x)
@@ -180,8 +179,9 @@ def _cpi_sup(zd, zi, s, f, cfg):
     # root in [(k - zi) / (2w + k), (k - zi) / w]
     k, w = -cfg.z_alpha, -zd * math.sqrt(s)
     hi = (k - zi) / w if w > 0.0 else math.inf
-    if hi == math.inf:
-        # w = 0 or negligible: a peak of -sqrt(k^2 - zi^2) if 0 < zi, else -k
+    if not 0.0 < hi < math.inf:
+        # w = 0 or negligible: a peak of -sqrt(k^2 - zi^2) if 0 < zi, else
+        # -k; at zi = k, the edge of significance, 0 as u -> 0
         return cfg.alpha / 2.0 if zi <= 0.0 else max(
             cfg.alpha / 2.0, std_normal_cdf(-math.sqrt((k - zi) * (k + zi))))
     u = _newton(lambda u: (-w * u - zi + k / math.sqrt(1.0 + u),
@@ -211,11 +211,13 @@ def _ippi_sup(zd, zi, s, f, cfg):
     limit = float(_ippi_limit(zd, zi, s, cfg))
     # the argument's slope in x has the sign of P(v) = k v^4 + (zd - r zi)
     # v^3 - (s zd + r zi) v + k s, v = sqrt(x + s) > r = sqrt(s), k =
-    # -z_alpha: P > 0 at v = r and as v grows, with at most one
-    # inflection, so the argument peaks at most once, at the first root,
-    # below the minimiser of P.  In y = v / r, dp = P'(v) / v^2 and p =
-    # P(v) / v^3 cannot overflow (products, not **: a huge y gives inf).
+    # -z_alpha: P > 0 at v = r (= 0 at zi = k, where the argument tends
+    # to 0 as x -> 0) and as v grows, with one inflection at most, so the
+    # argument peaks at most once, at the first root, below P's minimiser.
+    # In y = v / r, dp = P'(v) / v^2 and p = P(v) / v^3 cannot overflow.
     k, r = -cfg.z_alpha, math.sqrt(s)
+    if zi >= k:
+        return max(limit, 0.5)
     d = zd + zi / r
 
     def dp(y):

@@ -259,12 +259,8 @@ def p_to_z(p, direction=1):
     direction : {1, -1}
         Sign of the underlying effect estimate.
     """
-    if isinstance(p, float) and isinstance(direction, (int, float)) \
-            and direction in (1, -1):
-        # a float skips the array checks, with the same messages
-        if not 0.0 < p < 1.0:
-            raise ValueError("p must not contain NaN" if math.isnan(p) else
-                             "p must lie strictly between 0 and 1")
+    if isinstance(p, float) and 0.0 < p < 1.0 and \
+            isinstance(direction, (int, float)) and direction in (1, -1):
         return -float(direction) * std_normal_quantile(p / 2.0)
     arr = _as_float_array(p, "p")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):

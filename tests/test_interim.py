@@ -3,6 +3,8 @@
 Reference numbers computed with mpmath at 30 digits by assembling each
 Phi argument from the published weight expressions by hand.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,22 @@ def test_both_tail_cpi_peak_at_a_zero_original_at_any_size(c):
             DesignConfig(both_tails=True))
     assert r.supremum == pytest.approx(0.10355960436991364008, rel=1e-13,
                                        abs=0.0)
+
+
+@pytest.mark.parametrize("zo", [-6.0, -1.0])
+def test_suprema_at_the_edge_of_significance(zo):
+    # zi = -z_alpha, as p_to_z(0.05) gives it: not significant, and as
+    # nj -> 0 the CPi and IPPi arguments rise to 0, so their suprema are
+    # 1/2, or IPPi's large-sample limit if larger (0.0078 at zo = -6,
+    # 0.7127 at zo = -1); the stationary-point rules divided by zero here
+    zi = -CFG.z_alpha
+    assert p_to_z(0.05) == zi
+    fixed, state = FixedDesign(zo, 2.0), InterimState(zi, 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cpi(fixed, state, CFG).supremum == 0.5
+        assert ippi(fixed, state, CFG).supremum == max(
+            0.5, ippi_limit(zo, zi, 0.8, CFG))
 
 
 @pytest.mark.parametrize("both_tails", [False, True])
