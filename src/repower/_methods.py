@@ -8,12 +8,16 @@ been observed and ``x = nj / no`` is still to come, so a replication of
 total size c at interim fraction f has s = c * f and x = c * (1 - f),
 and a fixed design is the case s = 0, x = c.  A ``Method`` entry holds
 the Phi argument as ``parts(zd, zi, s, x, config) -> (t, z)``, the
-inputs the method needs, and its supremum rule ``sup(zd, zi, s, f,
-config)``: with ``f`` None the rule covers x growing at fixed s, else c
-growing at the fixed interim fraction f.  A rule returns the supremum:
-a limit, or Phi at a root of the argument's slope (``_newton``); only
-both-tail CPi at zd = 0 over x and IPPi over c at a fixed f return the
-tuple of their limits, for the numeric search in ``design``.  The input
+inputs the method needs, its supremum rule ``sup(zd, zi, s, f,
+config)`` and its inverse rule ``inverse(zd, zi, s, f, level,
+config)``: with ``f`` None a rule covers x growing at fixed s, else c
+growing at the fixed interim fraction f.  A supremum rule returns the
+supremum: a limit, or Phi at a root of the argument's slope
+(``_newton``); only both-tail CPi at zd = 0 over x and IPPi over c at a
+fixed f return the tuple of their limits, for the numeric search in
+``design``.  An inverse rule, for one tail, estimates the first size at
+which the argument reaches ``level`` on a rising piece from the bottom
+of the axis, or returns None; IPPi has none.  The input
 rules live here too, each written once: every public entry point
 applies ``finite``, ``positive``, ``unit`` or ``size`` to its
 arguments, and nothing below checks again.
@@ -98,6 +102,19 @@ def _newton(fn, lo, hi):
     return x
 
 
+def _quadratic(a, h, c, d, unsquared):
+    """The positive root of a r^2 + 2 h r + c = 0 at which ``unsquared``,
+    the equation before squaring, is least in size, or None.  Its quarter
+    discriminant d = h^2 - a c comes in a form free of cancellation: with
+    q = -(h + sign(h) sqrt(d)) the roots are q / a and c / q."""
+    if not d >= 0.0:
+        return None
+    q = -(h + math.copysign(math.sqrt(d), h))
+    roots = [n / m for n, m in ((q, a), (c, q))
+             if m != 0.0 and 0.0 < n / m < math.inf]
+    return min(roots, key=lambda r: abs(unsquared(r)), default=None)
+
+
 def _ippi_limit(zd, zi, s, cfg):
     """IPPi as the remaining size x grows at fixed s."""
     arg = np.sqrt(1.0 / (s + 1.0)) * zd + np.sqrt(s / (s + 1.0)) * zi
@@ -114,6 +131,12 @@ def _cp_sup(zd, zi, s, f, cfg):
     return cfg.alpha if cfg.both_tails else cfg.alpha / 2.0
 
 
+def _cp_inv(zd, zi, s, f, level, cfg):
+    # sqrt(x) zd + z_alpha = level, rising for zd > 0
+    r = (level - cfg.z_alpha) / zd if zd > 0.0 else 0.0
+    return r * r if r > 0.0 else None
+
+
 def _pp(zd, zi, s, x, cfg):
     return np.sqrt(x / (x + 1.0)) * zd, np.sqrt(1.0 / (x + 1.0)) * cfg.z_alpha
 
@@ -122,6 +145,18 @@ def _pp_sup(zd, zi, s, f, cfg):
     if cfg.both_tails:
         return 1.0      # both-tail rejection -> 1 as c grows
     return float(max(std_normal_cdf(zd), cfg.alpha / 2.0))
+
+
+def _pp_inv(zd, zi, s, f, level, cfg):
+    # (r zd + z_alpha) / sqrt(1 + r^2) = level, r = sqrt(x), squared.  It
+    # starts at z_alpha and, for zd < 0, dips before it rises
+    za, ll = cfg.z_alpha, level * level
+    if level <= za:
+        return None
+    r = _quadratic(zd * zd - ll, zd * za, za * za - ll,
+                   ll * (zd * zd + za * za - ll),
+                   lambda r: r * zd + za - level * math.hypot(1.0, r))
+    return r * r if r else None
 
 
 def _fbp(zd, zi, s, x, cfg):
@@ -136,9 +171,31 @@ def _fbp_sup(zd, zi, s, f, cfg):
     return float(std_normal_cdf(zd))
 
 
+def _fbp_inv(zd, zi, s, f, level, cfg):
+    # (zd sqrt(r^2 + 1) + z_alpha_tilde) / r = level, r = sqrt(x), squared;
+    # beyond the pooled threshold the curve falls from 1 first
+    zt, ll = cfg.z_alpha_tilde, level * level
+    if zd + zt > 0.0:
+        return None
+    r = _quadratic(ll - zd * zd, -level * zt, zt * zt - zd * zd,
+                   zd * zd * (ll + zt * zt - zd * zd),
+                   lambda r: level * r - zt - zd * math.hypot(1.0, r))
+    return r * r if r else None
+
+
 def _cbp(zd, zi, s, x, cfg):
     return ((x + 1.0) / np.sqrt(x) * zd,
             np.sqrt((x + 1.0) / x) * cfg.z_alpha_tilde)
+
+
+def _cbp_peak(zd, k):
+    """v = x + 1 where CBP's argument peaks at zd < 0, k = -z_alpha_tilde:
+    the root of the falling slope zd (v - 2) + k / sqrt(v), which lies in
+    [max(2, v0), max(4, 1.6 v0)], v0 = (k / |zd|)^(2/3)."""
+    v0 = k ** (2.0 / 3.0) * (-zd) ** (-2.0 / 3.0)
+    return _newton(lambda v: (zd * (v - 2.0) + k / math.sqrt(v),
+                              zd - 0.5 * k / (v * math.sqrt(v))),
+                   max(2.0, v0), max(4.0, 1.6 * v0))
 
 
 def _cbp_sup(zd, zi, s, f, cfg):
@@ -146,15 +203,35 @@ def _cbp_sup(zd, zi, s, f, cfg):
         return 1.0
     if zd == 0.0:
         return cfg.alpha_tilde if cfg.both_tails else cfg.alpha_tilde / 2.0
-    # one tail, zd < 0: the argument peaks where v = x + 1 solves
-    # zd (v - 2) + k / sqrt(v) = 0, k = -z_alpha_tilde, a falling slope,
-    # in [max(2, v0), max(4, 1.6 v0)]
-    k = -cfg.z_alpha_tilde
-    v0 = k ** (2.0 / 3.0) * (-zd) ** (-2.0 / 3.0)
-    v = _newton(lambda v: (zd * (v - 2.0) + k / math.sqrt(v),
-                           zd - 0.5 * k / (v * math.sqrt(v))),
-                max(2.0, v0), max(4.0, 1.6 * v0))
+    v = _cbp_peak(zd, -cfg.z_alpha_tilde)
     return _tail_power(*_cbp(zd, zi, s, v - 1.0, cfg), False)
+
+
+def _cbp_inv(zd, zi, s, f, level, cfg):
+    # in y = sqrt(x), w = sqrt(x + 1) the argument is w (w zd - k) / y, k =
+    # -z_alpha_tilde.  It rises from -inf for 0 <= zd < k (its slope has
+    # the sign of zd w^3 - 2 zd w + k) and for zd < 0 up to its peak.  It
+    # meets level at x0 for zd = 0, and for zd > 0 past sqrt(x0), and
+    # where w zd >= k and y zd - k >= level.  It lies under y max(zd, 0)
+    # - (k - zd) / y, which is at most level up to y = lo
+    k = -cfg.z_alpha_tilde
+    x0 = k * k / ((level + k) * (level - k)) if level < -k else math.inf
+    if zd == 0.0 or zd >= k:
+        return x0 if zd == 0.0 and x0 < math.inf else None
+    hi = math.sqrt(_cbp_peak(zd, k) - 1.0) if zd < 0.0 else min(
+        max(math.sqrt((k - zd) * (k + zd)), level + k) / zd,
+        math.sqrt(x0) * (1.0 + 2.0 ** -40))
+    top = max(zd, 0.0) - level
+    lo = min(1.0, (k - zd) / top) if top > 0.0 else 1.0
+
+    def fn(y):
+        w = math.hypot(1.0, y)
+        return (w * (w * zd - k) / y - level,
+                (zd * (y * y - 1.0) * w + k) / (y * y * w))
+    if not fn(hi)[0] >= 0.0:    # a peak below level, or an overflow
+        return None
+    y = _newton(fn, lo, hi)
+    return y * y
 
 
 def _cpi(zd, zi, s, x, cfg):
@@ -189,6 +266,16 @@ def _cpi_sup(zd, zi, s, f, cfg):
                 (k - zi) / (2.0 * w + k), hi)
     return std_normal_cdf(-w * math.sqrt(u) + zi / math.sqrt(u)
                           - k * math.sqrt(1.0 + 1.0 / u))
+
+
+def _cpi_inv(zd, zi, s, f, level, cfg):
+    # at a fixed f the argument rises as sqrt(c (1 - f)) zd plus a constant
+    if f is None or not zd > 0.0:
+        return None
+    q = f / (1.0 - f)
+    r = ((level - math.sqrt(q) * zi - math.sqrt(1.0 + q) * cfg.z_alpha)
+         / (math.sqrt(1.0 - f) * zd))
+    return r * r if r > 0.0 else None
 
 
 def _ippi(zd, zi, s, x, cfg):
@@ -254,6 +341,18 @@ def _ppi_sup(zd, zi, s, f, cfg):
     return std_normal_cdf(zi)
 
 
+def _ppi_inv(zd, zi, s, f, level, cfg):
+    # sqrt(1 + p^2) zi + p z_alpha = level, p = sqrt(s / x), squared: the
+    # argument rises in x unless the interim is significant
+    za, ll = cfg.z_alpha, level * level
+    if _significant(zi, cfg):
+        return None
+    p = _quadratic(zi * zi - za * za, level * za, zi * zi - ll,
+                   zi * zi * (ll + za * za - zi * zi),
+                   lambda p: level - p * za - zi * math.hypot(1.0, p))
+    return s / (p * p) if p else None
+
+
 @dataclass(frozen=True)
 class Method:
     """One power method, see the module docstring.
@@ -269,6 +368,7 @@ class Method:
     needs: tuple
     parts: object
     sup: object
+    inverse: object
     at_f0: str = None
     dominance: object = None
 
@@ -293,23 +393,26 @@ class Method:
 
 
 METHODS = {m.tag: m for m in (
-    Method("CP", ("point", "flat"), ("zo",), _cp, _cp_sup),
-    Method("PP", ("normal", "flat"), ("zo",), _pp, _pp_sup),
-    Method("FBP", ("normal", "normal"), ("zo",), _fbp, _fbp_sup),
-    Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup),
+    Method("CP", ("point", "flat"), ("zo",), _cp, _cp_sup, _cp_inv),
+    Method("PP", ("normal", "flat"), ("zo",), _pp, _pp_sup, _pp_inv),
+    Method("FBP", ("normal", "normal"), ("zo",), _fbp, _fbp_sup, _fbp_inv),
+    Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup, _cbp_inv),
     # the dominance thresholds 4c / (sqrt(4c + 1) + 1)^2 and
     # 2c / (c^2 + 4c + 1 + (c + 1) sqrt(c^2 + 6c + 1)), divided through
     # by c so that no square of c can overflow, and IPPi's also by 2 so
     # that its two terms near c cannot overflow in their sum
-    Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup, "CP",
+    Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup,
+           _cpi_inv, "CP",
            lambda c: 4.0 / (np.sqrt(4.0 + 1.0 / c) + 1.0 / np.sqrt(c)) ** 2),
-    Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup, "PP",
+    Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup,
+           None, "PP",
            lambda c: 1.0 / (0.5 * c + 2.0 + 0.5 / c + (0.5 + 0.5 / c)
                             * np.sqrt(c + _3_MINUS_2_SQRT2)
                             * np.sqrt(c + _3_PLUS_2_SQRT2))),
     # a flat design prior only arises at interim, where the observed
     # stage-1 data replace it
-    Method("PPi", ("flat", "flat"), ("zi",), _ppi, _ppi_sup),
+    Method("PPi", ("flat", "flat"), ("zi",), _ppi, _ppi_sup,
+           _ppi_inv),
 )}
 
 

@@ -134,6 +134,13 @@ def _power(method, zo, zi, c, f, config, interim=None):
     """Power of one method (of the given family, if any) at total size c
     and interim fraction f, vectorized over both; checks every input."""
     entry = _methods._lookup(method, interim)
+    out = _at(entry, zo, zi, *_sizes(entry, zo, zi, c, f), config)
+    return float(out) if np.ndim(c) == 0 and np.ndim(f) == 0 else out
+
+
+def _sizes(entry, zo, zi, c, f):
+    """The stage sizes (s, x) of a table entry at total size c and
+    interim fraction f, once every input is checked."""
     # [()]: a scalar as a numpy float, which warns where floats raise
     cv = np.asarray(c, dtype=float)[()]
     _methods.positive("c", cv)
@@ -146,8 +153,7 @@ def _power(method, zo, zi, c, f, config, interim=None):
         s, x = cv * fv, cv * (1.0 - fv)
     _methods.size("c * (1 - f)" if entry.interim else "c", x)
     entry.check(zo, zi)
-    out = _at(entry, zo, zi, s, x, config)
-    return float(out) if np.ndim(c) == 0 and np.ndim(f) == 0 else out
+    return s, x
 
 
 def _at(entry, zo, zi, s, x, config):
@@ -250,11 +256,12 @@ def _result(method, fixed, state, config):
     s = 0.0
     if state is not None:
         zi, f, s = state.zi, state.f, fixed.c * state.f
-    power = float(_power(method, fixed.zo, zi, fixed.c, f, config,
-                         interim=state is not None))
-    sup = _supremum(_methods.METHODS[method], shrunken_zo(fixed.zo, config),
-                    zi, s, config)
-    sup = float(max(sup, power))
+    entry = _methods._lookup(method, state is not None)
+    sizes = _sizes(entry, fixed.zo, zi, fixed.c, f)
+    # one zd for the power and the supremum; PPi's parts and rule ignore it
+    zd = shrunken_zo(fixed.zo, config)
+    power = float(entry.power(zd, zi, *sizes, config))
+    sup = float(max(_supremum(entry, zd, zi, s, config), power))
     return PowerResult(method, power, sup, sup >= 1.0 - 1e-12)
 
 

@@ -3,7 +3,10 @@
 ``solve_c`` finds the smallest relative sample size ``c`` at which a
 chosen method reaches a target power.  It searches over the size that
 grows, u: the remaining size nj / no at a fixed ``c_stage1`` (so that
-c = c_stage1 + u), else c itself.  Its scan ends where c reaches C_CAP,
+c = c_stage1 + u), else c itself.  When one tail counts and the curve
+rises from the bottom of its axis, the method's inverse rule (see
+``_methods``) states the crossing and ``_polish`` makes it exact; the
+scan is the general path.  The scan ends where c reaches C_CAP,
 or ten times c_stage1 if that is larger.  Because several of the
 curves are not monotone (FBP and CBP can dip before rising, interim
 curves can start high and fall), it scans a logarithmic grid for the
@@ -18,7 +21,8 @@ the result only.  If the target exceeds the least upper bound of the
 curve, ``InfeasibleTarget`` is raised carrying that bound.
 """
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,13 +103,18 @@ class SolveResult:
 
     ``f`` is the interim fraction at the solution (None for fixed
     designs); ``warning`` flags solutions on a falling branch of the
-    curve, where adding observations lowers power again.
+    curve, where adding observations lowers power again.  ``path`` says
+    how the answer was found, "inverse", "scan" or "lower bound", and
+    ``evaluations`` at how many sizes the curve was evaluated; neither
+    takes part in comparisons or the repr.
     """
 
     c: float
     power: float
     f: float = None
     warning: str = None
+    path: str = field(default=None, compare=False, repr=False)
+    evaluations: int = field(default=None, compare=False, repr=False)
 
 
 def _root(fn, a, b, fa, fb, target, rising):
@@ -153,6 +162,32 @@ def _root(fn, a, b, fa, fb, target, rising):
     return (b, fb) if rising else (a, fa)
 
 
+def _polish(fn, finish, u, level, target):
+    """(u, curve value) at the first crossing of ``level`` near the
+    estimate u, its power meeting the target, or None: a secant step on
+    a partner 2^-30 u away, a step of 2^-48 to the far side of the
+    crossing, and up to two ulp steps where Phi's rounding falls short.
+    """
+    fu = float(fn(u))
+    v = u * (1.0 + 2.0 ** -30) if fu < level else u * (1.0 - 2.0 ** -30)
+    fv = float(fn(v))
+    if (fv < level) == (fu < level):    # u is off by more than 2^-30
+        return None
+    x = u + (level - fu) / (fv - fu) * (v - u)
+    fx = float(fn(x))
+    y = x * (1.0 - 2.0 ** -48) if fx >= level else x * (1.0 + 2.0 ** -48)
+    fy = float(fn(y))
+    # both on one side: y, nearer the crossing; else the one above it
+    u, value = ((y, fy) if (fy >= level) == (fx >= level)
+                else max((x, fx), (y, fy)))
+    for _ in range(2):
+        if finish(value) >= target:
+            return u, value
+        u = math.nextafter(u, math.inf)
+        value = float(fn(u))
+    return (u, value) if finish(value) >= target else None
+
+
 def solve_c(request):
     """Smallest relative sample size reaching the target power.
 
@@ -166,6 +201,9 @@ def solve_c(request):
         If no c up to 1e9, or up to ten times c_stage1 if that is
         larger, reaches the target; carries the least upper bound of
         the curve as ``supremum``.
+    ValueError
+        If c_stage1 is so large that c_stage1 + nj / no rounds to
+        c_stage1 at the answer.
     """
     r = request
     # c = s + u, s = c_stage1 or 0 (see the module docstring); inputs
@@ -173,7 +211,13 @@ def solve_c(request):
     entry = _methods._lookup(r.method)
     zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
     s = float(r.c_stage1 or 0.0)
-    fn, finish = design._along(entry, zd, r.zi, s, r.f, r.config)
+    curve, finish = design._along(entry, zd, r.zi, s, r.f, r.config)
+    evaluations = 0
+
+    def fn(u):
+        nonlocal evaluations
+        evaluations += getattr(u, "size", 1)
+        return curve(u)
     target = r.target_power
     # the least curve value whose power meets the target: Phi^{-1} of
     # it when the curve is the Phi argument, raised past the rounding of
@@ -181,7 +225,50 @@ def solve_c(request):
     level = target if r.config.both_tails else std_normal_quantile(target)
     while finish(level) < target:
         level = math.nextafter(level, math.inf)
-    grid = _scan_grid(r, s)
+    start, stop = _span(r, s)
+    found = None
+    if not r.config.both_tails and entry.inverse is not None:
+        # as floats, whose overflow in the rules is an inf, not a warning
+        u = entry.inverse(float(zd), r.zi and float(r.zi), s, r.f, level,
+                          r.config)
+        # the rules answer on a curve below level all the way up to u,
+        # so the scan start, if well below u, is too
+        if (u is not None and start <= u <= stop
+                and (u >= 2.0 * start or fn(start) < level)):
+            found = _polish(fn, finish, u, level, target)
+    if found is not None and start <= found[0] <= stop:
+        (u, value), rising, path = found, True, "inverse"
+    else:
+        u, value, rising, path = _scan(fn, finish, r, entry, zd, s, level,
+                                       start, stop)
+    power = finish(value)
+    c = s + u
+    if c == s != 0.0:
+        raise ValueError(
+            f"c_stage1 = {s:.6g} is too large: the target is reached at "
+            f"nj / no = {u:.6g}, which rounds away in c_stage1 + nj / no")
+    warning = None
+    if path == "lower bound":
+        warning = ("every size down to the lower bound meets the "
+                   "target; returning the bound itself")
+    # a downward crossing falls; a probe alone can step past a dip, up
+    # to the end of the scan
+    elif not rising or finish(float(fn(
+            min(c * 1.001 + 1e-12 - s, max(start, stop))))) < power - 1e-12:
+        warning = ("solution lies on a falling branch: slightly larger "
+                   "designs have lower power")
+    f = r.f if r.c_stage1 is None else s / c
+    return SolveResult(c=c, power=power, f=f, warning=warning, path=path,
+                       evaluations=evaluations)
+
+
+def _scan(fn, finish, r, entry, zd, s, level, start, stop):
+    """The first crossing of ``level`` on the scan grid from start to
+    stop, zoomed and refined: (u, value, rising, path)."""
+    target = r.target_power
+    grid = _GRID if (start, stop) == (_C_MIN, C_CAP) else (
+        np.geomspace(start, stop, 1200) if start < stop
+        else np.array([start]))
     vals = np.asarray(fn(grid), dtype=float)
     # a curve that meets the target at the lower bound has its smallest
     # exact crossing, if any, where it first drops below
@@ -198,39 +285,19 @@ def solve_c(request):
         cell = cell and (*cell[:2], -cell[2], -cell[3])
     if cell is None and rising:     # the bound over the scanned sizes
         raise InfeasibleTarget(target, min(1.0, finish(best)))
-    warning = None
     if cell is None:
-        u, value = float(grid[0]), float(vals[0])
-        warning = ("every size down to the lower bound meets the "
-                   "target; returning the bound itself")
-    else:
-        u, value = _root(fn, *map(float, cell), level, rising)
-    power = finish(value)
-    c = s + u
-    # a downward crossing falls; a probe alone can step past a dip
-    if warning is None and (not rising or finish(float(fn(
-            min(c * 1.001 + 1e-12 - s, grid[-1])))) < power - 1e-12):
-        warning = ("solution lies on a falling branch: slightly larger "
-                   "designs have lower power")
-    f = r.f if r.c_stage1 is None else s / c
-    return SolveResult(c=c, power=power, f=f, warning=warning)
+        return float(grid[0]), float(vals[0]), rising, "lower bound"
+    return (*_root(fn, *map(float, cell), level, rising), rising, "scan")
 
 
-def _scan_grid(request, s):
-    """Log grid over the growing size u, denser than any known dip width.
-
-    It runs from u = c_lower - s, but at least 1e-9 and s * 1e-300 (s / u
-    stays finite), to c = s + u = C_CAP, or 10 s if larger, as the interim
-    curves vary with u / s, but no further than the largest double.  A
-    start past the end is the whole grid.
-    """
+def _span(request, s):
+    """The growing size u runs from c_lower - s, but at least 1e-9 and
+    s * 1e-300 (s / u stays finite), to c = s + u = C_CAP, or 10 s if
+    larger, as the interim curves vary with u / s, but no further than
+    the largest double.  A start past the end leaves the scan one point."""
     start = max(request.c_lower - s, _C_MIN, s * 1e-300)
-    stop = min(max(C_CAP, 10.0 * s), np.finfo(float).max) - s
-    if start >= stop:
-        return np.array([start])
-    if start == _C_MIN and s == 0.0:
-        return _GRID
-    return np.geomspace(start, stop, 1200)
+    stop = min(max(C_CAP, 10.0 * s), sys.float_info.max) - s
+    return start, stop
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
@@ -23,7 +23,8 @@ from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
                      SolveRequest, _methods, cbp, cp, cp_pp_intersection,
                      cpi, design, design_power, fbp, fbp_cbp_intersection,
                      fbp_minimum, interim_power, ippi, ippi_limit, pp, ppi,
-                     ppi_minimum, solve_c, std_normal_cdf)
+                     ppi_minimum, solve_c, std_normal_cdf,
+                     std_normal_quantile)
 
 DRAWN = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -345,6 +346,98 @@ def test_solve_c_finds_narrow_peaks_and_dips(method, zo, zi, c_stage1, f,
         assert res.power >= target
         if np.min(curve) < target:
             assert res.warning != LOWER_BOUND
+
+
+def _solved(request, scan_only=False):
+    """solve_c's answer or its InfeasibleTarget; with ``scan_only`` the
+    method's inverse rule is taken out of the table, so the scan runs."""
+    entry = _methods.METHODS[request.method]
+    table = {request.method: replace(entry, inverse=None)} if scan_only \
+        else {}
+    with mock.patch.dict(_methods.METHODS, table):
+        try:
+            return solve_c(request)
+        except InfeasibleTarget as exc:
+            return exc
+
+
+@settings(DRAWN, max_examples=400)
+# crossings near c = 4e9, beyond C_CAP, on curves that rise like sqrt(c)
+@example("CP", 3e-5, 1.0, 0.0, 1.0, 0.5, 4e9, 0.0, DesignConfig())
+@example("CBP", 5e-5, 1.0, 0.0, 1.0, 0.5, 4e9, 0.0, DesignConfig())
+@example("CPi", 4e-5, 1.0, 0.5, 1.0, 0.5, 4e9, 0.0, DesignConfig())
+@given(method=st.sampled_from(("CP", "PP", "FBP", "CBP", "CPi", "PPi")),
+       zo=st.floats(-4.0, 6.0),
+       scale=st.sampled_from((1.0, 1.0, 1.0, 1e-5)), zi=st.floats(-3.0, 3.0),
+       s=st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e), f=fractions,
+       u=st.floats(-1.0, 10.0).map(lambda e: 10.0 ** e),
+       lower=st.sampled_from((0.0, 0.0, 0.5, 2.0)), config=one_tail)
+def test_inverse_rules_agree_with_the_scan(method, zo, scale, zi, s, f, u,
+                                           lower, config):
+    # the target is the power at a drawn size u on the growing axis, up
+    # to 10 C_CAP, where a small zo keeps the curve off its limit;
+    # c_lower lies below or above it, or is not set
+    zo *= scale
+    if method == "PPi":
+        kwargs = dict(zi=zi, c_stage1=s)
+    else:
+        kwargs = dict(zo=zo, **({"zi": zi, "f": f} if method == "CPi"
+                                else {}))
+        s = 0.0
+
+    def power(u):
+        if method not in METHODS_INTERIM:
+            return design_power(method, zo, u, config)
+        return interim_power(method, zo, zi, s + u,
+                             f if method == "CPi" else s / (s + u), config)
+    target = power(u)
+    assume(1e-4 <= target <= 1.0 - 1e-4)
+    # where the Phi argument moves less than 1e-3 over 1% of the size,
+    # the rounding of the curve blurs its crossing over more than 1e-13
+    level = std_normal_quantile(target)
+    assume(abs(std_normal_quantile(power(u * 1.01)) - level) >= 1e-3)
+    # solve_c raises its level until Phi meets the target there; where
+    # Phi's rounding falls short of it again just above, the inverse
+    # path's few ulp steps do too, and the scan answers instead
+    while std_normal_cdf(level) < target:
+        level = math.nextafter(level, math.inf)
+    assume(all(std_normal_cdf(level + k * math.ulp(level)) >= target
+               for k in range(1, 9)))
+    req = SolveRequest(method, target, c_lower=lower * (s + u),
+                       config=config, **kwargs)
+    got, want = _solved(req), _solved(req, scan_only=True)
+    if isinstance(want, InfeasibleTarget):
+        # a crossing beyond C_CAP, or none: the same refusal
+        assert type(got) is InfeasibleTarget and str(got) == str(want)
+        assert got.supremum == want.supremum
+        return
+    assert got.power >= target
+    # the rules answer on a rising piece that starts at the bottom of
+    # the axis; elsewhere (a falling start, a falling branch, the lower
+    # bound) the scan runs as before
+    if want.warning is not None or power(1e-9) >= target:
+        assert got == want and got.path == want.path != "inverse"
+        return
+    assert got.path == "inverse" and got.evaluations <= 8
+    assert got.warning is None
+    # the scan stops within 1e-14 max(1, c) of the crossing
+    assert got.c == pytest.approx(want.c, rel=1e-13, abs=1e-14)
+
+
+def test_inverse_near_a_double_root_of_its_quadratic():
+    # FBP's quadratic in sqrt(c) has two roots 0.5% apart here; as
+    # b^2 - 4ac its discriminant loses five digits, and the root lands
+    # 139 ulps low.  Formed as zd^2 (level^2 + z_alpha_tilde^2 - zd^2) it
+    # keeps them, and the answer is c = 1 itself
+    config = DesignConfig(alpha=0.5)
+    target = design_power("FBP", 0.0078125, 1.0, config)
+    req = SolveRequest("FBP", target, zo=0.0078125, config=config)
+    res = _solved(req)
+    assert res.path == "inverse" and res.evaluations <= 8
+    assert res.power >= target and res.warning is None
+    assert res.c == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert res.c == pytest.approx(_solved(req, scan_only=True).c,
+                                  rel=1e-13, abs=0.0)
 
 
 @DRAWN

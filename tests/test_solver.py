@@ -90,12 +90,13 @@ def test_c_stage1_next_to_the_largest_double():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # CPi crosses 0.8 near nj / no = 6e153, lost in c = ni / no +
-        # nj / no: c rounds to c_stage1, rightly, but the power reported
-        # there is read off terms near 1e77 that cancel, so only c is
-        # checked
-        res = solve_c(SolveRequest("CPi", 0.8, zo=2.0, zi=1.0,
-                                   c_stage1=1.7e308))
-        assert res.c == 1.7e308
+        # nj / no, and the power there is read off terms near 1e77 that
+        # cancel: no answer can be represented, so the request is refused
+        with pytest.raises(ValueError, match="^c_stage1 = 1.7e[+]308 is "
+                           "too large") as exc:
+            solve_c(SolveRequest("CPi", 0.8, zo=2.0, zi=1.0,
+                                 c_stage1=1.7e308))
+        assert not isinstance(exc.value, InfeasibleTarget)
         # IPPi nears ippi_limit = 0.84 only once nj outgrows ni, beyond
         # the doubles: the bound is its power where the scan ends
         with pytest.raises(InfeasibleTarget) as exc:
@@ -175,7 +176,16 @@ def test_stage_sizes_near_the_top_of_the_doubles(method, target):
     # at c_stage1 = 1e300 the scan starts where s / u stays finite, so
     # no size overflows to a NaN power that would hide the crossing
     req = SolveRequest(method, target, zo=2, zi=1, c_stage1=1e300)
-    assert solve_c(req).power >= target
+    if method == "CPi":
+        # CPi crosses 0.8 at nj / no = 4.8e149, which rounds away in
+        # c = c_stage1 + nj / no: refused, naming c_stage1
+        with pytest.raises(ValueError, match="^c_stage1 = 1e[+]300 is too "
+                           "large: the target is reached at nj / no = "
+                           "4.79982e[+]149"):
+            solve_c(req)
+    else:
+        res = solve_c(req)
+        assert res.power >= target and 0.0 < res.f < 1.0
     # IPPi nears its supremum 0.841 only far beyond the scan, whose
     # best, 0.656, is the bound
     with pytest.raises(InfeasibleTarget) as exc:
