@@ -5,20 +5,18 @@ chosen method reaches a target power.  It searches over the size that
 grows, u: the remaining size nj / no at a fixed ``c_stage1`` (so that
 c = c_stage1 + u), else c itself.  When one tail counts and the curve
 rises from the bottom of its axis, the method's inverse rule (see
-``_methods``) states the crossing and ``_polish`` makes it exact; the
-scan is the general path.  The scan ends where c reaches C_CAP,
-or ten times c_stage1 if that is larger.  Because several of the
-curves are not monotone (FBP and CBP can dip before rising, interim
-curves can start high and fall), it scans a logarithmic grid for the
-first upward or downward crossing, zooming in where the curve comes
-closest if no scanned size passes (``design._numeric_supremum``), and
-refines it with an ITP root on log u (interpolate, truncate, project;
-Oliveira and Takahashi 2020), which converges superlinearly on these
-smooth curves and takes at most one step more than bisection.  When
-one tail counts, scan and root run on the Phi argument t + z against
-Phi^{-1} of the target (see ``design._along``), and Phi is applied to
-the result only.  If the target exceeds the least upper bound of the
-curve, ``InfeasibleTarget`` is raised carrying that bound.
+``_methods``) estimates the crossing, and the estimate with a partner
+2^-30 u away brackets it.  Otherwise a logarithmic grid is scanned up
+to where c reaches C_CAP, or ten times c_stage1 if that is larger, for
+the first upward or downward crossing, as several of the curves are not
+monotone (FBP and CBP can dip before rising, interim curves can start
+high and fall); where no scanned size passes, it zooms in where the
+curve comes closest (``design._numeric_supremum``).  ``_refine`` then
+narrows either bracket by Illinois steps.  When one tail counts, the
+search runs on the Phi argument t + z against Phi^{-1} of the target
+(see ``design._along``), and Phi is applied to the result only.  If the
+target exceeds the least upper bound of the curve, ``InfeasibleTarget``
+is raised carrying that bound.
 """
 import math
 import sys
@@ -117,75 +115,36 @@ class SolveResult:
     evaluations: int = field(default=None, compare=False, repr=False)
 
 
-def _root(fn, a, b, fa, fb, target, rising):
-    """Crossing of the target inside (a, b), refined by ITP on log u.
+def _refine(fn, level, a, b, fa, fb):
+    """(u, fn(u)) at the end of the bracket a <= b that reaches ``level``,
+    once b - a <= 1e-14 * max(1, b); on entry fa = fn(a) and fb = fn(b),
+    and exactly one of them reaches it unless a = b.
 
-    On entry fa = fn(a) < target <= fb = fn(b) on a rising curve, and
-    fa >= target > fb on a falling one.  Stops once
-    b - a <= 1e-14 * max(1, b), or after 200 steps, and returns the
-    bracket end that meets the target with its value, so the value
-    reached never falls below the target.  Positions are offsets x from
-    log a, which keeps them exact to a few ulp of the bracket width.
+    Illinois steps: a secant whose kept end has its residual halved when
+    that end is kept twice (Dowell and Jarratt 1971).  Each step is held
+    inside the bracket by half the stop width, and by the width over
+    which the secant moves one ulp of the level, so a step that lands
+    beside the crossing lands across it.  Where the residuals are equal,
+    or three steps have not halved the bracket, it bisects.
     """
-    w0 = math.log1p((b - a) / a)
-    # half the log width at which the c criterion holds for any a < b
-    # inside the entry bracket
-    eps = 0.5e-14 * max(1.0, a) / b
-    # ITP's usual settings: kappa1 = 0.2 / w0, kappa2 = 2, n0 = 1
-    n_max = max(math.ceil(math.log2(w0 / (2.0 * eps))), 0) + 1
-    k1 = 0.2 / w0
-    for j in range(200):
-        if (b - a) <= 1e-14 * max(1.0, b):
-            break
-        w = math.log1p((b - a) / a)
-        half = 0.5 * w
-        ya, yb = fa - target, fb - target
-        xf = w * ya / (ya - yb)             # regula falsi
-        d = half - xf
-        # the truncation is at least half the stopping width, and at
-        # least the width over which the secant moves by one ulp of the
-        # target: after a point within rounding of the target the next
-        # step either closes the bracket or lands past the plateau of
-        # values equal to the target up to rounding, which it bisects
-        delta = max(k1 * w * w, eps, math.ulp(target) * w / abs(ya - yb))
-        xt = xf + math.copysign(delta, d) if delta <= abs(d) else half
-        r = max(eps * 2.0 ** (n_max - j) - half, 0.0)
-        x = xt if abs(xt - half) <= r else half - math.copysign(r, d)
-        c = a * math.exp(x)
-        if not a < c < b:
-            c = a + 0.5 * (b - a)
-        fc = float(fn(c))
-        if (fc >= target) == rising:
-            b, fb = c, fc
+    rising = fb >= level
+    ya, yb, ulp = fa - level, fb - level, math.ulp(level)
+    kept, widths = 0, (math.inf,) * 3   # 1: the last step kept a; -1: b
+    while (w := b - a) > (tol := 1e-14 * max(1.0, b)):
+        x = a + 0.5 * w
+        if ya != yb and w <= 0.5 * widths[0]:
+            delta = max(0.5 * tol, ulp * w / abs(ya - yb))
+            if 2.0 * delta < w:
+                x = min(max(a + delta, a + w * ya / (ya - yb)), b - delta)
+        widths = (*widths[1:], w)
+        fx = float(fn(x))
+        if (fx >= level) == rising:
+            b, fb, yb = x, fx, fx - level
+            ya, kept = (0.5 * ya if kept == 1 else ya), 1
         else:
-            a, fa = c, fc
+            a, fa, ya = x, fx, fx - level
+            yb, kept = (0.5 * yb if kept == -1 else yb), -1
     return (b, fb) if rising else (a, fa)
-
-
-def _polish(fn, finish, u, level, target):
-    """(u, curve value) at the first crossing of ``level`` near the
-    estimate u, its power meeting the target, or None: a secant step on
-    a partner 2^-30 u away, a step of 2^-48 to the far side of the
-    crossing, and up to two ulp steps where Phi's rounding falls short.
-    """
-    fu = float(fn(u))
-    v = u * (1.0 + 2.0 ** -30) if fu < level else u * (1.0 - 2.0 ** -30)
-    fv = float(fn(v))
-    if (fv < level) == (fu < level):    # u is off by more than 2^-30
-        return None
-    x = u + (level - fu) / (fv - fu) * (v - u)
-    fx = float(fn(x))
-    y = x * (1.0 - 2.0 ** -48) if fx >= level else x * (1.0 + 2.0 ** -48)
-    fy = float(fn(y))
-    # both on one side: y, nearer the crossing; else the one above it
-    u, value = ((y, fy) if (fy >= level) == (fx >= level)
-                else max((x, fx), (y, fy)))
-    for _ in range(2):
-        if finish(value) >= target:
-            return u, value
-        u = math.nextafter(u, math.inf)
-        value = float(fn(u))
-    return (u, value) if finish(value) >= target else None
 
 
 def solve_c(request):
@@ -221,12 +180,12 @@ def solve_c(request):
     target = r.target_power
     # the least curve value whose power meets the target: Phi^{-1} of
     # it when the curve is the Phi argument, raised past the rounding of
-    # both maps so that a root at or above it keeps the power there
+    # both maps
     level = target if r.config.both_tails else std_normal_quantile(target)
     while finish(level) < target:
         level = math.nextafter(level, math.inf)
     start, stop = _span(r, s)
-    found = None
+    cell, path = None, "inverse"
     if not r.config.both_tails and entry.inverse is not None:
         # as floats, whose overflow in the rules is an inf, not a warning
         u = entry.inverse(float(zd), r.zi and float(r.zi), s, r.f, level,
@@ -235,13 +194,25 @@ def solve_c(request):
         # so the scan start, if well below u, is too
         if (u is not None and start <= u <= stop
                 and (u >= 2.0 * start or fn(start) < level)):
-            found = _polish(fn, finish, u, level, target)
-    if found is not None and start <= found[0] <= stop:
-        (u, value), rising, path = found, True, "inverse"
-    else:
-        u, value, rising, path = _scan(fn, finish, r, entry, zd, s, level,
-                                       start, stop)
+            fu = float(fn(u))
+            below = fu < level
+            v = u * (1.0 + (2.0 ** -30 if below else -2.0 ** -30))
+            fv = float(fn(v))
+            if (fv < level) != below:   # else u is off by more than 2^-30
+                cell = (u, v, fu, fv) if below else (v, u, fv, fu)
+    if cell is None or not start <= cell[0] <= cell[1] <= stop:
+        *cell, path = _scan(fn, finish, r, entry, zd, s, level, start, stop)
+    rising = cell[3] >= level
+    u, value = _refine(fn, level, *cell)
+    # Phi is not monotone at the ulp scale, so a value at or above level
+    # can still fall short: walk on by ulps to where the power meets the
+    # target
     power = finish(value)
+    for _ in range(64):
+        if power >= target:
+            break
+        u = math.nextafter(u, math.inf if rising else -math.inf)
+        power = finish(float(fn(u)))
     c = s + u
     if c == s != 0.0:
         raise ValueError(
@@ -263,8 +234,10 @@ def solve_c(request):
 
 
 def _scan(fn, finish, r, entry, zd, s, level, start, stop):
-    """The first crossing of ``level`` on the scan grid from start to
-    stop, zoomed and refined: (u, value, rising, path)."""
+    """The first cell (a, b, f(a), f(b)) of the scan grid from start to
+    stop, zoomed, across which the curve crosses ``level``, and the path:
+    "scan", or "lower bound" with the cell (start, start, f(start),
+    f(start)) where the curve never drops below level."""
     target = r.target_power
     grid = _GRID if (start, stop) == (_C_MIN, C_CAP) else (
         np.geomspace(start, stop, 1200) if start < stop
@@ -286,8 +259,9 @@ def _scan(fn, finish, r, entry, zd, s, level, start, stop):
     if cell is None and rising:     # the bound over the scanned sizes
         raise InfeasibleTarget(target, min(1.0, finish(best)))
     if cell is None:
-        return float(grid[0]), float(vals[0]), rising, "lower bound"
-    return (*_root(fn, *map(float, cell), level, rising), rising, "scan")
+        return (*map(float, (grid[0], grid[0], vals[0], vals[0])),
+                "lower bound")
+    return (*map(float, cell), "scan")
 
 
 def _span(request, s):

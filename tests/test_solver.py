@@ -171,6 +171,31 @@ def test_crossings_between_scan_points_are_found():
     assert "falling" in res.warning
 
 
+def test_falling_crossing_meets_its_target():
+    # IPPi falls through the target; the refined crossing's Phi argument
+    # meets the level, yet Phi there rounds below the target
+    target = 0.24687582369131147
+    res = solve_c(SolveRequest(
+        "IPPi", target, zo=-0.38263270314898756, zi=2.1101096346003487,
+        f=0.16241886451375764, config=DesignConfig(alpha=0.14593080811942624)))
+    assert res.path == "scan" and "falling" in res.warning
+    assert res.power >= target
+
+
+def test_inverse_meets_its_target_past_phi_rounding():
+    # Phi is not monotone at the ulp scale: past the level, Phi of this
+    # curve stays below the target for 27 ulps of c
+    config = DesignConfig(alpha=0.22235512405877553,
+                          shrinkage=0.12908658388166339)
+    f = zo = 0.551090917329069
+    zi = 0.1715728752538099
+    target = interim_power("CPi", zo, zi, 5.946676567247231, f, config)
+    res = solve_c(SolveRequest("CPi", target, zo=zo, zi=zi, f=f,
+                               config=config))
+    assert res.path == "inverse" and res.evaluations <= 8
+    assert res.power >= target
+
+
 @pytest.mark.parametrize("method,target", [("CPi", 0.8), ("IPPi", 0.6)])
 def test_stage_sizes_near_the_top_of_the_doubles(method, target):
     # at c_stage1 = 1e300 the scan starts where s / u stays finite, so
