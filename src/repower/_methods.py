@@ -15,12 +15,15 @@ growing at the fixed interim fraction f.  A supremum rule returns the
 supremum: a limit, or Phi at a root of the argument's slope
 (``_newton``); only both-tail CPi at zd = 0 over x and IPPi over c at a
 fixed f return the tuple of their limits, for the numeric search in
-``design``.  An inverse rule, for one tail, estimates the first size at
-which the argument reaches ``level`` on a rising piece from the bottom
-of the axis, or returns None; IPPi has none.  The input
-rules live here too, each written once: every public entry point
-applies ``finite``, ``positive``, ``unit`` or ``size`` to its
-arguments, and nothing below checks again.
+``design``.  An inverse rule estimates the first size at which the
+one-tail argument reaches ``level`` on a rising piece from the bottom
+of the axis, or returns None; IPPi has none.  ``solver`` also calls
+the fixed-design rules at |zd|, and at zd = 0 where they invert z
+alone, to bound and estimate a both-tail crossing; they read only the
+critical values of the config, which do not depend on the tails
+counted.  The input rules live here too, each written once: every
+public entry point applies ``finite``, ``positive``, ``unit`` or
+``size`` to its arguments, and nothing below checks again.
 """
 import math
 import sys
@@ -149,9 +152,9 @@ def _pp_sup(zd, zi, s, f, cfg):
 
 def _pp_inv(zd, zi, s, f, level, cfg):
     # (r zd + z_alpha) / sqrt(1 + r^2) = level, r = sqrt(x), squared.  It
-    # starts at z_alpha and, for zd < 0, dips before it rises
+    # starts at z_alpha and, for zd < 0, dips before it rises towards zd
     za, ll = cfg.z_alpha, level * level
-    if level <= za:
+    if not za < level < zd:
         return None
     r = _quadratic(zd * zd - ll, zd * za, za * za - ll,
                    ll * (zd * zd + za * za - ll),
@@ -173,9 +176,10 @@ def _fbp_sup(zd, zi, s, f, cfg):
 
 def _fbp_inv(zd, zi, s, f, level, cfg):
     # (zd sqrt(r^2 + 1) + z_alpha_tilde) / r = level, r = sqrt(x), squared;
-    # beyond the pooled threshold the curve falls from 1 first
+    # it rises towards zd, but beyond the pooled threshold the curve falls
+    # from 1 first
     zt, ll = cfg.z_alpha_tilde, level * level
-    if zd + zt > 0.0:
+    if zd + zt > 0.0 or level >= zd:
         return None
     r = _quadratic(ll - zd * zd, -level * zt, zt * zt - zd * zd,
                    zd * zd * (ll + zt * zt - zd * zd),

@@ -6,17 +6,20 @@ grows, u: the remaining size nj / no at a fixed ``c_stage1`` (so that
 c = c_stage1 + u), else c itself.  When one tail counts and the curve
 rises from the bottom of its axis, the method's inverse rule (see
 ``_methods``) estimates the crossing, and the estimate with a partner
-2^-30 u away brackets it.  Otherwise a logarithmic grid is scanned up
-to where c reaches C_CAP, or ten times c_stage1 if that is larger, for
-the first upward or downward crossing, as several of the curves are not
-monotone (FBP and CBP can dip before rising, interim curves can start
-high and fall); where no scanned size passes, it zooms in where the
-curve comes closest (``design._numeric_supremum``).  ``_refine`` then
-narrows either bracket by Illinois steps.  When one tail counts, the
-search runs on the Phi argument t + z against Phi^{-1} of the target
-(see ``design._along``), and Phi is applied to the result only.  If the
-target exceeds the least upper bound of the curve, ``InfeasibleTarget``
-is raised carrying that bound.
+2^-30 u away brackets it.  When both tails count, a fixed design's
+power rises from the bottom of its axis wherever the one-tail rule
+answers, and the one-tail rules bound and estimate its crossing
+(``_two_tail_cell``).  Otherwise (interim curves with both tails, IPPi,
+curves that start above the target or dip before they rise) a
+logarithmic grid is scanned up to where c reaches C_CAP, or ten times
+c_stage1 if that is larger, for the first upward or downward crossing;
+where no scanned size passes, it zooms in where the curve comes closest
+(``design._numeric_supremum``).  ``_refine`` then narrows any bracket
+by Illinois steps.  When one tail counts, the search runs on the Phi
+argument t + z against Phi^{-1} of the target (see ``design._along``),
+and Phi is applied to the result only.  If the target exceeds the least
+upper bound of the curve, ``InfeasibleTarget`` is raised carrying that
+bound.
 """
 import math
 import sys
@@ -27,7 +30,7 @@ import numpy as np
 from . import _methods, design
 from .design import DEFAULT_CONFIG
 from .interim import interim_power
-from .normal import std_normal_quantile
+from .normal import std_normal_cdf, std_normal_quantile
 
 C_CAP = 1e9
 _C_MIN = 1e-9
@@ -117,7 +120,7 @@ class SolveResult:
 
 def _refine(fn, level, a, b, fa, fb):
     """(u, fn(u)) at the end of the bracket a <= b that reaches ``level``,
-    once b - a <= 1e-14 * max(1, b); on entry fa = fn(a) and fb = fn(b),
+    once b - a <= 1e-14 * b; on entry fa = fn(a) and fb = fn(b),
     and exactly one of them reaches it unless a = b.
 
     Illinois steps: a secant whose kept end has its residual halved when
@@ -130,7 +133,7 @@ def _refine(fn, level, a, b, fa, fb):
     rising = fb >= level
     ya, yb, ulp = fa - level, fb - level, math.ulp(level)
     kept, widths = 0, (math.inf,) * 3   # 1: the last step kept a; -1: b
-    while (w := b - a) > (tol := 1e-14 * max(1.0, b)):
+    while (w := b - a) > (tol := 1e-14 * b):
         x = a + 0.5 * w
         if ya != yb and w <= 0.5 * widths[0]:
             delta = max(0.5 * tol, ulp * w / abs(ya - yb))
@@ -145,6 +148,74 @@ def _refine(fn, level, a, b, fa, fb):
             a, fa, ya = x, fx, fx - level
             yb, kept = (0.5 * yb if kept == -1 else yb), -1
     return (b, fb) if rising else (a, fa)
+
+
+def _cell(fn, level, u, lo, hi, gap=2.0 ** -30):
+    """A cell (a, b, f(a), f(b)) across which fn crosses ``level``, from
+    an estimate u of the crossing in [lo, hi]: a partner 2^-30 u away on
+    the side of the crossing, then partners 64 times as far, held in
+    [lo, hi], until one lies across; None if lo or hi does not."""
+    fu = float(fn(u))
+    below = fu < level
+    while True:
+        v = min(u * (1.0 + gap), hi) if below else max(u * (1.0 - gap), lo)
+        fv = float(fn(v))
+        if (fv < level) != below:
+            return (u, v, fu, fv) if below else (v, u, fv, fu)
+        if v == (hi if below else lo):
+            return None
+        u, fu, gap = v, fv, 64.0 * gap
+
+
+def _two_tail_cell(fn, entry, zd, level, config, start):
+    """The cell across which a fixed design's both-tail power Phi(t + z)
+    + Phi(z - t) at zd >= 0 first reaches ``level``, from the one-tail
+    inverse rule; None where the rule does not answer at level / 2, or
+    where ``_cell`` finds no crossing between the ends below.
+
+    The data part t is at least 0 and the quantile part z <= 0 does not
+    fall as the size x grows.  Where the rule answers, the one-tail
+    argument t + z rises over the whole axis, and as phi(z - t) <=
+    phi(t + z), so does the power: it crosses ``level`` once.  It lies
+    below 2 Phi(t + z), so the rule's answer at Phi^{-1}(level / 2) is a
+    lower end, and above Phi(t + z) and 2 Phi(z), so the answer at
+    Phi^{-1}(level), or at zd = 0 (where the rule inverts z alone, t
+    being proportional to zd) at Phi^{-1}(level / 2), is an upper end b.
+    Each end keeps a margin of 2^-30 of itself for the rounding of the
+    rule.  The crossing is the fixed point of x -> the answer at
+    Phi^{-1}(level - Phi(z - t)), which contracts where the second tail
+    fades; up to three Aitken rounds of it from b estimate the crossing
+    for ``_cell``, whose first partner lies as far off as the last round
+    moved the estimate.
+    """
+    def at(q, zd=zd):
+        return entry.inverse(zd, None, 0.0, None, q, config)
+
+    def step(x):
+        t, z = entry.parts(zd, None, 0.0, x, config)
+        p = level - std_normal_cdf(z - t)
+        return at(std_normal_quantile(p)) if p > 0.0 else None
+    q = std_normal_quantile(0.5 * level)
+    half = at(q)
+    b = min((x for x in (at(std_normal_quantile(level)), at(q, 0.0))
+             if x is not None), default=None)
+    if half is None or b is None or b < start:
+        return None
+    lo = max(start, half * (1.0 - 2.0 ** -30))
+    u, gap = b, 2.0 ** -30
+    for _ in range(3):
+        u1 = step(u)
+        u2 = u1 and step(u1)
+        if u2 is None:
+            break
+        d1, d2 = u1 - u, u2 - u1
+        un = u2 - d2 * d2 / (d2 - d1) if abs(d2) < abs(d1) else u2
+        un = min(max(un, lo), b)
+        if abs(un - u2) <= 2.0 ** -32 * un and abs(d2) <= abs(d1):
+            u, gap = un, 2.0 ** -30
+            break
+        u, gap = un, max(2.0 ** -30, abs(un - u) / un)
+    return _cell(fn, level, u, lo, b * (1.0 + 2.0 ** -30), gap)
 
 
 def solve_c(request):
@@ -186,7 +257,7 @@ def solve_c(request):
         level = math.nextafter(level, math.inf)
     start, stop = _span(r, s)
     cell, path = None, "inverse"
-    if not r.config.both_tails and entry.inverse is not None:
+    if entry.inverse is not None and not r.config.both_tails:
         # as floats, whose overflow in the rules is an inf, not a warning
         u = entry.inverse(float(zd), r.zi and float(r.zi), s, r.f, level,
                           r.config)
@@ -194,13 +265,23 @@ def solve_c(request):
         # so the scan start, if well below u, is too
         if (u is not None and start <= u <= stop
                 and (u >= 2.0 * start or fn(start) < level)):
-            fu = float(fn(u))
-            below = fu < level
-            v = u * (1.0 + (2.0 ** -30 if below else -2.0 ** -30))
-            fv = float(fn(v))
-            if (fv < level) != below:   # else u is off by more than 2^-30
-                cell = (u, v, fu, fv) if below else (v, u, fv, fu)
+            cell = _cell(fn, level, u, u * (1.0 - 2.0 ** -30),
+                         u * (1.0 + 2.0 ** -30))
+    elif entry.inverse is not None and not entry.interim:
+        # the power is even in zd
+        cell = _two_tail_cell(fn, entry, abs(zd), level, r.config, start)
     if cell is None or not start <= cell[0] <= cell[1] <= stop:
+        # the least level whose power still meets the target, which a
+        # curve flat at the target's power needs: walked down by at most
+        # 64 ulps, as Phi is flat over millions of them near 1.  The
+        # inverse paths keep the level a few ulps high: a curve with a
+        # slope crosses it as many ulps of its own later, and the ulp
+        # walk below meets the target
+        for _ in range(64):
+            lower = math.nextafter(level, -math.inf)
+            if finish(lower) < target:
+                break
+            level = lower
         *cell, path = _scan(fn, finish, r, entry, zd, s, level, start, stop)
     rising = cell[3] >= level
     u, value = _refine(fn, level, *cell)

@@ -300,6 +300,12 @@ def test_solve_c_first_crossing_in_few_evaluations(method, zo, config,
         # rising branch: just below the answer the target is missed
         assert design_power(method, zo, res.c * (1.0 - 1e-6),
                             config) < target
+    rise = design_power(method, zo, np.geomspace(1e-9, c_star, 200), config)
+    if rise[0] < target and np.all(np.diff(rise) >= 0.0):
+        # a curve that rises from the bottom of the axis, with one tail
+        # or both, is solved from its inverse rule, without an array call
+        # (a scan would count its 1200 points in res.evaluations)
+        assert res.path == "inverse" and res.evaluations == evaluations
 
 
 LOWER_BOUND = ("every size down to the lower bound meets the target; "
@@ -418,6 +424,53 @@ def test_inverse_rules_agree_with_the_scan(method, zo, scale, zi, s, f, u,
     assert got.warning is None
     # the scan stops within 1e-14 max(1, c) of the crossing
     assert got.c == pytest.approx(want.c, rel=1e-13, abs=1e-14)
+
+
+@settings(DRAWN, max_examples=300)
+@example("CP", 8.0, 0.03, DesignConfig(alpha=0.5, shrinkage=0.25,
+                                       both_tails=True))
+@given(method=st.sampled_from(METHODS_FIXED), zo=z_stats,
+       u=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e), config=both_tails)
+def test_both_tail_inverse_agrees_with_the_scan(method, zo, u, config):
+    # the target is the both-tail power at a drawn size u; a curve that
+    # starts below it is solved from the one-tail rules, and the scan is
+    # the oracle for its first crossing
+    target = design_power(method, zo, u, config)
+    assume(1e-4 <= target <= 1.0 - 1e-4)
+    assume(design_power(method, zo, 1e-9, config) < target)
+    # where the power moves less than 1e-5 over 1% of the size, its
+    # rounding blurs the first computed crossing over more than 1e-13
+    assume(abs(design_power(method, zo, u * 1.01, config) - target) >= 1e-5)
+    req = SolveRequest(method, target, zo=zo, config=config)
+    got, want = _solved(req), _solved(req, scan_only=True)
+    assert want.path == "scan"
+    assert got.power >= target and got.warning == want.warning
+    rise = design_power(method, zo, np.geomspace(1e-9, u, 200), config)
+    if not np.all(np.diff(rise) >= -8.0 * 2.0 ** -52 * rise[1:]):
+        # a curve that dips first (FBP and CBP beyond the pooled
+        # threshold): the rules do not answer, and the scan runs as before
+        assert got == want and got.path == "scan"
+        return
+    assert got.path == "inverse" and got.evaluations <= 25
+    assert got.c == pytest.approx(want.c, rel=1e-13, abs=0.0)
+
+
+@DRAWN
+@given(method=st.sampled_from(METHODS_FIXED),
+       zd=st.one_of(st.floats(0.0, 8.0), st.floats(-8.0, 2.0).map(
+           lambda e: 10.0 ** e)),
+       p=st.floats(1e-6, 1.0 - 1e-6), config=both_tails)
+def test_both_tail_power_rises_where_the_one_tail_rule_answers(method, zd, p,
+                                                               config):
+    # Phi(t + z) + Phi(z - t), t >= 0 >= z: where the one-tail argument
+    # t + z rises, and z does not fall, so does the sum, as phi(z - t) <=
+    # phi(t + z); the rules answer only on such curves
+    entry = _methods.METHODS[method]
+    assume(entry.inverse(zd, None, 0.0, None, std_normal_quantile(p),
+                         config) is not None)
+    power = entry.power(zd, None, 0.0, AXIS, config)
+    # up to the rounding of the two Phi terms
+    assert np.all(np.diff(power) >= -8.0 * 2.0 ** -52 * power[1:])
 
 
 def test_inverse_near_a_double_root_of_its_quadratic():

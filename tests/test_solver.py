@@ -196,6 +196,31 @@ def test_inverse_meets_its_target_past_phi_rounding():
     assert res.power >= target
 
 
+def test_answers_near_the_floor_carry_every_digit():
+    # the refiner stopped at b - a <= 1e-14 max(1, b), absolute below
+    # c = 1, so an answer near the 1e-9 floor kept about 5 digits, and
+    # the scan printed c=1.6096403e-09.  The crossing, by mpmath with
+    # the double critical value, is 1.6096373566557e-09
+    res = solve_c(SolveRequest("FBP", 0.2, zo=2.807, config=DesignConfig(
+        alpha=0.1, both_tails=True)))
+    assert f"{res.c:.8g}" == "1.6096374e-09"
+    assert res.c == pytest.approx(1.6096373566557035e-09, rel=1e-10)
+    assert res.power >= 0.2 and res.warning is None
+
+
+def test_a_flat_curve_meets_its_own_power():
+    # CP at zo = 0 is flat at Phi(z_alpha) = 0.12500000000000008.  The
+    # level, Phi^{-1} of the target, lay an ulp above z_alpha and was
+    # never lowered to it, so the target was refused as above the
+    # supremum 0.125
+    config = DesignConfig(alpha=0.25)
+    target = design_power("CP", 0.0, 1.0, config)
+    assert target == 0.12500000000000008
+    res = solve_c(SolveRequest("CP", target, zo=0.0, config=config))
+    assert res.c == 1e-9 and res.power == target
+    assert res.warning.startswith("every size down to the lower bound")
+
+
 @pytest.mark.parametrize("method,target", [("CPi", 0.8), ("IPPi", 0.6)])
 def test_stage_sizes_near_the_top_of_the_doubles(method, target):
     # at c_stage1 = 1e300 the scan starts where s / u stays finite, so
