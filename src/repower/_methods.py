@@ -15,9 +15,9 @@ growing at the fixed interim fraction f.  A supremum rule returns the
 supremum: a limit, or Phi at a root of the argument's slope
 (``_newton``); only both-tail CPi at zd = 0 over x and IPPi over c at a
 fixed f return the tuple of their limits, for the numeric search in
-``design``.  An inverse rule estimates the first size at which the
-one-tail argument reaches ``level`` on a rising piece from the bottom
-of the axis, or returns None; IPPi has none.  ``solver`` also calls
+``design``.  An inverse rule returns a finite estimate of the first size
+at which the one-tail argument reaches ``level`` on a rising piece from
+the bottom of the axis, or None; IPPi has none.  ``solver`` also calls
 the fixed-design rules at |zd|, and at zd = 0 where they invert z
 alone, to bound and estimate a both-tail crossing; they read only the
 critical values of the config, which do not depend on the tails
@@ -390,6 +390,11 @@ class Method:
                 finite(name, value)
         if not self.interim and any(v is not None for v in (zi, *stray)):
             raise ValueError(f"{self.tag} takes no interim {noun}")
+
+    def invert(self, zd, zi, s, f, level, config):
+        """The inverse rule's size, or None where it has none or inf."""
+        u = self.inverse(zd, zi, s, f, level, config)
+        return u if u is not None and u < math.inf else None
 
     def power(self, zd, zi, s, x, config):
         return _tail_power(*self.parts(zd, zi, s, x, config),

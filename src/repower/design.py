@@ -91,7 +91,12 @@ class DesignConfig:
     @cached_property
     def z_alpha_tilde(self):
         """alpha_tilde/2 quantile of the standard normal (negative)."""
-        return std_normal_quantile(self.alpha_tilde / 2.0)
+        p = self.alpha_tilde / 2.0
+        if not p > 0.0:
+            raise ValueError(
+                "alpha must exceed about 3.5e-162 for FBP and CBP: below "
+                "it alpha^2 / 4, the tail of their pooled level, is 0")
+        return std_normal_quantile(p)
 
 
 DEFAULT_CONFIG = DesignConfig()

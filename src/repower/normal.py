@@ -2,7 +2,8 @@
 
 All power formulas in this package reduce to Phi evaluated at a linear
 combination of z-statistics, so everything funnels through the two
-functions below, which need nothing beyond numpy and ``math``.
+functions below, which need nothing beyond numpy and the standard
+library.
 
 ``std_normal_cdf`` is W. J. Cody's rational Chebyshev approximation of
 erfc (Cody 1969, "Rational Chebyshev approximations for the error
@@ -19,18 +20,19 @@ range for a float and for an array alike, so the two agree bit for bit;
 a float only skips the array checks.
 
 ``std_normal_quantile`` is Wichura's AS241 (PPND16, Applied Statistics
-37, 477-484, 1988), with the coefficients of the standard library's
-``statistics.NormalDist.inv_cdf``.  Beyond its central range
-(|p - 1/2| > 0.425) one Newton step on Phi follows, with the residual
-taken in the nearer tail so that it keeps relative precision down to
-the smallest normal tail; the result is then within about an ulp.  In
-the central range AS241 alone is within 2.5 * 2^-52 relative, and a
-step would only add the rounding of Phi near 1/2.  It works on floats;
-an array is mapped element by element.
+37, 477-484, 1988), as the standard library's
+``statistics.NormalDist.inv_cdf`` evaluates it.  Beyond its central
+range (|p - 1/2| > 0.425) one Newton step on Phi follows, with the
+residual taken in the nearer tail so that it keeps relative precision
+down to the smallest normal tail; the result is then within about an
+ulp.  In the central range AS241 alone is within 2.5 * 2^-52 relative,
+and a step would only add the rounding of Phi near 1/2.  It works on
+floats; an array is mapped element by element.
 
 Functions accept scalars or numpy arrays and return matching types.
 """
 import math
+import statistics
 import sys
 
 import numpy as np
@@ -73,38 +75,7 @@ _CODY = (
 _CODY_REST = [tuple(zip(num[2:], den[2:])) for num, den in _CODY]
 # the range bounds y = 0.46875 and y = 4 on |x| = sqrt(2) y
 _CODY_BOUNDS = (0.46875 * _SQRT2, 4.0 * _SQRT2)
-
-# AS241's three rational approximations as (numerator, denominator)
-# coefficients, highest power first: the central one in
-# r = 0.180625 - (p - 1/2)^2, the tail ones in r = sqrt(-log(min(p,
-# 1 - p))) - 1.6 up to r = 5, and r - 5 beyond
-_AS241_CENTRAL = (
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4,
-     6.7265770927008700853e+4, 4.5921953931549871457e+4,
-     1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4,
-     3.9307895800092710610e+4, 2.1213794301586595867e+4,
-     5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0))
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2,
-     2.4178072517745061177e-1, 1.2704582524523683826e+0,
-     3.6478483247632045981e+0, 5.7694972214606914055e+0,
-     4.6303378461565452959e+0, 1.4234371107496835773e+0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4,
-     1.5198666563616457197e-2, 1.4810397642748007459e-1,
-     6.8976733498510000455e-1, 1.6763848301838038494e+0,
-     2.0531916266377588219e+0, 1.0))
-_AS241_FAR = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5,
-     1.2426609473880784386e-3, 2.6532189526576123093e-2,
-     2.9656057182850489123e-1, 1.7848265399172913358e+0,
-     5.4637849111641143699e+0, 6.6579046435011037772e+0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7,
-     1.8463183175100546818e-5, 7.8686913114561325910e-4,
-     1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0))
+_as241 = statistics.NormalDist().inv_cdf
 
 
 def _as_float_array(x, name):
@@ -118,13 +89,6 @@ def _scalar_or_array(out, *inputs):
     if all(np.isscalar(v) or np.ndim(v) == 0 for v in inputs):
         return float(out)
     return out
-
-
-def _horner(coefs, v):
-    acc = coefs[0]
-    for c in coefs[1:]:
-        acc = acc * v + c
-    return acc
 
 
 def _lower(ax, j):
@@ -195,21 +159,16 @@ def std_normal_pdf(x):
 
 def _quantile_float(p):
     """Phi^{-1}(p) for a float p strictly inside (0, 1)."""
+    z = _as241(p)
     q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num, den = _AS241_CENTRAL
-        return _horner(num, r) * q / _horner(den, r)
     tail = p if q <= 0.0 else 1.0 - p      # exact for p > 1/2
-    r = math.sqrt(-math.log(tail))
-    num, den = _AS241_NEAR if r <= 5.0 else _AS241_FAR
-    r = r - (1.6 if r <= 5.0 else 5.0)
-    z = _horner(num, r) / _horner(den, r)
-    if tail >= sys.float_info.min:
-        # Newton on Phi(-z) = tail for z >= 0, which keeps relative
-        # precision down to the smallest normal tail
-        resid = _cdf_float(-z) - tail
-        z += resid / (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
+    if abs(q) <= 0.425 or tail < sys.float_info.min:
+        return z
+    # Newton on Phi(-z) = tail for z >= 0, which keeps relative precision
+    # down to the smallest normal tail
+    z = abs(z)
+    resid = _cdf_float(-z) - tail
+    z += resid / (_INV_SQRT_2PI * math.exp(-0.5 * z * z))
     return -z if q < 0.0 else z
 
 

@@ -189,7 +189,7 @@ def _two_tail_cell(fn, entry, zd, level, config, start):
     moved the estimate.
     """
     def at(q, zd=zd):
-        return entry.inverse(zd, None, 0.0, None, q, config)
+        return entry.invert(zd, None, 0.0, None, q, config)
 
     def step(x):
         t, z = entry.parts(zd, None, 0.0, x, config)
@@ -259,8 +259,8 @@ def solve_c(request):
     cell, path = None, "inverse"
     if entry.inverse is not None and not r.config.both_tails:
         # as floats, whose overflow in the rules is an inf, not a warning
-        u = entry.inverse(float(zd), r.zi and float(r.zi), s, r.f, level,
-                          r.config)
+        u = entry.invert(float(zd), r.zi and float(r.zi), s, r.f, level,
+                         r.config)
         # the rules answer on a curve below level all the way up to u,
         # so the scan start, if well below u, is too
         if (u is not None and start <= u <= stop

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,21 @@ def test_infeasible_supremum_is_reached_within_c_cap(capsys):
     assert code == 1
     assert err == ("error: target power 0.76 exceeds the attainable "
                    "supremum 0.756835\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["power", "--method", "fbp", "--zo", "2", "--c", "1", "--alpha",
+      "1e-300"], "error: alpha must exceed about 3.5e-162 for FBP and CBP"),
+    (["solve", "--method", "cbp", "--target", "0.5", "--zo", "1e-300",
+      "--both-tails"], "error: target power 0.5 exceeds the attainable "
+     "supremum 0.00125\n"),
+])
+def test_tiny_alpha_and_tiny_zo_exit_1_with_a_reason(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(message)
 
 
 def test_solve_on_c_stage1_axis_past_2_24(capsys):

@@ -295,3 +295,22 @@ def test_analysis_helpers_name_a_bad_zo(zo):
     for helper in (cp_pp_intersection, fbp_cbp_intersection, fbp_minimum):
         with pytest.raises(ValueError, match="^zo must be finite$"):
             helper(zo, CFG)
+
+
+def test_a_tiny_alpha_leaves_only_the_pooled_methods_without_a_level():
+    # below alpha = 3.5e-162 the pooled tail alpha^2 / 4 is 0, and FBP and
+    # CBP have no critical value; the flat-analysis methods keep theirs
+    config = DesignConfig(alpha=1e-300)
+    design = FixedDesign(2.0, 1.0)
+    for result in (fbp, cbp):
+        with pytest.raises(ValueError, match="^alpha must exceed about "
+                           "3.5e-162 for FBP and CBP"):
+            result(design, config)
+    with pytest.raises(ValueError, match="^alpha must"):
+        fbp_minimum(2.0, config)
+    for result in (cp, pp):
+        assert 0.0 < result(design, config).power < 1e-100
+    for alpha in (3.52e-162, 3.6e-162):
+        assert 0.0 < fbp(design, DesignConfig(alpha=alpha)).power < 1e-100
+    with pytest.raises(ValueError, match="^alpha must"):
+        fbp(design, DesignConfig(alpha=3.51e-162))

@@ -50,6 +50,23 @@ def test_quantile_reference_values():
         1.95996398454005424, abs=1e-9)
 
 
+# values of the package's own AS241 copy before the standard library's
+# took its place: AS241's range switches at |p - 1/2| = 0.425 with their
+# neighbours, the smallest normal and subnormal p, and the largest p < 1
+@pytest.mark.parametrize("p, z", [
+    (0.075, -1.4395314709384557),
+    (0.07499999999999998, -1.4395314709384561),
+    (0.925, 1.4395314709384563),
+    (0.9250000000000002, 1.439531470938457),
+    (2.2250738585072014e-308, -37.5193793471445),
+    (5e-324, -38.46740561714434),
+    (1.0 - 2.0 ** -53, 8.209536151601387),
+])
+def test_quantile_keeps_its_bits(p, z):
+    assert std_normal_quantile(p) == z
+    assert std_normal_quantile(np.array([p]))[0] == z
+
+
 def test_quantile_cdf_round_trip():
     p = np.geomspace(1e-10, 0.5, 2000)
     p = np.concatenate([p, 1.0 - p])

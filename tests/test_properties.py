@@ -9,7 +9,9 @@ treat a number and a one-element array alike.  Hypothesis runs
 derandomized, so every run draws the same cases.
 """
 import math
+import re
 import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -625,3 +627,82 @@ def test_scalar_fields_refuse_lists():
                      c_stage1=[1, 2])
     with pytest.raises(ValueError, match="^c_stage1 must be positive"):
         ippi_limit(2.0, 1.0, c_stage1=[1, 2])
+
+
+# the edge of every input: zo and zi from far tails to +-1e-300, sizes
+# from the smallest subnormal to the top of the doubles, interim
+# fractions at both ends, and configs at the extremes of alpha and the
+# shrinkage; alpha = 1e-300 leaves FBP and CBP without a critical value
+EDGE_Z = (-40.0, -5.0, -1e-300, 0.0, 1e-300, 0.5, 2.0, 8.0, 39.0)
+EDGE_C = (5e-324, 1e-300, 1e-9, 1.0, 1e9, 1e300, 1.7e308)
+EDGE_F = (0.0, 1e-300, 0.4, 1.0 - 1e-16)
+EDGE_CONFIGS = (DesignConfig(), DesignConfig(both_tails=True),
+                DesignConfig(alpha=1e-300), DesignConfig(alpha=0.999999),
+                DesignConfig(shrinkage=0.999999))
+EDGE_TARGETS = (1e-10, 0.025, 0.5, 0.9, 1.0 - 1e-12)
+
+
+def _names_an_argument(exc, names):
+    """Whether a ValueError's message starts with one of ``names``."""
+    return re.match(f"({'|'.join(map(re.escape, names))}) ", str(exc))
+
+
+@settings(DRAWN, max_examples=500)
+@example("FBP", DesignConfig(alpha=1e-300), 2.0, 0.0, 0.4)
+@given(method=st.sampled_from(sorted(RESULTS)),
+       config=st.sampled_from(EDGE_CONFIGS), zo=st.sampled_from(EDGE_Z),
+       zi=st.sampled_from(EDGE_Z), f=st.sampled_from(EDGE_F))
+def test_every_result_at_the_edges_is_bounded_or_names_its_argument(
+        method, config, zo, zi, f):
+    state = (InterimState(zi, f),) if method in METHODS_INTERIM else ()
+    for c in EDGE_C:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = RESULTS[method](FixedDesign(zo, c), *state, config)
+            except ValueError as exc:
+                assert _names_an_argument(
+                    exc, ("zo", "zi", "c", "f", "alpha", "shrinkage")), exc
+                continue
+        assert 0.0 <= res.power <= res.supremum <= 1.0
+
+
+@settings(DRAWN, max_examples=1000)
+# a both-tail CBP solve at a zo whose one-tail rule overflows to inf
+@example("CBP", DesignConfig(both_tails=True), 1e-300, 0.0, 0.5, 0.4, 1.0,
+         0.0)
+@example("CBP", DesignConfig(both_tails=True), -1e-300, 0.0, 0.5, 0.4, 1.0,
+         0.0)
+@example("FBP", DesignConfig(alpha=1e-300), 2.0, 0.0, 0.5, 0.4, 1.0, 0.0)
+@given(method=st.sampled_from(sorted(RESULTS)),
+       config=st.sampled_from(EDGE_CONFIGS[:3]), zo=st.sampled_from(EDGE_Z),
+       zi=st.sampled_from(EDGE_Z), target=st.sampled_from(EDGE_TARGETS),
+       f=st.sampled_from((None, *EDGE_F)),
+       c_stage1=st.sampled_from(EDGE_C[1:]),
+       c_lower=st.sampled_from((0.0, 1e-300, 1.0, 1e300)))
+def test_every_solve_at_the_edges_meets_its_target_or_says_why(
+        method, config, zo, zi, target, f, c_stage1, c_lower):
+    # interim methods solve at a fixed f, or at a fixed c_stage1 when f is
+    # None; PPi, which does not vary at a fixed f, always at c_stage1
+    kwargs = {} if method == "PPi" else {"zo": zo}
+    if method in METHODS_INTERIM:
+        kwargs["zi"] = zi
+        if f is None or method == "PPi":
+            kwargs["c_stage1"] = c_stage1
+        else:
+            kwargs["f"] = f
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = solve_c(SolveRequest(method, target, c_lower=c_lower,
+                                       config=config, **kwargs))
+        except InfeasibleTarget as exc:
+            assert 0.0 <= exc.supremum <= target
+            return
+        except ValueError as exc:
+            assert _names_an_argument(
+                exc, ("target_power", "zo", "zi", "f", "c_stage1",
+                      "c_lower", "alpha")), exc
+            return
+    assert 0.0 < res.c < math.inf
+    assert target <= res.power <= 1.0

@@ -328,3 +328,16 @@ def test_request_names_a_bad_c_lower(c_lower):
     with pytest.raises(ValueError,
                        match="^c_lower must be finite and nonnegative$"):
         SolveRequest(method="CP", target_power=0.5, zo=2.0, c_lower=c_lower)
+
+
+@pytest.mark.parametrize("zo", [1e-300, -1e-300])
+def test_both_tail_cbp_at_a_tiny_zo_is_refused_without_a_warning(zo):
+    # the one-tail rule's root overflows to inf, which counts as no answer:
+    # the scan then finds the curve near alpha_tilde up to C_CAP
+    request = SolveRequest("CBP", 0.5, zo=zo,
+                           config=DesignConfig(both_tails=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleTarget) as exc:
+            solve_c(request)
+    assert exc.value.supremum == pytest.approx(0.00125, rel=1e-6)

@@ -1,4 +1,6 @@
 """Dataset ingestion, derived quantities, and case-study reports."""
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,39 @@ def test_parse_errors(tmp_path):
     garbled = _write(tmp_path, [row], "garbled.csv")
     with pytest.raises(DatasetError):
         load_csv(garbled)
+
+
+STUDY = "Synthetic et al. (2020)"
+
+
+@pytest.mark.parametrize("overrides, error, text", [
+    ({"ro": "nan"}, DatasetError, f"{STUDY}: column 'ro' is not finite"),
+    ({"no": "103.5"}, DatasetError,
+     f"{STUDY}: column 'no' must be an integer"),
+    # the header alone
+    (None, DatasetError, ": no data rows"),
+    ({"study": "  "}, DatasetError, ": row with empty study name"),
+    ({"fisi": ""}, InvariantViolation,
+     f"violations: {STUDY}: incomplete interim columns"),
+    ({"ni": "3"}, InvariantViolation,
+     f"violations: {STUDY}: interim sample size below 4"),
+    ({"ro": "1.5"}, InvariantViolation,
+     f"violations: {STUDY}: original correlation outside (-1, 1)"),
+    ({"pr": "0.5"}, InvariantViolation,
+     f"violations: {STUDY}: final p-value inconsistent with z"),
+])
+def test_loader_errors_say_what_is_wrong(tmp_path, overrides, error, text):
+    rows = [] if overrides is None else [{**_fields(), **overrides}]
+    with pytest.raises(error) as exc:
+        load_csv(_write(tmp_path, rows))
+    assert str(exc.value).endswith(text)
+
+
+def test_a_continued_study_needs_a_published_interim_power(tmp_path):
+    records = load_csv(_write(tmp_path, [_fields()]))
+    with pytest.raises(DatasetError, match=rf"^{re.escape(STUDY)}: no "
+                       "published interim power$"):
+        reproduce_interim_powers(records)
 
 
 def test_invariant_violations_reported_with_rows(tmp_path):
