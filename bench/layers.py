@@ -1,0 +1,210 @@
+"""Layer timings of the repower package, for before/after comparisons.
+
+    python3 bench/layers.py                     # this checkout's src/
+    python3 bench/layers.py --tree parent=../old/src --tree change=src \
+        --out BENCH_21.json
+
+Each row times one call of one layer: the scalar closed forms
+(``design_power``, ``interim_power``), two results with their suprema
+(``cp``, ``ippi``), the case-study loader, its two reports and the full
+replay that perfbench's monitor workload runs.  A fixed pure-Python
+loop is timed beside them, so that numbers taken on different days or
+machines can be put on one scale: divide a row by the calibration row.
+
+Every tree is measured in its own child process, ROUNDS times,
+alternating which tree goes first; a round takes SAMPLES samples per
+row, each the mean of a loop long enough to last about 10 ms.  A row
+reports the median and the quartiles of all its samples, in
+microseconds per call.  With two or more trees the output also gives
+each row's median over the first tree's.  The scalar rows cycle
+through inputs drawn from SEED.  Nothing is fetched or written but
+``--out``.
+"""
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parents[1]
+SAMPLE_S = 0.01
+N_INPUTS = 32
+# ten alternating rounds of seven samples: 70 per row and tree
+ROUNDS = 10
+SAMPLES = 7
+SEED = 0
+
+
+def _calibration():
+    # a fixed amount of interpreter work: integer arithmetic in a loop
+    x = 0
+    for i in range(10_000):
+        x = (x * 31 + i) % 1_000_003
+    return x
+
+
+def _rows():
+    """(name, callable, calls per invocation) of every timed row."""
+    import repower
+    from repower import (FixedDesign, FutilityRule, InterimState, cp,
+                         design_power, futility_replay, interim_power,
+                         ippi, load_csv, reproduce_interim_powers)
+
+    rng = random.Random(SEED)
+    # looks at a non-significant interim, the case study's common case
+    looks = [(rng.uniform(1.5, 4.0), rng.uniform(-1.0, 1.5),
+              10 ** rng.uniform(-0.5, 1.0), rng.uniform(0.2, 0.7))
+             for _ in range(N_INPUTS)]
+    designs = [(FixedDesign(zo, c), InterimState(zi, f))
+               for zo, zi, c, f in looks]
+    records = load_csv()
+    rules = (FutilityRule("IPPi", 0.2), FutilityRule("PPi", 0.2))
+
+    def replay():
+        recs = load_csv()
+        reproduce_interim_powers(recs)
+        for rule in rules:
+            futility_replay(recs, rule)
+
+    def each(fn):
+        return lambda: [fn(*a) for a in looks]
+
+    return repower.__version__, [
+        ("calibration", _calibration, 1),
+        ("design_power CP", each(
+            lambda zo, zi, c, f: design_power("CP", zo, c)), N_INPUTS),
+        ("interim_power IPPi", each(
+            lambda zo, zi, c, f: interim_power("IPPi", zo, zi, c, f)),
+         N_INPUTS),
+        ("cp", lambda: [cp(d) for d, _ in designs], N_INPUTS),
+        ("ippi", lambda: [ippi(d, s) for d, s in designs], N_INPUTS),
+        ("load_csv", load_csv, 1),
+        ("reproduce_interim_powers",
+         lambda: reproduce_interim_powers(records), 1),
+        ("futility_replay", lambda: futility_replay(records, rules[0]), 1),
+        ("replay", replay, 1),
+    ]
+
+
+def _measure():
+    """Per-call samples in microseconds of every row, in this process."""
+    version, rows = _rows()
+    out = {}
+    for name, fn, calls in rows:
+        fn()        # warm: caches, lazy imports
+        loops = 1
+        while True:
+            start = time.perf_counter()
+            for _ in range(loops):
+                fn()
+            took = time.perf_counter() - start
+            if took >= SAMPLE_S:
+                break
+            loops *= 2
+        times = []
+        for _ in range(SAMPLES):
+            start = time.perf_counter()
+            for _ in range(loops):
+                fn()
+            times.append((time.perf_counter() - start) / loops / calls * 1e6)
+        out[name] = times
+    return {"version": version, "samples": out}
+
+
+def _child(src):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child"],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _commit(src):
+    """The short commit of the tree holding ``src``, marked when its
+    working tree differs from it, or None outside git."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args],
+                              capture_output=True, text=True)
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--", ".").stdout.strip()
+    return head.stdout.strip() + ("+working-tree" if dirty else "")
+
+
+def _summary(times):
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return {"median": round(statistics.median(times), 4),
+            "q1": round(q1, 4), "q3": round(q3, 4),
+            "iqr": round(q3 - q1, 4), "n": len(times)}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tree", action="append", metavar="LABEL=SRC",
+                    help="a label and the src/ directory to import the "
+                         "package from; repeatable (default: this "
+                         "checkout's src/, labelled 'this')")
+    ap.add_argument("--note", default="",
+                    help="a free-text machine note stored in the output")
+    ap.add_argument("--out", help="write the JSON here as well")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(_measure()))
+        return 0
+    trees = {}
+    for spec in args.tree or [f"this={ROOT / 'src'}"]:
+        label, sep, src = spec.partition("=")
+        if not sep or not label or not src:
+            ap.error(f"--tree takes LABEL=SRC, not {spec!r}")
+        trees[label] = Path(src).resolve()
+    samples = {label: {} for label in trees}
+    versions = {}
+    for r in range(ROUNDS):
+        order = list(trees) if r % 2 == 0 else list(trees)[::-1]
+        for label in order:
+            got = _child(trees[label])
+            versions[label] = got["version"]
+            for name, times in got["samples"].items():
+                samples[label].setdefault(name, []).extend(times)
+    report = {
+        "script": "bench/layers.py",
+        "unit": "microseconds per call",
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+        "note": args.note,
+        "seed": SEED,
+        "rounds": ROUNDS,
+        "samples_per_round": SAMPLES,
+        "trees": {label: {"commit": _commit(src),
+                          "version": versions[label],
+                          "rows": {name: _summary(times) for name, times
+                                   in samples[label].items()}}
+                  for label, src in trees.items()},
+    }
+    labels = list(trees)
+    if len(labels) > 1:
+        base = report["trees"][labels[0]]["rows"]
+        report[f"median_over_{labels[0]}"] = {
+            label: {name: round(row["median"] / base[name]["median"], 3)
+                    for name, row in report["trees"][label]["rows"].items()}
+            for label in labels[1:]}
+    text = json.dumps(report, indent=2)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,12 @@ alone, to bound and estimate a both-tail crossing; they read only the
 critical values of the config, which do not depend on the tails
 counted.  The input rules live here too, each written once: every
 public entry point applies ``finite``, ``positive``, ``unit`` or
-``size`` to its arguments, and nothing below checks again.
+``size`` to its arguments, and nothing below checks again.  Scalar
+inputs reach the table as Python floats: ``Method.check`` returns the
+checked zo and zi as floats, ``design`` makes floats of scalar sizes
+with ``_float_or_array`` and keeps a config's alpha and shrinkage as
+floats, and the input rules compare a float directly; the parts also
+take arrays.
 """
 import math
 import sys
@@ -41,14 +46,35 @@ _SIZE_RULE = f"be at least {sys.float_info.min!r}"
 
 
 def _within(name, v, lo, hi, closed, rule):
-    """ValueError naming ``name`` unless lo < v < hi (lo <= v if closed)."""
-    try:
-        ok = ((v >= lo) if closed else (v > lo)) & (v < hi)
-        ok = ok.all() if isinstance(ok, np.ndarray) else ok
-    except TypeError:       # None, a list: no number at all
-        ok = False
+    """ValueError naming ``name`` unless lo < v < hi (lo <= v if closed).
+    A float or an int is compared directly, NaN failing both bounds."""
+    if isinstance(v, (float, int)):
+        ok = ((v >= lo) if closed else (v > lo)) and v < hi
+    else:
+        try:
+            ok = ((v >= lo) if closed else (v > lo)) & (v < hi)
+            ok = ok.all() if isinstance(ok, np.ndarray) else ok
+        except TypeError:       # None, a list: no number at all
+            ok = False
     if not ok:
         raise ValueError(f"{name} must {rule}")
+
+
+def _float_or_array(v):
+    """A number or a 0-d array as a Python float, else a float array."""
+    if isinstance(v, (float, int)):
+        return float(v)
+    v = np.asarray(v, dtype=float)
+    return float(v) if v.ndim == 0 else v
+
+
+def single(name, v):
+    """``v`` as a Python float; ValueError naming ``name`` unless it is
+    one number (a float, an int, a numpy float or a 0-d array)."""
+    v = _float_or_array(v)
+    if not isinstance(v, float):
+        raise ValueError(f"{name} must be a single number")
+    return v
 
 
 def finite(name, v):
@@ -381,15 +407,23 @@ class Method:
         return "zi" in self.needs
 
     def check(self, zo, zi, stray=(), noun="arguments"):
-        """Required inputs given and finite.  ``stray`` holds the
-        interim-only inputs, which fixed-design methods refuse."""
-        for name, value in (("zi", zi), ("zo", zo)):
-            if name in self.needs:
-                if value is None:
-                    raise ValueError(f"{self.tag} requires {name}")
-                finite(name, value)
+        """The checked (zo, zi): each input the method needs given,
+        finite and a single number, returned as a Python float, and any
+        other as it came.  ``stray`` holds the interim-only inputs,
+        which fixed-design methods refuse."""
+        zi = self._scalar("zi", zi)
+        zo = self._scalar("zo", zo)
         if not self.interim and any(v is not None for v in (zi, *stray)):
             raise ValueError(f"{self.tag} takes no interim {noun}")
+        return zo, zi
+
+    def _scalar(self, name, value):
+        if name not in self.needs:
+            return value
+        if value is None:
+            raise ValueError(f"{self.tag} requires {name}")
+        finite(name, value)
+        return single(name, value)
 
     def invert(self, zd, zi, s, f, level, config):
         """The inverse rule's size, or None where it has none or inf."""

@@ -32,8 +32,9 @@ table of ``_methods``: its Phi argument in the stage sizes s (observed)
 and x (still to come), its required inputs and its supremum rule.  This
 module evaluates the table and builds every ``PowerResult``.  The
 public inputs (c, f) become s = c * f and x = c * (1 - f) in one place,
-``_power``; curves over the remaining size evaluate the table at (s, x)
-directly (``_at``, ``_along``), as does ``_supremum``.
+``_inputs``, which also turns scalar inputs into Python floats; curves
+over the remaining size evaluate the table at (s, x) directly (``_at``,
+``_along``), as does ``_supremum``.
 """
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,6 +76,10 @@ class DesignConfig:
     def __post_init__(self):
         _methods.unit("alpha", self.alpha)
         _methods.unit("shrinkage", self.shrinkage, closed=True)
+        # kept as Python floats, as every checked scalar input is
+        for name in ("alpha", "shrinkage"):
+            object.__setattr__(self, name,
+                               _methods.single(name, getattr(self, name)))
 
     @property
     def alpha_tilde(self):
@@ -139,26 +144,31 @@ def _power(method, zo, zi, c, f, config, interim=None):
     """Power of one method (of the given family, if any) at total size c
     and interim fraction f, vectorized over both; checks every input."""
     entry = _methods._lookup(method, interim)
-    out = _at(entry, zo, zi, *_sizes(entry, zo, zi, c, f), config)
-    return float(out) if np.ndim(c) == 0 and np.ndim(f) == 0 else out
+    out = _at(entry, *_inputs(entry, zo, zi, c, f), config)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
-def _sizes(entry, zo, zi, c, f):
-    """The stage sizes (s, x) of a table entry at total size c and
-    interim fraction f, once every input is checked."""
-    # [()]: a scalar as a numpy float, which warns where floats raise
-    cv = np.asarray(c, dtype=float)[()]
+def _inputs(entry, zo, zi, c, f):
+    """The inputs (zo, zi, s, x) of a table entry at total size c and
+    interim fraction f, s and x its stage sizes, once every input is
+    checked.  The inputs the entry needs come back as Python floats
+    where they are scalars, and the others as they came."""
+    # scalars stay Python floats, the fastest arithmetic there is; the
+    # rules in _methods are written for them.  Where a numpy float
+    # warns, a Python float raises only on a division by zero or an
+    # overflowing **: the parts use no **, and divide only by x, x + 1,
+    # s + 1 and 1 + r, which the checks below keep positive
+    cv = _methods._float_or_array(c)
     _methods.positive("c", cv)
     s, x = 0.0, cv
     if entry.interim:
-        fv = np.asarray(f, dtype=float)[()]
+        fv = _methods._float_or_array(f)
         # a method without a design counterpart at f = 0 needs f > 0
         _methods._within("f", fv, 0.0, 1.0, entry.at_f0 is not None,
                          "lie in [0, 1), strictly above 0 for PPi")
         s, x = cv * fv, cv * (1.0 - fv)
     _methods.size("c * (1 - f)" if entry.interim else "c", x)
-    entry.check(zo, zi)
-    return s, x
+    return (*entry.check(zo, zi), s, x)
 
 
 def _at(entry, zo, zi, s, x, config):
@@ -257,15 +267,12 @@ def _supremum(entry, zd, zi, s, config, f=None):
 def _result(method, fixed, state, config):
     """The PowerResult of a method at a design (and interim state): its
     power and its supremum over c, or over the remaining size."""
-    zi = f = None
-    s = 0.0
-    if state is not None:
-        zi, f, s = state.zi, state.f, fixed.c * state.f
+    zi, f = (None, None) if state is None else (state.zi, state.f)
     entry = _methods._lookup(method, state is not None)
-    sizes = _sizes(entry, fixed.zo, zi, fixed.c, f)
+    zo, zi, s, x = _inputs(entry, fixed.zo, zi, fixed.c, f)
     # one zd for the power and the supremum; PPi's parts and rule ignore it
-    zd = shrunken_zo(fixed.zo, config)
-    power = float(entry.power(zd, zi, *sizes, config))
+    zd = shrunken_zo(zo, config)
+    power = float(entry.power(zd, zi, s, x, config))
     sup = float(max(_supremum(entry, zd, zi, s, config), power))
     return PowerResult(method, power, sup, sup >= 1.0 - 1e-12)
 

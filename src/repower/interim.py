@@ -124,7 +124,7 @@ def ippi_limit(zo, zi, c_stage1, config=DEFAULT_CONFIG):
     interim.
     """
     _methods.positive("c_stage1", c_stage1)
-    _methods.METHODS["IPPi"].check(zo, zi)
+    zo, zi = _methods.METHODS["IPPi"].check(zo, zi)
     return float(_methods._ippi_limit(shrunken_zo(zo, config), zi,
                                       c_stage1, config))
 
@@ -174,7 +174,7 @@ def remaining_n_curve(zo, zi, c_stage1, nj_ratio, config=DEFAULT_CONFIG):
     _methods.positive("nj_ratio", x)
     _methods.size("nj_ratio", x)
     _methods.positive("c_stage1", c_stage1)
-    _methods.METHODS["CPi"].check(zo, zi)
+    zo, zi = _methods.METHODS["CPi"].check(zo, zi)
     return InterimPowerCurve(x, *(
         design._at(_methods.METHODS[m], zo, zi, c_stage1, x, config)
         for m in METHODS_INTERIM))

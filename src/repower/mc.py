@@ -58,11 +58,18 @@ class SimSpec:
         object.__setattr__(self, "n_sims", int(self.n_sims))
         object.__setattr__(self, "seed", int(self.seed))
         _methods.positive("n_o", self.n_o)
-        entry.check(self.zo, self.zi, (self.f,), noun="inputs")
+        zo, zi = entry.check(self.zo, self.zi, (self.f,), noun="inputs")
         if entry.interim and (self.f is None or not 0.0 < self.f < 1.0):
             raise ValueError(f"{self.method} requires f in (0, 1)")
         _methods.size("c * (1 - f)" if entry.interim else "c",
                       self.c * (1.0 - self.f) if entry.interim else self.c)
+        # kept as Python floats, as every checked scalar input is
+        object.__setattr__(self, "zo", zo)
+        object.__setattr__(self, "zi", zi)
+        for name in ("c", "f", "n_o"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _methods.single(name, value))
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,8 @@ class SolveRequest:
         _methods._within("c_lower", self.c_lower, 0.0, np.inf, True,
                          "be finite and nonnegative")
         entry = _methods._lookup(self.method)
-        entry.check(self.zo, self.zi, (self.f, self.c_stage1))
-        if not entry.interim:
-            return
-        if (self.f is None) == (self.c_stage1 is None):
+        zo, zi = entry.check(self.zo, self.zi, (self.f, self.c_stage1))
+        if entry.interim and (self.f is None) == (self.c_stage1 is None):
             raise ValueError(
                 "interim solving needs exactly one of f or c_stage1")
         if self.f is not None:
@@ -96,6 +94,13 @@ class SolveRequest:
                 "with c; fix c_stage1 instead")
         if self.c_stage1 is not None:
             _methods.positive("c_stage1", self.c_stage1)
+        # kept as Python floats, as every checked scalar input is
+        object.__setattr__(self, "zo", zo)
+        object.__setattr__(self, "zi", zi)
+        for name in ("target_power", "c_lower", "f", "c_stage1"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _methods.single(name, value))
 
 
 @dataclass(frozen=True)
@@ -240,7 +245,7 @@ def solve_c(request):
     # are checked by SolveRequest, and every u passed is finite and > 0
     entry = _methods._lookup(r.method)
     zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
-    s = float(r.c_stage1 or 0.0)
+    s = r.c_stage1 or 0.0
     curve, finish = design._along(entry, zd, r.zi, s, r.f, r.config)
     evaluations = 0
 
@@ -258,9 +263,7 @@ def solve_c(request):
     start, stop = _span(r, s)
     cell, path = None, "inverse"
     if entry.inverse is not None and not r.config.both_tails:
-        # as floats, whose overflow in the rules is an inf, not a warning
-        u = entry.invert(float(zd), r.zi and float(r.zi), s, r.f, level,
-                         r.config)
+        u = entry.invert(zd, r.zi, s, r.f, level, r.config)
         # the rules answer on a curve below level all the way up to u,
         # so the scan start, if well below u, is too
         if (u is not None and start <= u <= stop

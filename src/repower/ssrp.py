@@ -25,10 +25,10 @@ from importlib import resources
 from .design import (DEFAULT_CONFIG, METHODS_FIXED, METHODS_INTERIM,
                      DesignConfig, FixedDesign, design_power)
 from .interim import InterimState, interim_power
-from .normal import std_normal_cdf
 from .solver import FutilityRule, futility_decision
 
 ENV_DATA_PATH = "REPOWER_SSRP_DATA"
+_SQRT2 = math.sqrt(2.0)
 
 _STAGE2 = ("rr", "fisr", "se_fisr", "nr", "pr")
 
@@ -90,17 +90,13 @@ class SsrpRecord:
         return self.nr is not None
 
 
-# the columns a dataset file must have
-_COLUMNS = tuple(f.name for f in fields(SsrpRecord))
-
-
 def default_data_path():
     """Path of the bundled dataset file."""
     return str(resources.files("repower").joinpath("data/ssrp.csv"))
 
 
-def _float(row, key, study):
-    raw = row[key].strip()
+def _float(raw, key, study):
+    raw = raw.strip()
     if raw == "":
         return None
     try:
@@ -113,13 +109,20 @@ def _float(row, key, study):
     return value
 
 
-def _int(row, key, study):
-    value = _float(row, key, study)
+def _int(raw, key, study):
+    value = _float(raw, key, study)
     if value is None:
         return None
     if value != int(value):
         raise DatasetError(f"{study}: column {key!r} must be an integer")
     return int(value)
+
+
+# the columns a dataset file must have, and the converter of each
+# numeric one
+_COLUMNS = tuple(f.name for f in fields(SsrpRecord))
+_CONVERTERS = tuple((f.name, _int if f.type is int else _float)
+                    for f in fields(SsrpRecord)[1:])
 
 
 def load_csv(path=None):
@@ -131,7 +134,8 @@ def load_csv(path=None):
     Raises
     ------
     DatasetError
-        On unreadable files, missing columns, or non-numeric fields.
+        On unreadable files, missing columns, rows whose field count
+        differs from the header's, or non-numeric fields.
     InvariantViolation
         When a row's columns contradict each other (standard errors
         not matching sample sizes, Fisher z not matching r, p-values
@@ -141,27 +145,37 @@ def load_csv(path=None):
         path = os.environ.get(ENV_DATA_PATH) or default_data_path()
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise DatasetError(f"{path}: empty dataset file")
-            missing = set(_COLUMNS) - set(reader.fieldnames)
+            # a repeated column name reads its last copy
+            index = {name: i for i, name in enumerate(header)}
+            missing = set(_COLUMNS) - set(index)
             if missing:
                 raise DatasetError(
                     f"{path}: missing columns {sorted(missing)}")
-            rows = list(reader)
+            rows = [row for row in reader if row]   # blank lines aside
     except OSError as exc:
         raise DatasetError(f"cannot read dataset: {exc}") from None
     if not rows:
         raise DatasetError(f"{path}: no data rows")
+    study_at = index["study"]
+    columns = [(index[name], name, convert) for name, convert in _CONVERTERS]
     records = []
     problems = []
-    for row in rows:
-        study = (row["study"] or "").strip()
+    for k, row in enumerate(rows, 1):
+        study = row[study_at].strip() if study_at < len(row) else ""
+        if len(row) != len(header):
+            where = study or f"{path}: data row {k}"
+            short = (f", no column {header[len(row)]!r}"
+                     if len(row) < len(header) else "")
+            raise DatasetError(f"{where}: {len(row)} fields where the "
+                               f"header has {len(header)}{short}")
         if not study:
             raise DatasetError(f"{path}: row with empty study name")
-        rec = SsrpRecord(study, *(
-            (_int if f.type is int else _float)(row, f.name, study)
-            for f in fields(SsrpRecord)[1:]))
+        rec = SsrpRecord(study, *[convert(row[i], name, study)
+                                  for i, name, convert in columns])
         problems.extend(_row_problems(rec))
         records.append(rec)
     if problems:
@@ -185,7 +199,8 @@ def _check_triplet(study, label, r, fis, se, p, n, problems):
     if abs(se - se_expect) > 0.01 * se_expect:
         problems.append(f"{study}: {label} standard error inconsistent "
                         f"with sample size")
-    p_expect = float(2.0 * std_normal_cdf(-abs(fis) / se))
+    # 2 Phi(-|z|), whose lower tail erfc keeps to about 1e-15 relative
+    p_expect = math.erfc(abs(fis) / se / _SQRT2)
     if abs(p - p_expect) > 1e-6 * max(p_expect, 1e-12):
         problems.append(f"{study}: {label} p-value inconsistent with z")
 

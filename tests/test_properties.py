@@ -629,6 +629,76 @@ def test_scalar_fields_refuse_lists():
         ippi_limit(2.0, 1.0, c_stage1=[1, 2])
 
 
+def test_an_array_zo_or_zi_is_refused_by_name():
+    one, two = np.array(1.0), np.array([1.0, 2.0])
+    for call, name in (
+            (lambda: design_power("CP", two, 2.0), "zo"),
+            (lambda: interim_power("CPi", two, 1.0, 2.0, 0.4), "zo"),
+            (lambda: interim_power("PPi", None, two, 2.0, 0.4), "zi"),
+            (lambda: cp(FixedDesign(two, 2.0)), "zo"),
+            (lambda: ippi(FixedDesign(2.0, 2.0), InterimState(two, 0.4)),
+             "zi")):
+        with pytest.raises(ValueError, match=f"^{name} must be a single "
+                                             "number$"):
+            call()
+    # a 0-d array is a single number
+    assert design_power("CP", one, 2.0) == design_power("CP", 1.0, 2.0)
+    assert (interim_power("IPPi", one, one, 2.0, 0.4)
+            == interim_power("IPPi", 1.0, 1.0, 2.0, 0.4))
+
+
+def _outcome(call):
+    """The repr of what ``call`` returns, which keeps every bit of a
+    float, or the text and the attributes of the ValueError it raises:
+    InfeasibleTarget's supremum, bit for bit."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc} {vars(exc)}"
+
+
+scalar_forms = st.sampled_from((float, np.float64, np.array))
+# mostly accepted values, with edges and a few that are refused
+any_z = st.floats(-40.0, 40.0) | st.sampled_from(
+    (-0.0, 1e-300, -40.0, 39.0, 8.0, math.nan))
+any_c = st.floats(5e-324, 1.7e308) | st.sampled_from(
+    (1e-9, 1.0, 1e9, 1e300, -1.0, math.inf))
+any_f = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(
+    (0.0, 1e-300, 0.4, 1.0 - 1e-16, 1.0))
+
+
+@settings(DRAWN, max_examples=600)
+@given(method=st.sampled_from(sorted(RESULTS)), both=st.booleans(),
+       values=st.tuples(any_z, any_z, any_c, any_f),
+       forms=st.tuples(*[scalar_forms] * 4))
+# CPi's inverse rule overflows to inf at this zo: an inf for a float zi,
+# a RuntimeWarning for a numpy one
+@example(method="CPi", both=False,
+         values=(-4.491292982265977e-288, 0.0, 0.5, 0.5),
+         forms=(float, np.float64, float, float))
+def test_a_float_a_numpy_float_and_a_0d_array_give_the_same_bits(
+        method, both, values, forms):
+    config = DesignConfig(both_tails=both)
+
+    def outcomes(zo, zi, c, f):
+        # solve_c aims at the power f, from c_stage1 = c at interim
+        if method in METHODS_INTERIM:
+            return (_outcome(lambda: interim_power(method, zo, zi, c, f,
+                                                   config)),
+                    _outcome(lambda: RESULTS[method](
+                        FixedDesign(zo, c), InterimState(zi, f), config)),
+                    _outcome(lambda: solve_c(SolveRequest(
+                        method, f, zo=zo, zi=zi, c_stage1=c,
+                        config=config))))
+        return (_outcome(lambda: design_power(method, zo, c, config)),
+                _outcome(lambda: RESULTS[method](FixedDesign(zo, c),
+                                                 config)),
+                _outcome(lambda: solve_c(SolveRequest(method, f, zo=zo,
+                                                      config=config))))
+    assert (outcomes(*(form(v) for form, v in zip(forms, values)))
+            == outcomes(*values))
+
+
 # the edge of every input: zo and zi from far tails to +-1e-300, sizes
 # from the smallest subnormal to the top of the doubles, interim
 # fractions at both ends, and configs at the extremes of alpha and the

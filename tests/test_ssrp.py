@@ -4,11 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from repower import (DatasetError, DesignConfig, FutilityRule,
+from repower import (METHODS_INTERIM, DatasetError, DesignConfig,
+                     FixedDesign, FutilityRule, InterimState,
                      InvariantViolation, REFERENCE_INTERIM_POWER_PCT,
-                     SsrpRecord, derive, fisher_z, futility_replay,
-                     load_csv, reproduce_design_powers,
-                     reproduce_interim_powers, std_normal_cdf)
+                     SsrpRecord, cli, derive, fisher_z, futility_decision,
+                     futility_replay, interim_power, load_csv,
+                     reproduce_design_powers, reproduce_interim_powers,
+                     std_normal_cdf)
 
 HEADER = ("study,ro,ri,rr,fiso,fisi,fisr,se_fiso,se_fisi,se_fisr,"
           "no,ni,nr,po,pi,pr")
@@ -106,6 +108,24 @@ def test_loader_errors_say_what_is_wrong(tmp_path, overrides, error, text):
     with pytest.raises(error) as exc:
         load_csv(_write(tmp_path, rows))
     assert str(exc.value).endswith(text)
+
+
+@pytest.mark.parametrize("ragged, text", [
+    (lambda row: row[:-1],
+     f"{STUDY}: 15 fields where the header has 16, no column 'pr'"),
+    (lambda row: row + ["7"], f"{STUDY}: 17 fields where the header has 16"),
+], ids=["short", "long"])
+def test_a_ragged_row_names_its_study_and_field_count(tmp_path, capsys,
+                                                       ragged, text):
+    row = ragged([_fields()[c] for c in HEADER.split(",")])
+    path = tmp_path / "ragged.csv"
+    path.write_text(HEADER + "\n" + ",".join(row) + "\n")
+    with pytest.raises(DatasetError) as exc:
+        load_csv(str(path))
+    assert str(exc.value) == text
+    assert cli.main(["ssrp", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {text}\n"
 
 
 def test_a_continued_study_needs_a_published_interim_power(tmp_path):
@@ -268,3 +288,26 @@ def test_futility_replay(records):
     stopped = {r.study.split()[0] for r in replay.rows if r.stop}
     assert stopped == {"Gervais", "Kidd", "Lee", "Shah", "Ramirez",
                        "Rand"}
+
+
+@pytest.mark.parametrize("config", [DesignConfig(),
+                                    DesignConfig(0.01, 0.3, True)])
+def test_report_rows_are_the_per_study_calls_bit_for_bit(records, config):
+    # the reports may evaluate the studies in any way, but must give
+    # the very floats one call per study gives
+    looks = {rec.study: derive(rec) for rec in records if rec.continued}
+    report = reproduce_interim_powers(records, config)
+    assert [r.study for r in report.rows] == sorted(looks)
+    for row in report.rows:
+        d = looks[row.study]
+        assert (row.cpi, row.ippi, row.ppi) == tuple(
+            100.0 * interim_power(m, d.zo, d.zi, d.c, d.f, config)
+            for m in METHODS_INTERIM)
+    for rule in (FutilityRule("IPPi", 0.3), FutilityRule("PPi", 0.1)):
+        replay = futility_replay(records, rule, config)
+        for row in replay.rows:
+            d = looks[row.study]
+            decision = futility_decision(FixedDesign(d.zo, d.c),
+                                         InterimState(d.zi, d.f), rule,
+                                         config)
+            assert (row.power, row.stop) == (decision.power, decision.stop)
