@@ -4,12 +4,16 @@
     python3 bench/layers.py --tree parent=../old/src --tree change=src \
         --out BENCH_21.json
 
-Each row times one call of one layer: the scalar closed forms
-(``design_power``, ``interim_power``), two results with their suprema
-(``cp``, ``ippi``), the case-study loader, its two reports and the full
-replay that perfbench's monitor workload runs.  A fixed pure-Python
-loop is timed beside them, so that numbers taken on different days or
-machines can be put on one scale: divide a row by the calibration row.
+Each row times one call of one layer: Phi on a float and on arrays of
+33, 1200 and 1e5 points, the scalar closed forms (``design_power``,
+``interim_power``), two results with their suprema (``cp``, ``ippi``),
+the case-study loader, its two reports and the full replay that
+perfbench's monitor workload runs.  The cold-start rows time one fresh
+interpreter each, as a subprocess: bare ``python3``, ``import repower``,
+``repower power`` and ``repower curve``; ``repower curve`` builds an
+array, and loads numpy, where the other two need none.  A fixed pure-Python loop is timed
+beside them, so that numbers taken on different days or machines can be
+put on one scale: divide a row by the calibration row.
 
 Every tree is measured in its own child process, ROUNDS times,
 alternating which tree goes first; a round takes SAMPLES samples per
@@ -17,7 +21,8 @@ row, each the mean of a loop long enough to last about 10 ms.  A row
 reports the median and the quartiles of all its samples, in
 microseconds per call.  With two or more trees the output also gives
 each row's median over the first tree's.  The scalar rows cycle
-through inputs drawn from SEED.  Nothing is fetched or written but
+through inputs drawn from SEED; Phi's inputs are uniform on (-8, 8),
+which spans Cody's three ranges.  Nothing is fetched or written but
 ``--out``.
 """
 import argparse
@@ -42,6 +47,23 @@ SAMPLES = 7
 SEED = 0
 
 
+# (row name, interpreter arguments) of the cold-start rows
+COLD_STARTS = (
+    ("python3", ["-c", "pass"]),
+    ("import repower", ["-c", "import repower"]),
+    ("repower power", ["-m", "repower.cli", "power", "--zo", "2.3", "--c",
+                       "1.5"]),
+    ("repower curve", ["-m", "repower.cli", "curve", "--method", "cp",
+                       "--zo", "2", "--c-range", "0.5:3:0.5"]),
+)
+
+
+def _cold(argv):
+    # the child's environment carries the tree's PYTHONPATH
+    subprocess.run([sys.executable, *argv], check=True,
+                   stdout=subprocess.DEVNULL)
+
+
 def _calibration():
     # a fixed amount of interpreter work: integer arithmetic in a loop
     x = 0
@@ -55,7 +77,8 @@ def _rows():
     import repower
     from repower import (FixedDesign, FutilityRule, InterimState, cp,
                          design_power, futility_replay, interim_power,
-                         ippi, load_csv, reproduce_interim_powers)
+                         ippi, load_csv, reproduce_interim_powers,
+                         std_normal_cdf)
 
     rng = random.Random(SEED)
     # looks at a non-significant interim, the case study's common case
@@ -64,6 +87,9 @@ def _rows():
              for _ in range(N_INPUTS)]
     designs = [(FixedDesign(zo, c), InterimState(zi, f))
                for zo, zi, c, f in looks]
+    xs = [rng.uniform(-8.0, 8.0) for _ in range(N_INPUTS)]
+    arrays = {n: numpy.random.default_rng(SEED).uniform(-8.0, 8.0, n)
+              for n in (33, 1200, 100_000)}
     records = load_csv()
     rules = (FutilityRule("IPPi", 0.2), FutilityRule("PPi", 0.2))
 
@@ -78,6 +104,9 @@ def _rows():
 
     return repower.__version__, [
         ("calibration", _calibration, 1),
+        ("Phi float", lambda: [std_normal_cdf(x) for x in xs], N_INPUTS),
+        *((f"Phi array {n}", lambda a=a: std_normal_cdf(a), 1)
+          for n, a in arrays.items()),
         ("design_power CP", each(
             lambda zo, zi, c, f: design_power("CP", zo, c)), N_INPUTS),
         ("interim_power IPPi", each(
@@ -90,6 +119,8 @@ def _rows():
          lambda: reproduce_interim_powers(records), 1),
         ("futility_replay", lambda: futility_replay(records, rules[0]), 1),
         ("replay", replay, 1),
+        *((f"cold start: {name}", lambda argv=argv: _cold(argv), 1)
+          for name, argv in COLD_STARTS),
     ]
 
 

@@ -27,14 +27,14 @@ public entry point applies ``finite``, ``positive``, ``unit`` or
 inputs reach the table as Python floats: ``Method.check`` returns the
 checked zo and zi as floats, ``design`` makes floats of scalar sizes
 with ``_float_or_array`` and keeps a config's alpha and shrinkage as
-floats, and the input rules compare a float directly; the parts also
-take arrays.
+floats, and the input rules compare a float directly.  The parts also
+take arrays: ``_sqrt`` is ``math.sqrt`` on a number and numpy's on an
+array, both correctly rounded, so a float stays a Python float and
+numpy is imported only where an array arrives.
 """
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .normal import std_normal_cdf
 
@@ -51,6 +51,7 @@ def _within(name, v, lo, hi, closed, rule):
     if isinstance(v, (float, int)):
         ok = ((v >= lo) if closed else (v > lo)) and v < hi
     else:
+        import numpy as np
         try:
             ok = ((v >= lo) if closed else (v > lo)) & (v < hi)
             ok = ok.all() if isinstance(ok, np.ndarray) else ok
@@ -64,6 +65,7 @@ def _float_or_array(v):
     """A number or a 0-d array as a Python float, else a float array."""
     if isinstance(v, (float, int)):
         return float(v)
+    import numpy as np
     v = np.asarray(v, dtype=float)
     return float(v) if v.ndim == 0 else v
 
@@ -78,11 +80,11 @@ def single(name, v):
 
 
 def finite(name, v):
-    _within(name, v, -np.inf, np.inf, False, "be finite")
+    _within(name, v, -math.inf, math.inf, False, "be finite")
 
 
 def positive(name, v):
-    _within(name, v, 0.0, np.inf, False, "be positive and finite")
+    _within(name, v, 0.0, math.inf, False, "be positive and finite")
 
 
 def unit(name, v, closed=False):
@@ -92,7 +94,15 @@ def unit(name, v, closed=False):
 
 def size(name, v):
     """A size the table divides by: at least the smallest normal double."""
-    _within(name, v, sys.float_info.min, np.inf, True, _SIZE_RULE)
+    _within(name, v, sys.float_info.min, math.inf, True, _SIZE_RULE)
+
+
+def _sqrt(v):
+    """The square root of a number, or of an array elementwise."""
+    if isinstance(v, (float, int)):
+        return math.sqrt(v)
+    import numpy as np
+    return np.sqrt(v)
 
 
 def _tail_power(t, z, both_tails):
@@ -146,12 +156,12 @@ def _quadratic(a, h, c, d, unsquared):
 
 def _ippi_limit(zd, zi, s, cfg):
     """IPPi as the remaining size x grows at fixed s."""
-    arg = np.sqrt(1.0 / (s + 1.0)) * zd + np.sqrt(s / (s + 1.0)) * zi
+    arg = _sqrt(1.0 / (s + 1.0)) * zd + _sqrt(s / (s + 1.0)) * zi
     return _tail_power(arg, 0.0, cfg.both_tails)
 
 
 def _cp(zd, zi, s, x, cfg):
-    return np.sqrt(x) * zd, cfg.z_alpha
+    return _sqrt(x) * zd, cfg.z_alpha
 
 
 def _cp_sup(zd, zi, s, f, cfg):
@@ -167,7 +177,7 @@ def _cp_inv(zd, zi, s, f, level, cfg):
 
 
 def _pp(zd, zi, s, x, cfg):
-    return np.sqrt(x / (x + 1.0)) * zd, np.sqrt(1.0 / (x + 1.0)) * cfg.z_alpha
+    return _sqrt(x / (x + 1.0)) * zd, _sqrt(1.0 / (x + 1.0)) * cfg.z_alpha
 
 
 def _pp_sup(zd, zi, s, f, cfg):
@@ -189,7 +199,7 @@ def _pp_inv(zd, zi, s, f, level, cfg):
 
 
 def _fbp(zd, zi, s, x, cfg):
-    return np.sqrt((x + 1.0) / x) * zd, np.sqrt(1.0 / x) * cfg.z_alpha_tilde
+    return _sqrt((x + 1.0) / x) * zd, _sqrt(1.0 / x) * cfg.z_alpha_tilde
 
 
 def _fbp_sup(zd, zi, s, f, cfg):
@@ -214,8 +224,8 @@ def _fbp_inv(zd, zi, s, f, level, cfg):
 
 
 def _cbp(zd, zi, s, x, cfg):
-    return ((x + 1.0) / np.sqrt(x) * zd,
-            np.sqrt((x + 1.0) / x) * cfg.z_alpha_tilde)
+    return ((x + 1.0) / _sqrt(x) * zd,
+            _sqrt((x + 1.0) / x) * cfg.z_alpha_tilde)
 
 
 def _cbp_peak(zd, k):
@@ -266,7 +276,7 @@ def _cbp_inv(zd, zi, s, f, level, cfg):
 
 def _cpi(zd, zi, s, x, cfg):
     q = s / x
-    return np.sqrt(x) * zd + np.sqrt(q) * zi, np.sqrt(1.0 + q) * cfg.z_alpha
+    return _sqrt(x) * zd + _sqrt(q) * zi, _sqrt(1.0 + q) * cfg.z_alpha
 
 
 def _cpi_sup(zd, zi, s, f, cfg):
@@ -313,9 +323,10 @@ def _ippi(zd, zi, s, x, cfg):
     # s + 1 original sizes
     r = x / (s + 1.0)
     q = s / x
-    w_o = np.sqrt(r / ((1.0 + r) * (s + 1.0)))
-    w_i = np.sqrt(q * (1.0 + r))
-    return w_o * zd + w_i * zi, np.sqrt((1.0 + q) / (1.0 + r)) * cfg.z_alpha
+    # divided in turn: (1 + r)(s + 1) overflows near the top of the doubles
+    w_o = _sqrt(r / (1.0 + r) / (s + 1.0))
+    w_i = _sqrt(q * (1.0 + r))
+    return w_o * zd + w_i * zi, _sqrt((1.0 + q) / (1.0 + r)) * cfg.z_alpha
 
 
 def _ippi_sup(zd, zi, s, f, cfg):
@@ -361,7 +372,7 @@ def _ppi(zd, zi, s, x, cfg):
     # FBP's weights at c = x / s, with the flat-analysis quantile in
     # place of the pooled one
     q = s / x
-    return np.sqrt(1.0 + q) * zi, np.sqrt(q) * cfg.z_alpha
+    return _sqrt(1.0 + q) * zi, _sqrt(q) * cfg.z_alpha
 
 
 def _ppi_sup(zd, zi, s, f, cfg):
@@ -446,12 +457,12 @@ METHODS = {m.tag: m for m in (
     # that its two terms near c cannot overflow in their sum
     Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup,
            _cpi_inv, "CP",
-           lambda c: 4.0 / (np.sqrt(4.0 + 1.0 / c) + 1.0 / np.sqrt(c)) ** 2),
+           lambda c: 4.0 / (_sqrt(4.0 + 1.0 / c) + 1.0 / _sqrt(c)) ** 2),
     Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup,
            None, "PP",
            lambda c: 1.0 / (0.5 * c + 2.0 + 0.5 / c + (0.5 + 0.5 / c)
-                            * np.sqrt(c + _3_MINUS_2_SQRT2)
-                            * np.sqrt(c + _3_PLUS_2_SQRT2))),
+                            * _sqrt(c + _3_MINUS_2_SQRT2)
+                            * _sqrt(c + _3_PLUS_2_SQRT2))),
     # a flat design prior only arises at interim, where the observed
     # stage-1 data replace it
     Method("PPi", ("flat", "flat"), ("zi",), _ppi, _ppi_sup,

@@ -24,10 +24,9 @@ import csv as _csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from . import __version__, _methods, design, interim, mc, solver, ssrp
 from .design import (DesignConfig, FixedDesign, METHODS_FIXED,
@@ -69,7 +68,7 @@ def _range_arg(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             "expected numeric start:stop:step") from None
-    if not all(np.isfinite(v) for v in (start, stop, step)):
+    if not all(math.isfinite(v) for v in (start, stop, step)):
         raise argparse.ArgumentTypeError("range values must be finite")
     if start <= 0.0 or stop <= start or step <= 0.0:
         raise argparse.ArgumentTypeError(
@@ -205,6 +204,7 @@ def _cmd_curve(args):
     # a fixed design is the case s = 0, with the whole grid still to come
     axis, rng, zi, s = (("nj_ratio", args.nj_range, args.zi, args.c_stage1)
                         if entry.interim else ("c", args.c_range, None, 0.0))
+    import numpy as np
     start, stop, step = rng
     grid = start + step * np.arange(np.floor((stop - start) / step + 1e-9) + 1)
     _methods.size(axis, grid)

@@ -36,10 +36,9 @@ public inputs (c, f) become s = c * f and x = c * (1 - f) in one place,
 over the remaining size evaluate the table at (s, x) directly (``_at``,
 ``_along``), as does ``_supremum``.
 """
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import _methods
 from .normal import std_normal_cdf, std_normal_quantile
@@ -145,7 +144,7 @@ def _power(method, zo, zi, c, f, config, interim=None):
     and interim fraction f, vectorized over both; checks every input."""
     entry = _methods._lookup(method, interim)
     out = _at(entry, *_inputs(entry, zo, zi, c, f), config)
-    return out if isinstance(out, np.ndarray) else float(out)
+    return float(out) if isinstance(out, float) else out
 
 
 def _inputs(entry, zo, zi, c, f):
@@ -196,16 +195,17 @@ def design_power(method, zo, c, config=DEFAULT_CONFIG):
     return _power(method, zo, None, c, None, config, interim=False)
 
 
-def _numeric_supremum(curve, grid, vals, level=np.inf):
+def _numeric_supremum(curve, grid, vals, level=math.inf):
     """Largest value of ``curve`` from a log grid and its values, and
     the first cell (a, b, f(a), f(b)) where f reaches ``level``, or
     None; till one does, zooms on the largest value (NaN aside) with a
     33-point log grid over its two cells to a log spacing below 1e-6.
     """
-    best, t = -np.inf, None     # t: the log grid, taken on a zoom
+    import numpy as np
+    best, t = -math.inf, None   # t: the log grid, taken on a zoom
     while True:
         i = int(vals.argmax())      # stops at a NaN: then skip them
-        i = i if vals[i] == vals[i] else int(np.fmax(vals, -np.inf).argmax())
+        i = i if vals[i] == vals[i] else int(np.fmax(vals, -math.inf).argmax())
         if vals[i] >= level:
             j = max(int((vals >= level).argmax()), 1)
             return best, (grid[j - 1], grid[j], vals[j - 1], vals[j])
@@ -258,6 +258,7 @@ def _supremum(entry, zd, zi, s, config, f=None):
     rule = entry.sup(zd, zi, s, f, config)
     if not isinstance(rule, tuple):
         return rule
+    import numpy as np
     curve, finish = _along(entry, zd, zi, 1e6, f, config)
     grid = np.geomspace(1e-12, 1e12, 481)
     best, _ = _numeric_supremum(curve, grid, curve(grid))
@@ -338,7 +339,7 @@ def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
         raise ValueError("FBP and CBP only cross for a positive original z")
     zat = config.z_alpha_tilde
     zz = zd * zd        # 0 for a tiny zd, whose crossing lies beyond floats
-    c = float((zat + zd) * (zat - zd) / zz) if zz > 0.0 else np.inf
+    c = float((zat + zd) * (zat - zd) / zz) if zz > 0.0 else math.inf
     return CrossingPoint(c, c > 0.0)
 
 
@@ -366,7 +367,7 @@ def fbp_minimum(zo, config=DEFAULT_CONFIG):
             "significant at the pooled level alpha_tilde")
     gap = (zd + zat) * (zd - zat)
     c = float(gap / (zat * zat))
-    power = float(std_normal_cdf(np.sqrt(gap)))
+    power = float(std_normal_cdf(math.sqrt(gap)))
     return PowerMinimum(c, power)
 
 

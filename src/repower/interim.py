@@ -19,9 +19,8 @@ each method's required inputs and supremum rules, in the method table
 of ``_methods``.  ``weight_dominance_threshold`` exposes which source
 dominates as the interim fraction grows.
 """
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _methods, design
 from .design import DEFAULT_CONFIG, METHODS_INTERIM, shrunken_zo
@@ -106,6 +105,7 @@ def weight_dominance_threshold(method, c):
     For f below the returned value the ``zo`` weight exceeds the ``zi``
     weight; above it the interim dominates.
     """
+    import numpy as np
     c = np.asarray(c, dtype=float)
     _methods.positive("c", c)
     entry = _methods.METHODS.get(method)
@@ -140,17 +140,17 @@ def ppi_minimum(zi, config=DEFAULT_CONFIG):
     if zi + za <= 0.0:
         raise ValueError(
             "PPi has an interior minimum only for a significant interim")
-    return float(std_normal_cdf(np.sqrt((zi + za) * (zi - za))))
+    return float(std_normal_cdf(math.sqrt((zi + za) * (zi - za))))
 
 
 @dataclass(frozen=True)
 class InterimPowerCurve:
     """Interim power of all three methods over a remaining-size grid."""
 
-    nj_ratio: np.ndarray
-    cpi: np.ndarray
-    ippi: np.ndarray
-    ppi: np.ndarray
+    nj_ratio: "numpy.ndarray"
+    cpi: "numpy.ndarray"
+    ippi: "numpy.ndarray"
+    ppi: "numpy.ndarray"
 
 
 def remaining_n_curve(zo, zi, c_stage1, nj_ratio, config=DEFAULT_CONFIG):
@@ -170,6 +170,7 @@ def remaining_n_curve(zo, zi, c_stage1, nj_ratio, config=DEFAULT_CONFIG):
     -------
     InterimPowerCurve
     """
+    import numpy as np
     x = np.asarray(nj_ratio, dtype=float)
     _methods.positive("nj_ratio", x)
     _methods.size("nj_ratio", x)

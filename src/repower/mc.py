@@ -22,9 +22,9 @@ counter-based generator, and only integer success counts are reduced.
 Results are therefore identical whether batches run sequentially or in
 parallel, and independent of batch scheduling.
 """
+import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _methods, design
 from .design import DEFAULT_CONFIG, shrunken_zo
@@ -50,10 +50,10 @@ class SimSpec:
     def __post_init__(self):
         entry = _methods._lookup(self.method)
         _methods.positive("c", self.c)
-        if not (isinstance(self.n_sims, (int, np.integer))
+        if not (isinstance(self.n_sims, numbers.Integral)
                 and self.n_sims >= 1000):
             raise ValueError("n_sims must be an integer of at least 1000")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "n_sims", int(self.n_sims))
         object.__setattr__(self, "seed", int(self.seed))
@@ -102,12 +102,14 @@ def _normals(gen, size):
 
 
 def _batch_generator(seed, index):
+    import numpy as np
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(seq))
 
 
 def _batch_successes(spec, gen, size):
     """Successes in one batch, drawn and judged as ``Method.priors`` say."""
+    import numpy as np
     cfg = spec.config
     design_prior, analysis_prior = _methods.METHODS[spec.method].priors
     n_o = spec.n_o
@@ -115,25 +117,25 @@ def _batch_successes(spec, gen, size):
     n_i = 0.0 if spec.f is None else spec.f * n_r     # fixed: n_i = 0
     n_j = n_r - n_i
     if spec.zo is not None:
-        theta_d = shrunken_zo(spec.zo, cfg) / np.sqrt(n_o)
-    theta_i = spec.zi / np.sqrt(n_i) if n_i else None
+        theta_d = shrunken_zo(spec.zo, cfg) / math.sqrt(n_o)
+    theta_i = spec.zi / math.sqrt(n_i) if n_i else None
     if design_prior == "point":
         theta = theta_d
     elif design_prior == "flat":        # the stage-1 data alone
-        theta = theta_i + _normals(gen, size) / np.sqrt(n_i)
+        theta = theta_i + _normals(gen, size) / math.sqrt(n_i)
     elif n_i:                           # the original updated by stage 1
         post = (n_o * theta_d + n_i * theta_i) / (n_o + n_i)
-        theta = post + _normals(gen, size) / np.sqrt(n_o + n_i)
+        theta = post + _normals(gen, size) / math.sqrt(n_o + n_i)
     else:
-        theta = theta_d + _normals(gen, size) / np.sqrt(n_o)
-    ybar = theta + _normals(gen, size) / np.sqrt(n_j)
+        theta = theta_d + _normals(gen, size) / math.sqrt(n_o)
+    ybar = theta + _normals(gen, size) / math.sqrt(n_j)
     if analysis_prior == "normal":      # pooled with the original
         post = (n_o * theta_d + n_r * ybar) / (n_o + n_r)
-        stat, z_crit = post * np.sqrt(n_o + n_r), cfg.z_alpha_tilde
+        stat, z_crit = post * math.sqrt(n_o + n_r), cfg.z_alpha_tilde
     else:
         if n_i:                         # the mean over both stages
             ybar = (n_i * theta_i + n_j * ybar) / n_r
-        stat, z_crit = ybar * np.sqrt(n_r), cfg.z_alpha
+        stat, z_crit = ybar * math.sqrt(n_r), cfg.z_alpha
     success = stat > -z_crit
     if cfg.both_tails:
         success = success | (stat < z_crit)
@@ -157,7 +159,7 @@ def simulate_power(spec):
         done += size
         index += 1
     p = successes / spec.n_sims
-    std_err = float(np.sqrt(p * (1.0 - p) / spec.n_sims))
+    std_err = math.sqrt(p * (1.0 - p) / spec.n_sims)
     return SimResult(method=spec.method, estimate=p, std_err=std_err,
                      n_sims=spec.n_sims, n_success=successes,
                      seed=spec.seed)

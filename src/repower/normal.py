@@ -2,22 +2,36 @@
 
 All power formulas in this package reduce to Phi evaluated at a linear
 combination of z-statistics, so everything funnels through the two
-functions below, which need nothing beyond numpy and the standard
-library.
+functions below.
 
 ``std_normal_cdf`` is W. J. Cody's rational Chebyshev approximation of
 erfc (Cody 1969, "Rational Chebyshev approximations for the error
 function", Math. Comp. 23, 631-637; the CALERF routine of SPECFUN) on
 y = |x| / sqrt(2), in its three ranges y <= 0.46875, y <= 4 and y > 4.
 It yields Phi(-|x|), and Phi(x) is that or one minus it.  The factor
-exp(-x^2 / 2) of the two outer ranges is computed from x itself, split
-into a head xh = trunc(16 |x|) / 16 whose square is exact and a tail
-d = (|x| - xh)(|x| + xh), as exp(-xh^2 / 2) exp(-d / 2), so no rounding
-of x / sqrt(2) is squared.  Phi(x) then keeps a relative error of about
-4 * 2^-52 or less for every x down to underflow (x near -38.5); the
-rounding of Cody's Horner sums is most of it.  One kernel evaluates a
-range for a float and for an array alike, so the two agree bit for bit;
-a float only skips the array checks.
+exp(-x^2 / 2) of the two outer ranges is computed from x itself, without
+rounding x^2: with a head xh = k / 16, k the nearest integer to 16 |x|,
+and a tail dl = |x| - xh, x^2 = xh^2 + 2 xh dl + dl^2, where all but
+dl^2 are exact.  Its exp is Tang's table-driven method (ACM TOMS 15,
+144-157, 1989), with a reduction after Cody and Waite: n is the nearest
+integer to x^2 512 / ln 2, and s = x^2 - n ln 2 / 512 is formed from
+those terms and ln 2 / 512 in a high and a low part, so that it rounds
+by less than 2^-61.  Then
+
+    exp(-x^2 / 2) = 2^m T[j] (1 + q(s)),   -n = 1024 m + j, 0 <= j < 1024,
+
+where T[j] = 2^(j / 1024), |s| <= ln 2 / 1024, and q is the degree-4
+Taylor polynomial of exp(-s / 2) - 1, off by less than 2^-60.  The power
+of two scales exactly, so the table and the polynomial round once each,
+and the scaling only where the result is subnormal.  The table is built
+once, from ``2.0 ** (j / 1024)``, as a Python list.  Phi(x) then keeps
+a relative error of about 4 * 2^-52 or less for every x down to
+underflow (x near -38.5); the rounding of Cody's Horner sums is most of
+it.  One kernel evaluates a range for a float and for an array alike,
+with the same IEEE operations in the same order, an array indexing a
+numpy copy of the table, so the two agree bit for bit.  A float needs
+nothing beyond the standard library; numpy is imported where an array
+is built.
 
 ``std_normal_quantile`` is Wichura's AS241 (PPND16, Applied Statistics
 37, 477-484, 1988), as the standard library's
@@ -31,11 +45,10 @@ floats; an array is mapped element by element.
 
 Functions accept scalars or numpy arrays and return matching types.
 """
+import functools
 import math
 import statistics
 import sys
-
-import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -74,11 +87,31 @@ _CODY = (
 )
 _CODY_REST = [tuple(zip(num[2:], den[2:])) for num, den in _CODY]
 # the range bounds y = 0.46875 and y = 4 on |x| = sqrt(2) y
-_CODY_BOUNDS = (0.46875 * _SQRT2, 4.0 * _SQRT2)
+_CODY_LOW, _CODY_HIGH = 0.46875 * _SQRT2, 4.0 * _SQRT2
 _as241 = statistics.NormalDist().inv_cdf
+# Tang's table, with the factor 1/2 of Phi(-x) = erfc(y) / 2 folded
+# in, and ln 2 / 512 in two parts: the high part has 29 significant
+# bits, so its product with any n < 2^21 (|x| <= _X_MAX gives n < 1.2e6)
+# is exact
+_EXP2 = [2.0 ** (j / 1024.0 - 1.0) for j in range(1024)]
+_LN2_HI = 1.3538030834752135e-3         # 0x1.62e42fep-10
+_LN2_LO = 3.5559296845784106e-12        # ln 2 / 512 - _LN2_HI
+_LN2_LO_HI = _LN2_LO / _LN2_HI
+_INV_LN2 = -512.0 / math.log(2.0)
+
+
+@functools.cache
+def _array_tables():
+    """For arrays: a numpy copy of the table, rint in place, rint to
+    indices, and ldexp in place (numpy's loop takes 32-bit exponents)."""
+    import numpy as np
+    return (np.array(_EXP2), lambda v: np.rint(v, out=v),
+            lambda v: np.rint(v, out=v).astype(np.intp),
+            lambda w, m: np.ldexp(w, m.astype(np.int32), out=w))
 
 
 def _as_float_array(x, name):
+    import numpy as np
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
         raise ValueError(f"{name} must not contain NaN")
@@ -86,63 +119,121 @@ def _as_float_array(x, name):
 
 
 def _scalar_or_array(out, *inputs):
+    import numpy as np
     if all(np.isscalar(v) or np.ndim(v) == 0 for v in inputs):
         return float(out)
     return out
 
 
-def _lower(ax, j):
-    """Phi(-ax) for a float ax, or an array of them, in Cody's range j;
-    0 <= ax <= _X_MAX."""
+def _cody(ax, band):
+    """Cody's approximation in range ``band`` at a float ax, or an array
+    of them, 0 <= ax <= _X_MAX: Phi(-ax) itself in range 0, else the
+    factor r of Phi(-ax) = r exp(-ax^2 / 2) / 2."""
     y = ax / _SQRT2
-    v = y * y if j == 0 else y if j == 1 else 1.0 / (y * y)
-    num, den = _CODY[j]
+    v = y * y if band == 0 else y if band == 1 else 1.0 / (y * y)
+    num, den = _CODY[band]
     # Horner in place; the denominators lead with 1, and 1 * v is v
     p = num[0] * v
     p += num[1]
     q = v + den[1]
-    for a, b in _CODY_REST[j]:
+    for a, b in _CODY_REST[band]:
         p *= v
         p += a
         q *= v
         q += b
-    r = p / q
-    if j == 0:
+    r = p
+    r /= q
+    if band == 0:
         return 0.5 - 0.5 * (y * r)
-    if j == 2:
+    if band == 2:
         r = (_INV_SQRT_PI - v * r) / y
-    # trunc(16 ax) / 16, as floor division keeps a float a Python float
-    xh = 16.0 * ax // 1.0 / 16.0
-    d = (ax - xh) * (ax + xh)
-    return 0.5 * (np.exp(-0.5 * xh * xh) * np.exp(-0.5 * d) * r)
+    return r
+
+
+def _gauss(ax, r, tables=(_EXP2, round, round, math.ldexp)):
+    """r exp(-ax^2 / 2) / 2 for a float ax, or an array of them, 0 <= ax
+    <= _X_MAX, to the accuracy of the module docstring for ax beyond
+    Cody's first range.  ``tables`` holds the table, rint, rint to
+    indices and ldexp for the type of ax, by default for a float.  In
+    place on an array, where on a float the same operations rebind, so
+    the two agree bit for bit."""
+    table, rint, nint, ldexp = tables
+    h = rint(16.0 * ax)
+    h *= 0.0625
+    dl = ax - h
+    e = h * h
+    h *= dl
+    h += h
+    dl *= dl
+    # -n, with n of the module docstring
+    n = nint(ax * ax * _INV_LN2)
+    # s: xh^2 - n ln2_hi is exact, a multiple of 2^-38 below 8, and so is
+    # its sum with 2 xh dl, a multiple of 2^-56 below 2^-9; n ln2_lo,
+    # below 2^-17, is taken as (n ln2_hi) (ln2_lo / ln2_hi)
+    t = n * _LN2_HI
+    e += t
+    e += h
+    t *= _LN2_LO_HI
+    e += t
+    e += dl
+    # exp(-s / 2) - 1
+    q = e * (1.0 / 384.0)
+    q -= 1.0 / 48.0
+    q *= e
+    q += 0.125
+    q *= e
+    q -= 0.5
+    q *= e
+    w = table[n & 1023]
+    q *= w
+    w += q
+    w *= r
+    return ldexp(w, n >> 10)
 
 
 def _cdf_float(x):
     """Phi(x) for a float x that is not NaN."""
-    ax = min(abs(x), _X_MAX)
-    lower = float(_lower(ax, (ax > _CODY_BOUNDS[0]) + (ax > _CODY_BOUNDS[1])))
+    ax = abs(x)
+    if ax > _X_MAX:
+        ax = _X_MAX
+    if ax <= _CODY_LOW:
+        lower = _cody(ax, 0)
+    else:
+        lower = _gauss(ax, _cody(ax, 1 if ax <= _CODY_HIGH else 2))
     return lower if x < 0.0 else 1.0 - lower
 
 
 def _cdf_array(x):
     """Phi over a 1-d float array without NaN; see the module docstring."""
-    ax = np.minimum(np.abs(x), _X_MAX)
-    k = np.searchsorted(_CODY_BOUNDS, ax)
+    import numpy as np
+    ax = np.abs(x)
+    np.minimum(ax, _X_MAX, out=ax)
+    # each point's range, 0, 1 or 2
+    k = (ax > _CODY_LOW).astype(np.int8)
+    k += ax > _CODY_HIGH
     lo, hi = int(k.min(initial=0)), int(k.max(initial=0))
     if lo == hi:
-        lower = _lower(ax, lo)
+        lower = _cody(ax, lo)
     else:
         lower = np.empty_like(ax)
         for j in range(lo, hi + 1):
             sel = k == j
-            lower[sel] = _lower(ax[sel], j)
-    return np.where(x < 0.0, lower, 1.0 - lower)
+            lower[sel] = _cody(ax[sel], j)
+    if hi > 0:
+        # the outer ranges' factor on every point, and range 0's kept
+        outer = _gauss(ax, lower, _array_tables())
+        if lo == 0:
+            np.copyto(outer, lower, where=k == 0)
+        lower = outer
+    out = 1.0 - lower
+    np.copyto(out, lower, where=x < 0.0)
+    return out
 
 
 def std_normal_cdf(x):
     """Phi(x), the standard normal distribution function."""
     if isinstance(x, float):
-        if math.isnan(x):
+        if x != x:
             raise ValueError("x must not contain NaN")
         return _cdf_float(float(x))
     arr = _as_float_array(x, "x")
@@ -152,6 +243,7 @@ def std_normal_cdf(x):
 
 def std_normal_pdf(x):
     """phi(x), the standard normal density."""
+    import numpy as np
     arr = _as_float_array(x, "x")
     out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
     return _scalar_or_array(out, x)
@@ -184,6 +276,7 @@ def std_normal_quantile(p):
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie strictly between 0 and 1")
         return _quantile_float(float(p))
+    import numpy as np
     arr = _as_float_array(p, "p")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("p must lie strictly between 0 and 1")
@@ -194,6 +287,7 @@ def std_normal_quantile(p):
 
 def fisher_z(r):
     """Fisher z-transform atanh(r) of a correlation, |r| < 1."""
+    import numpy as np
     arr = _as_float_array(r, "r")
     if np.any(np.abs(arr) >= 1.0):
         raise ValueError("correlations must satisfy |r| < 1")
@@ -203,6 +297,7 @@ def fisher_z(r):
 
 def fisher_z_inv(z):
     """Back-transform tanh(z) from the Fisher scale to a correlation."""
+    import numpy as np
     arr = _as_float_array(z, "z")
     out = np.tanh(arr)
     return _scalar_or_array(out, z)
@@ -221,6 +316,7 @@ def p_to_z(p, direction=1):
     if isinstance(p, float) and 0.0 < p < 1.0 and \
             isinstance(direction, (int, float)) and direction in (1, -1):
         return -float(direction) * std_normal_quantile(p / 2.0)
+    import numpy as np
     arr = _as_float_array(p, "p")
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("p must lie strictly between 0 and 1")
@@ -234,6 +330,7 @@ def p_to_z(p, direction=1):
 
 def z_to_p(z):
     """Two-sided p-value of a z-statistic."""
+    import numpy as np
     arr = _as_float_array(z, "z")
     out = 2.0 * std_normal_cdf(-np.abs(arr))
     return _scalar_or_array(out, z)

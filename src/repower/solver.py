@@ -21,11 +21,10 @@ and Phi is applied to the result only.  If the target exceeds the least
 upper bound of the curve, ``InfeasibleTarget`` is raised carrying that
 bound.
 """
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import _methods, design
 from .design import DEFAULT_CONFIG
@@ -34,9 +33,6 @@ from .normal import std_normal_cdf, std_normal_quantile
 
 C_CAP = 1e9
 _C_MIN = 1e-9
-# the scan grid of every request without c_stage1 or a c_lower above 1e-9
-_GRID = np.geomspace(_C_MIN, C_CAP, 1200)
-_GRID.setflags(write=False)
 FUTILITY_METHODS = ("IPPi", "PPi")
 
 
@@ -78,7 +74,7 @@ class SolveRequest:
 
     def __post_init__(self):
         _methods.unit("target_power", self.target_power)
-        _methods._within("c_lower", self.c_lower, 0.0, np.inf, True,
+        _methods._within("c_lower", self.c_lower, 0.0, math.inf, True,
                          "be finite and nonnegative")
         entry = _methods._lookup(self.method)
         zo, zi = entry.check(self.zo, self.zi, (self.f, self.c_stage1))
@@ -289,13 +285,16 @@ def solve_c(request):
     rising = cell[3] >= level
     u, value = _refine(fn, level, *cell)
     # Phi is not monotone at the ulp scale, so a value at or above level
-    # can still fall short: walk on by ulps to where the power meets the
-    # target
+    # can still fall short: walk on to where the power meets the target,
+    # by 1, 2, 4, ... ulps of u, as a flat curve moves less than an ulp
+    # of its value per ulp of u
     power = finish(value)
-    for _ in range(64):
+    step = 0.0
+    for _ in range(7):
         if power >= target:
             break
-        u = math.nextafter(u, math.inf if rising else -math.inf)
+        step = step + step or math.ulp(u)
+        u = u + step if rising else u - step
         power = finish(float(fn(u)))
     c = s + u
     if c == s != 0.0:
@@ -322,8 +321,9 @@ def _scan(fn, finish, r, entry, zd, s, level, start, stop):
     stop, zoomed, across which the curve crosses ``level``, and the path:
     "scan", or "lower bound" with the cell (start, start, f(start),
     f(start)) where the curve never drops below level."""
+    import numpy as np
     target = r.target_power
-    grid = _GRID if (start, stop) == (_C_MIN, C_CAP) else (
+    grid = _grid() if (start, stop) == (_C_MIN, C_CAP) else (
         np.geomspace(start, stop, 1200) if start < stop
         else np.array([start]))
     vals = np.asarray(fn(grid), dtype=float)
@@ -346,6 +346,16 @@ def _scan(fn, finish, r, entry, zd, s, level, start, stop):
         return (*map(float, (grid[0], grid[0], vals[0], vals[0])),
                 "lower bound")
     return (*map(float, cell), "scan")
+
+
+@functools.cache
+def _grid():
+    """The scan grid of every request without c_stage1 or a c_lower
+    above 1e-9, built on the first scan."""
+    import numpy as np
+    grid = np.geomspace(_C_MIN, C_CAP, 1200)
+    grid.setflags(write=False)
+    return grid
 
 
 def _span(request, s):

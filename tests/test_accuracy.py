@@ -142,3 +142,55 @@ def test_dominance_threshold_at_extreme_c(method, sizes):
                                * mpmath.sqrt(k * k + 6 * k + 1))
             got = weight_dominance_threshold(method, c)
             assert abs(got - ref) <= 1e-14 * ref, c
+
+
+def _around(v, n=4):
+    """v and its n neighbouring doubles on either side."""
+    out = [v]
+    for direction in (-math.inf, math.inf):
+        w = v
+        for _ in range(n):
+            w = math.nextafter(w, direction)
+            out.append(w)
+    return out
+
+
+def test_cdf_paths_agree_at_the_exp_seams():
+    # exp(-x^2 / 2) switches its head k / 16 halfway between heads, its
+    # table entry where x^2 512 / ln 2 passes a half-integer n + 1/2, and
+    # its power of two where n passes a multiple of 1024; Cody's ranges
+    # switch at 0.46875 sqrt(2) and 4 sqrt(2), and |x| is clamped at 40
+    seams = [k / 16.0 for k in range(10, 641)]
+    seams += [(k + 0.5) / 16.0 for k in range(10, 640)]
+    ln2 = math.log(2.0)
+    for n in (*range(160, 1_181_000, 997), *range(1024, 1_181_000, 1024)):
+        seams += [math.sqrt((n + 0.5) * ln2 / 512.0),
+                  math.sqrt((n - 0.5) * ln2 / 512.0)]
+    seams += [0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0), 40.0]
+    xs = [s * x for v in seams for x in _around(v) for s in (1.0, -1.0)]
+    assert len(xs) > 40_000
+    assert std_normal_cdf(np.array(xs)).tolist() == \
+        [std_normal_cdf(x) for x in xs]
+
+
+def test_exp_table_within_an_ulp():
+    from repower.normal import _EXP2
+    assert len(_EXP2) == 1024
+    with mpmath.workdps(40):
+        for j, t in enumerate(_EXP2):
+            ref = mpmath.mpf(2) ** (mpmath.mpf(j) / 1024 - 1)
+            assert abs(t - ref) <= math.ulp(t), j
+
+
+# the worst relative error of Phi, in units of 2^-52, while its exp was
+# numpy's: 4.137 at x = -3.2224232104719137, over 600 000 x drawn on
+# (-37, 7) and checked against mpmath
+NUMPY_EXP_WORST = 4.14
+
+
+@DRAWN
+@given(st.floats(-37.0, 37.0))
+def test_cdf_no_less_accurate_than_before_the_tables(x):
+    with mpmath.workdps(30):
+        ref = mpmath.ncdf(x)
+        assert abs(std_normal_cdf(x) - ref) <= NUMPY_EXP_WORST * UNIT * ref, x
