@@ -6,14 +6,22 @@
 
 Each row times one call of one layer: Phi on a float and on arrays of
 33, 1200 and 1e5 points, the scalar closed forms (``design_power``,
-``interim_power``), two results with their suprema (``cp``, ``ippi``),
-the case-study loader, its two reports and the full replay that
-perfbench's monitor workload runs.  The cold-start rows time one fresh
-interpreter each, as a subprocess: bare ``python3``, ``import repower``,
-``repower power`` and ``repower curve``; ``repower curve`` builds an
-array, and loads numpy, where the other two need none.  A fixed pure-Python loop is timed
-beside them, so that numbers taken on different days or machines can be
-put on one scale: divide a row by the calibration row.
+``interim_power``), three results with their suprema (``cp``, ``ippi``,
+and ``cpi`` with both tails at a zero original), ``solve_c`` on each of
+its paths, ``simulate_power`` at 1e5 draws, the case-study loader, its
+two reports and the full replay that perfbench's monitor workload runs.
+The solver rows are: the one-tail inverse path (CP); the both-tail
+fixed-design cell, one row per method, on planning questions like
+perfbench's plan workload (a target just under the power at a size
+drawn from 0.1 to 20, on a curve that rises from the bottom of the
+axis); the scan (IPPi at a fixed c_stage1); and an infeasible IPPi
+request at a fixed f with both tails, which scans and zooms.  The
+cold-start rows time one fresh interpreter each, as a subprocess: bare
+``python3``, ``import repower``, ``repower power`` and ``repower
+curve``; ``repower curve`` builds an array, and loads numpy, where the
+other two need none.  A fixed pure-Python loop is timed beside them,
+so that numbers taken on different days or machines can be put on one
+scale: divide a row by the calibration row.
 
 Every tree is measured in its own child process, ROUNDS times,
 alternating which tree goes first; a round takes SAMPLES samples per
@@ -75,10 +83,11 @@ def _calibration():
 def _rows():
     """(name, callable, calls per invocation) of every timed row."""
     import repower
-    from repower import (FixedDesign, FutilityRule, InterimState, cp,
+    from repower import (DesignConfig, FixedDesign, FutilityRule,
+                         InterimState, SimSpec, SolveRequest, cp, cpi,
                          design_power, futility_replay, interim_power,
-                         ippi, load_csv, reproduce_interim_powers,
-                         std_normal_cdf)
+                         ippi, load_csv, p_to_z, reproduce_interim_powers,
+                         simulate_power, solve_c, std_normal_cdf)
 
     rng = random.Random(SEED)
     # looks at a non-significant interim, the case study's common case
@@ -90,6 +99,49 @@ def _rows():
     xs = [rng.uniform(-8.0, 8.0) for _ in range(N_INPUTS)]
     arrays = {n: numpy.random.default_rng(SEED).uniform(-8.0, 8.0, n)
               for n in (33, 1200, 100_000)}
+    # both-tail CPi at a zero original: 11 of the 32 looks peak inside
+    both = DesignConfig(both_tails=True)
+    zero_looks = [(FixedDesign(0.0, c), InterimState(rng.uniform(0.0, 1.95),
+                                                       f))
+                  for _, _, c, f in looks]
+
+    def plan(method, both_tails):
+        """N_INPUTS reachable planning requests of one method."""
+        out = []
+        while len(out) < N_INPUTS:
+            cfg = DesignConfig(alpha=rng.choice((0.05, 0.01, 0.005, 0.1)),
+                               shrinkage=rng.choice((0.0, 0.0, 0.1, 0.25)),
+                               both_tails=both_tails)
+            zo = p_to_z(10 ** rng.uniform(-6.0, -0.7),
+                        rng.choice((1, -1)) if both_tails else 1)
+            zd = abs(zo) * (1.0 - cfg.shrinkage)
+            target = round(0.999 * design_power(
+                method, zo, 10 ** rng.uniform(-1.0, 1.3), cfg), 6)
+            if (0.05 <= target <= 0.99 and zd + cfg.z_alpha_tilde < 0.0
+                    and design_power(method, zo, 1e-9, cfg) < target - 1e-3):
+                out.append(SolveRequest(method, target, zo=zo, config=cfg))
+        return out
+    solves = {f"solve_c both tails {m}": plan(m, True)
+              for m in ("CP", "PP", "FBP", "CBP")}
+    solves["solve_c inverse CP"] = plan("CP", False)
+    solves["solve_c scan IPPi c_stage1"] = [
+        SolveRequest("IPPi", target, zo=zo, zi=zi, c_stage1=c * f)
+        for (zo, zi, c, f), target in zip(
+            looks, (rng.uniform(0.3, 0.7) for _ in looks))
+        if interim_power("IPPi", zo, zi, 1e9, c * f / 1e9) > target]
+    # the three interior peaks of both-tail IPPi at a fixed f, over 0.99
+    solves["solve_c IPPi at f infeasible"] = [
+        SolveRequest("IPPi", 0.99, zo=zo, zi=zi, f=f, config=both)
+        for zo, zi, f in ((2.0, 1.0, 0.75), (-1.5, -1.0, 0.5),
+                          (2.0, 1.0, 0.25))]
+
+    def infeasible(request):
+        try:
+            solve_c(request)
+        except ValueError:
+            return
+        raise AssertionError(f"{request} was solved")
+    sim = SimSpec("PP", 1.3, zo=2.2, n_sims=100_000, seed=3)
     records = load_csv()
     rules = (FutilityRule("IPPi", 0.2), FutilityRule("PPi", 0.2))
 
@@ -114,6 +166,13 @@ def _rows():
          N_INPUTS),
         ("cp", lambda: [cp(d) for d, _ in designs], N_INPUTS),
         ("ippi", lambda: [ippi(d, s) for d, s in designs], N_INPUTS),
+        ("cpi both tails zo=0",
+         lambda: [cpi(d, s, both) for d, s in zero_looks], N_INPUTS),
+        *((name, lambda reqs=reqs, call=(
+            infeasible if "infeasible" in name else solve_c): [
+                call(r) for r in reqs], len(reqs))
+          for name, reqs in solves.items()),
+        ("simulate_power PP 1e5", lambda: simulate_power(sim), 1),
         ("load_csv", load_csv, 1),
         ("reproduce_interim_powers",
          lambda: reproduce_interim_powers(records), 1),

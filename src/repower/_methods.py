@@ -13,24 +13,24 @@ config)`` and its inverse rule ``inverse(zd, zi, s, f, level,
 config)``: with ``f`` None a rule covers x growing at fixed s, else c
 growing at the fixed interim fraction f.  A supremum rule returns the
 supremum: a limit, or Phi at a root of the argument's slope
-(``_newton``); only both-tail CPi at zd = 0 over x and IPPi over c at a
-fixed f return the tuple of their limits, for the numeric search in
-``design``.  An inverse rule returns a finite estimate of the first size
-at which the one-tail argument reaches ``level`` on a rising piece from
-the bottom of the axis, or None; IPPi has none.  ``solver`` also calls
-the fixed-design rules at |zd|, and at zd = 0 where they invert z
-alone, to bound and estimate a both-tail crossing; they read only the
-critical values of the config, which do not depend on the tails
-counted.  The input rules live here too, each written once: every
-public entry point applies ``finite``, ``positive``, ``unit`` or
-``size`` to its arguments, and nothing below checks again.  Scalar
-inputs reach the table as Python floats: ``Method.check`` returns the
-checked zo and zi as floats, ``design`` makes floats of scalar sizes
-with ``_float_or_array`` and keeps a config's alpha and shrinkage as
-floats, and the input rules compare a float directly.  The parts also
-take arrays: ``_sqrt`` is ``math.sqrt`` on a number and numpy's on an
-array, both correctly rounded, so a float stays a Python float and
-numpy is imported only where an array arrives.
+(``_newton``); only IPPi over c at a fixed f returns the tuple of its
+limits, for the one numeric search, in ``solver``.  An inverse rule
+returns a finite estimate of the first size at which the one-tail
+argument reaches ``level`` on a rising piece from the bottom of the
+axis, or None; IPPi has none.  ``solver`` also calls the fixed-design
+rules at |zd|, and at zd = 0 where they invert z alone, to bound and
+estimate a both-tail crossing; they read only the critical values of
+the config, which do not depend on the tails counted.  The input rules
+live here too, each written once: every public entry point applies
+``finite``, ``positive``, ``unit`` or ``size`` to its arguments, and
+nothing below checks again.  Scalar inputs reach the table as Python
+floats: ``Method.check`` returns the checked zo and zi as floats,
+``design`` makes floats of scalar sizes with ``_float_or_array`` and
+keeps a config's alpha and shrinkage as floats, and the input rules
+compare a float directly.  The parts also take arrays: ``_sqrt`` is
+``math.sqrt`` on a number and numpy's on an array, both correctly
+rounded, so a float stays a Python float and numpy is imported only
+where an array arrives.
 """
 import math
 import sys
@@ -279,6 +279,39 @@ def _cpi(zd, zi, s, x, cfg):
     return _sqrt(x) * zd + _sqrt(q) * zi, _sqrt(1.0 + q) * cfg.z_alpha
 
 
+def _cpi_peak(a, k):
+    """Both-tail CPi's interior peak over q = s / x at zd = 0, or 0; a =
+    |zi| <= k = -z_alpha.  In sqrt(q) = sinh v it is Phi(-R cosh(v - p))
+    + Phi(-R cosh(v + p)), R^2 = (k - a)(k + a), tanh p = a / k: alpha at
+    v = 0 and falling past p.  Its slope has the sign of h = ln(sinh(p -
+    v) / sinh(p + v)) + a k sinh 2v, and h' the sign of -(R^2 c^2 - R^2
+    C c + 2), c = cosh 2v, C = cosh 2p: h falls from 0, rises between
+    the roots and falls to -inf at p.  A peak is the root of h past the
+    larger root, if h > 0 there, solved in d = p - v; below d = 1e-10
+    the power at d = 0 is the peak's to rounding."""
+    r2, kk, ak = (k - a) * (k + a), k * k + a * a, a * k
+    if r2 == 0.0:       # the edge of significance: 1/2 as q -> inf
+        return 0.5
+    # the larger root, or C / 2 where there are none
+    c = (kk + math.sqrt(max(kk * kk - 8.0 * r2, 0.0))) / (2.0 * r2)
+    if not c > 1.0:
+        return 0.0
+    two_p = math.log1p(2.0 * a / (k - a))
+    lo, hi = 1e-10, 0.5 * (two_p - math.acosh(c))
+
+    def h(d):
+        return (math.log(math.sinh(d)) - math.log(math.sinh(two_p - d))
+                + ak * math.sinh(two_p - 2.0 * d),
+                1.0 / math.tanh(d) + 1.0 / math.tanh(two_p - d)
+                - 2.0 * ak * math.cosh(two_p - 2.0 * d))
+    if hi > lo and not h(hi)[0] > 0.0:
+        return 0.0
+    d = _newton(h, lo, hi) if hi > lo and h(lo)[0] < 0.0 else 0.0
+    r = math.sqrt(r2)
+    return (std_normal_cdf(-r * math.cosh(d))
+            + std_normal_cdf(-r * math.cosh(two_p - d)))
+
+
 def _cpi_sup(zd, zi, s, f, cfg):
     # a significant interim forces success as nj -> 0, a counted point
     # effect as c grows
@@ -289,7 +322,7 @@ def _cpi_sup(zd, zi, s, f, cfg):
         # c -> 0 limit, where the zd term vanishes
         return _tail_power(*_cpi(0.0, zi, f, 1.0 - f, cfg), cfg.both_tails)
     if cfg.both_tails:      # zd = 0: a curve of q = s / x alone
-        return (_cp_sup(zd, zi, s, f, cfg),)
+        return max(cfg.alpha, _cpi_peak(abs(zi), -cfg.z_alpha))
     # one tail in u = x / s: the argument is -w sqrt(u) + zi / sqrt(u)
     # - k sqrt(1 + 1 / u), w = -zd sqrt(s) >= 0, k = -z_alpha, its slope
     # of the sign of -w u - zi + k / sqrt(1 + u), which falls, with its
@@ -331,8 +364,12 @@ def _ippi(zd, zi, s, x, cfg):
 
 def _ippi_sup(zd, zi, s, f, cfg):
     if f is not None:
-        # the original's weight vanishes as c grows at fixed f
-        return (_tail_power(*_ppi(zd, zi, f, 1.0 - f, cfg), cfg.both_tails),)
+        # the argument turns up to three times, and the both-tail power
+        # may peak anywhere: no rule, the limits only, for the search in
+        # ``solver``: as c -> 0 (CPi's without zd) and as c grows (the
+        # original's weight vanishes)
+        return (_tail_power(*_cpi(0.0, zi, f, 1.0 - f, cfg), cfg.both_tails),
+                _tail_power(*_ppi(zd, zi, f, 1.0 - f, cfg), cfg.both_tails))
     # both tails: Phi(a) + Phi(-a) = 1 as the quantile's weight vanishes
     if cfg.both_tails or _significant(zi, cfg):
         return 1.0

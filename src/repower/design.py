@@ -30,11 +30,12 @@ term.
 Each method, design-stage or interim, is defined once, in the method
 table of ``_methods``: its Phi argument in the stage sizes s (observed)
 and x (still to come), its required inputs and its supremum rule.  This
-module evaluates the table and builds every ``PowerResult``.  The
-public inputs (c, f) become s = c * f and x = c * (1 - f) in one place,
-``_inputs``, which also turns scalar inputs into Python floats; curves
-over the remaining size evaluate the table at (s, x) directly (``_at``,
-``_along``), as does ``_supremum``.
+module evaluates the table and builds every ``PowerResult``, whose
+supremum is the rule's (``_supremum``): it runs no search and builds no
+array of its own.  The public inputs (c, f) become s = c * f and x = c
+* (1 - f) in one place, ``_inputs``, which also turns scalar inputs
+into Python floats; curves over the remaining size evaluate the table
+at (s, x) directly (``_at``, and ``_along`` for ``solver``).
 """
 import math
 from dataclasses import dataclass
@@ -195,29 +196,6 @@ def design_power(method, zo, c, config=DEFAULT_CONFIG):
     return _power(method, zo, None, c, None, config, interim=False)
 
 
-def _numeric_supremum(curve, grid, vals, level=math.inf):
-    """Largest value of ``curve`` from a log grid and its values, and
-    the first cell (a, b, f(a), f(b)) where f reaches ``level``, or
-    None; till one does, zooms on the largest value (NaN aside) with a
-    33-point log grid over its two cells to a log spacing below 1e-6.
-    """
-    import numpy as np
-    best, t = -math.inf, None   # t: the log grid, taken on a zoom
-    while True:
-        i = int(vals.argmax())      # stops at a NaN: then skip them
-        i = i if vals[i] == vals[i] else int(np.fmax(vals, -math.inf).argmax())
-        if vals[i] >= level:
-            j = max(int((vals >= level).argmax()), 1)
-            return best, (grid[j - 1], grid[j], vals[j - 1], vals[j])
-        best = max(best, float(vals[i]))
-        t = np.log(grid) if t is None else t
-        if t.size < 2 or not t[1] - t[0] >= 1e-6:
-            return best, None
-        t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], 33)
-        grid = np.exp(t)
-        vals = curve(grid)
-
-
 def _along(entry, zd, zi, s, f, config):
     """The curve to search as the size grows, and the map from its
     values to powers.
@@ -242,27 +220,16 @@ def _along(entry, zd, zi, s, f, config):
 
 def _supremum(entry, zd, zi, s, config, f=None):
     """Least upper bound of a table entry's power as its size grows, at
-    the shrunken original z ``zd``.
+    the shrunken original z ``zd``: the method's rule (see ``_methods``).
 
     With ``f`` None the remaining size x grows at fixed s, else c grows
-    at the fixed interim fraction f (see ``_methods``).  The method's
-    rule gives the supremum, except for both-tail CPi at zd = 0, a curve
-    of q = s / x alone, and IPPi at a fixed f, which only ``solve_c``
-    asks for: there the numeric search runs, on the Phi argument when
-    one tail counts (see ``_along``), on a 481-point log grid in x at
-    s = 1e6 (q from 1e-6 to 1e18) or in c, from 1e-12 to 1e12.
+    at the fixed interim fraction f.  IPPi at a fixed f, which only
+    ``solve_c`` asks for, returns the tuple of its two limits instead.
     """
     if f is None and s == 0.0:
         # no interim data yet: CPi is CP and IPPi is PP in disguise
         entry = _methods.METHODS.get(entry.at_f0, entry)
-    rule = entry.sup(zd, zi, s, f, config)
-    if not isinstance(rule, tuple):
-        return rule
-    import numpy as np
-    curve, finish = _along(entry, zd, zi, 1e6, f, config)
-    grid = np.geomspace(1e-12, 1e12, 481)
-    best, _ = _numeric_supremum(curve, grid, curve(grid))
-    return min(1.0, max([finish(best), *rule]))
+    return entry.sup(zd, zi, s, f, config)
 
 
 def _result(method, fixed, state, config):

@@ -330,6 +330,8 @@ def p_to_z(p, direction=1):
 
 def z_to_p(z):
     """Two-sided p-value of a z-statistic."""
+    if isinstance(z, float) and z == z:     # NaN: refused below
+        return 2.0 * std_normal_cdf(-abs(z))
     import numpy as np
     arr = _as_float_array(z, "z")
     out = 2.0 * std_normal_cdf(-np.abs(arr))

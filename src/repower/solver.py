@@ -14,12 +14,13 @@ curves that start above the target or dip before they rise) a
 logarithmic grid is scanned up to where c reaches C_CAP, or ten times
 c_stage1 if that is larger, for the first upward or downward crossing;
 where no scanned size passes, it zooms in where the curve comes closest
-(``design._numeric_supremum``).  ``_refine`` then narrows any bracket
-by Illinois steps.  When one tail counts, the search runs on the Phi
-argument t + z against Phi^{-1} of the target (see ``design._along``),
-and Phi is applied to the result only.  If the target exceeds the least
-upper bound of the curve, ``InfeasibleTarget`` is raised carrying that
-bound.
+(``_numeric_supremum``, the package's one numeric search; every
+supremum a ``PowerResult`` carries comes from a rule of the method
+table).  ``_refine`` then narrows any bracket by Illinois steps.  When
+one tail counts, the search runs on the Phi argument t + z against
+Phi^{-1} of the target (see ``design._along``), and Phi is applied to
+the result only.  If the target exceeds the least upper bound of the
+curve, ``InfeasibleTarget`` is raised carrying that bound.
 """
 import functools
 import math
@@ -42,7 +43,9 @@ class InfeasibleTarget(ValueError):
     ``supremum`` is that bound, or the maximum over the sizes
     ``solve_c`` scans (c up to C_CAP, or to ten times c_stage1 if that
     is larger) where c_lower cuts the axis or the curve nears its bound
-    only beyond them.
+    only beyond them.  IPPi at a fixed f has no rule for its bound: it
+    is the larger of the zoomed maximum and the curve's limits as c ->
+    0 and as c grows, where that stays below the target.
     """
 
     def __init__(self, target, supremum):
@@ -185,17 +188,11 @@ def _two_tail_cell(fn, entry, zd, level, config, start):
     Each end keeps a margin of 2^-30 of itself for the rounding of the
     rule.  The crossing is the fixed point of x -> the answer at
     Phi^{-1}(level - Phi(z - t)), which contracts where the second tail
-    fades; up to three Aitken rounds of it from b estimate the crossing
-    for ``_cell``, whose first partner lies as far off as the last round
-    moved the estimate.
+    fades; one step of it from b estimates the crossing for ``_cell``,
+    whose first partner lies as far off as the step moved.
     """
     def at(q, zd=zd):
         return entry.invert(zd, None, 0.0, None, q, config)
-
-    def step(x):
-        t, z = entry.parts(zd, None, 0.0, x, config)
-        p = level - std_normal_cdf(z - t)
-        return at(std_normal_quantile(p)) if p > 0.0 else None
     q = std_normal_quantile(0.5 * level)
     half = at(q)
     b = min((x for x in (at(std_normal_quantile(level)), at(q, 0.0))
@@ -203,20 +200,12 @@ def _two_tail_cell(fn, entry, zd, level, config, start):
     if half is None or b is None or b < start:
         return None
     lo = max(start, half * (1.0 - 2.0 ** -30))
-    u, gap = b, 2.0 ** -30
-    for _ in range(3):
-        u1 = step(u)
-        u2 = u1 and step(u1)
-        if u2 is None:
-            break
-        d1, d2 = u1 - u, u2 - u1
-        un = u2 - d2 * d2 / (d2 - d1) if abs(d2) < abs(d1) else u2
-        un = min(max(un, lo), b)
-        if abs(un - u2) <= 2.0 ** -32 * un and abs(d2) <= abs(d1):
-            u, gap = un, 2.0 ** -30
-            break
-        u, gap = un, max(2.0 ** -30, abs(un - u) / un)
-    return _cell(fn, level, u, lo, b * (1.0 + 2.0 ** -30), gap)
+    t, z = entry.parts(zd, None, 0.0, b, config)
+    p = level - std_normal_cdf(z - t)
+    u = at(std_normal_quantile(p)) if p > 0.0 else None
+    u = b if u is None else min(max(u, lo), b)
+    return _cell(fn, level, u, lo, b * (1.0 + 2.0 ** -30),
+                 max(2.0 ** -30, (b - u) / u))
 
 
 def solve_c(request):
@@ -330,22 +319,50 @@ def _scan(fn, finish, r, entry, zd, s, level, start, stop):
     # a curve that meets the target at the lower bound has its smallest
     # exact crossing, if any, where it first drops below
     rising = not vals[0] >= level
+    sup = ()    # the rule's bound, or IPPi's limits at a fixed f
     if rising and r.c_lower <= s and not vals[vals.argmax()] >= level:
         sup = design._supremum(entry, zd, r.zi, s, r.config, r.f)
-        if sup < target:    # then no zoom can find a crossing
-            raise InfeasibleTarget(target, sup)
+        if not isinstance(sup, tuple) and sup < target:
+            raise InfeasibleTarget(target, sup)     # no zoom can pass it
     if rising:
-        best, cell = design._numeric_supremum(fn, grid, vals, level)
+        best, cell = _numeric_supremum(fn, grid, vals, level)
     else:   # where f drops below level, -f passes -level
-        best, cell = design._numeric_supremum(
+        best, cell = _numeric_supremum(
             lambda u: -fn(u), grid, -vals, math.nextafter(-level, math.inf))
         cell = cell and (*cell[:2], -cell[2], -cell[3])
-    if cell is None and rising:     # the bound over the scanned sizes
-        raise InfeasibleTarget(target, min(1.0, finish(best)))
+    if cell is None and rising:
+        # the bound over the scanned sizes, or IPPi's limits past them
+        # where they stay below the target
+        best = min(1.0, finish(best))
+        bound = max((best, *sup)) if isinstance(sup, tuple) else best
+        raise InfeasibleTarget(target, bound if bound < target else best)
     if cell is None:
         return (*map(float, (grid[0], grid[0], vals[0], vals[0])),
                 "lower bound")
     return (*map(float, cell), "scan")
+
+
+def _numeric_supremum(curve, grid, vals, level=math.inf):
+    """Largest value of ``curve`` from a log grid and its values, and
+    the first cell (a, b, f(a), f(b)) where f reaches ``level``, or
+    None; till one does, zooms on the largest value (NaN aside) with a
+    33-point log grid over its two cells to a log spacing below 1e-6.
+    """
+    import numpy as np
+    best, t = -math.inf, None   # t: the log grid, taken on a zoom
+    while True:
+        i = int(vals.argmax())      # stops at a NaN: then skip them
+        i = i if vals[i] == vals[i] else int(np.fmax(vals, -math.inf).argmax())
+        if vals[i] >= level:
+            j = max(int((vals >= level).argmax()), 1)
+            return best, (grid[j - 1], grid[j], vals[j - 1], vals[j])
+        best = max(best, float(vals[i]))
+        t = np.log(grid) if t is None else t
+        if t.size < 2 or not t[1] - t[0] >= 1e-6:
+            return best, None
+        t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], 33)
+        grid = np.exp(t)
+        vals = curve(grid)
 
 
 @functools.cache

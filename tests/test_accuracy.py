@@ -1,5 +1,6 @@
-"""Accuracy of the normal primitives and the dominance thresholds against
-mpmath, and agreement of the float and array paths.
+"""Accuracy of the normal primitives, the dominance thresholds and the
+both-tail CPi supremum at a zero original against mpmath, and agreement
+of the float and array paths.
 
 Errors are in units of 2**-52 relative to the mpmath value, the unit of
 the accuracy targets, except in the quantile's tails, where they are in
@@ -11,11 +12,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repower import (p_to_z, std_normal_cdf, std_normal_quantile,
-                     weight_dominance_threshold, z_to_p)
+from repower import (DesignConfig, _methods, p_to_z, std_normal_cdf,
+                     std_normal_quantile, weight_dominance_threshold,
+                     z_to_p)
 
 UNIT = 2.0 ** -52
 TINY = 2.0 ** -1074
@@ -194,3 +196,69 @@ def test_cdf_no_less_accurate_than_before_the_tables(x):
     with mpmath.workdps(30):
         ref = mpmath.ncdf(x)
         assert abs(std_normal_cdf(x) - ref) <= NUMPY_EXP_WORST * UNIT * ref, x
+
+
+def _cpi_zero_supremum(alpha, zi, k):
+    """The least upper bound over q = s / x of both-tail CPi at zd = 0,
+    in mpmath at 30 digits with the double k = -z_alpha.  In sqrt(q) =
+    sinh v and d = p - v, tanh p = |zi| / k, the power is Phi(-R cosh
+    d) + Phi(-R cosh(2p - d)), R^2 = (k - |zi|)(k + |zi|), and alpha at
+    v = 0.  Every local best of an 80-point grid in ln d from p e^-70 to
+    p is refined by golden section."""
+    with mpmath.workdps(30):
+        k, a = mpmath.mpf(k), abs(mpmath.mpf(zi))
+        if a == k:      # Phi(-R cosh d) tends to 1/2 as q grows
+            return max(alpha, 0.5)
+        if a == 0:
+            return alpha
+        r, p = mpmath.sqrt((k - a) * (k + a)), mpmath.atanh(a / k)
+
+        def power(t):
+            d = mpmath.exp(t)
+            return (mpmath.ncdf(-r * mpmath.cosh(d))
+                    + mpmath.ncdf(-r * mpmath.cosh(2 * p - d)))
+        ts = [mpmath.log(p) - 70 + 70 * mpmath.mpf(i) / 80
+              for i in range(81)]
+        vals = [power(t) for t in ts]
+        best, g = mpmath.mpf(alpha), (mpmath.sqrt(5) - 1) / 2
+        for i in range(81):
+            # a strict rise from the left, so that a plateau counts once
+            if not (vals[i] > (vals[i - 1] if i else -1)
+                    and vals[i] >= (vals[i + 1] if i < 80 else -1)):
+                continue
+            lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, 80)]
+            m1, m2 = hi - g * (hi - lo), lo + g * (hi - lo)
+            f1, f2 = power(m1), power(m2)
+            while hi - lo > 1e-9:
+                if f1 > f2:
+                    hi, m2, f2 = m2, m1, f1
+                    m1 = hi - g * (hi - lo)
+                    f1 = power(m1)
+                else:
+                    lo, m1, f1 = m1, m2, f2
+                    m2 = lo + g * (hi - lo)
+                    f2 = power(m2)
+            best = max(best, vals[i], f1, f2)
+        return float(best)
+
+
+K_03 = -DesignConfig(alpha=0.3).z_alpha
+
+
+@settings(DRAWN, max_examples=100)
+@example(alpha=0.05, frac=0.0)
+@example(alpha=0.05, frac=1.0)
+@example(alpha=0.05, frac=-(1.0 - 1e-12))
+@example(alpha=1e-4, frac=0.8)
+@example(alpha=0.9, frac=0.999)
+# turns twice: a dip at q = 0.18, a peak of 0.34015 at q = 5.4
+@example(alpha=0.3, frac=0.951 / K_03)
+@given(alpha=st.floats(1e-4, 0.9),
+       frac=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+def test_both_tail_cpi_supremum_at_a_zero_original(alpha, frac):
+    config = DesignConfig(alpha=alpha, both_tails=True)
+    k = -config.z_alpha
+    zi = frac * k
+    got = _methods.METHODS["CPi"].sup(0.0, zi, 1.0, None, config)
+    want = _cpi_zero_supremum(alpha, zi, k)
+    assert abs(got - want) <= 1e-13 * want, (alpha, zi)

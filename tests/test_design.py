@@ -12,7 +12,7 @@ from repower import (CrossingPoint, DesignConfig, FixedDesign, cbp,
                      conditional_power, cp, cp_pp_intersection, design,
                      design_power, fbp,
                      fbp_cbp_intersection, fbp_minimum, p_to_z, pp,
-                     std_normal_cdf)
+                     solver, std_normal_cdf)
 
 CFG = DesignConfig(alpha=0.05)
 Z_ALPHA = -1.95996398454005424
@@ -264,9 +264,9 @@ def test_numeric_search_steps_over_nan():
     def curve(u):
         return np.where(u < 1e-2, np.nan, -(np.log(u) - 0.05) ** 2)
     grid = np.geomspace(1e-3, 1e3, 61)
-    best, cell = design._numeric_supremum(curve, grid, curve(grid))
+    best, cell = solver._numeric_supremum(curve, grid, curve(grid))
     assert cell is None and best == pytest.approx(0.0, abs=1e-11)
-    a, b, fa, fb = design._numeric_supremum(curve, grid, curve(grid),
+    a, b, fa, fb = solver._numeric_supremum(curve, grid, curve(grid),
                                             -1.0)[1]
     assert a < np.exp(-0.95) <= b and fa < -1.0 <= fb
 

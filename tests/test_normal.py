@@ -135,8 +135,21 @@ def test_p_to_z_far_tail():
     assert p_to_z(1e-300, +1) == pytest.approx(37.0658, abs=1e-4)
 
 
+def test_z_to_p_on_a_float_is_the_array_path_bit_for_bit():
+    # one Phi kernel: a float and a 0-d array take the same operations,
+    # also at the signed zeros and where Phi's tail underflows
+    grid = [0.0, -0.0, 1e-300, 0.5, 1.96, 3.0, 8.0, 12.5, 37.5, 38.0,
+            38.5, 40.0, 1e300]
+    for z in grid + [-z for z in grid]:
+        p = z_to_p(z)
+        assert type(p) is float
+        assert p.hex() == z_to_p(np.array(z)).hex(), z
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: std_normal_cdf(float("nan")), "x must not contain NaN"),
+    (lambda: z_to_p(float("nan")), "z must not contain NaN"),
+    (lambda: z_to_p(np.array([0.0, np.nan])), "z must not contain NaN"),
     (lambda: std_normal_cdf(np.array([0.0, np.nan])),
      "x must not contain NaN"),
     (lambda: std_normal_quantile(np.array([0.5, 1.0])),

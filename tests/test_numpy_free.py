@@ -64,26 +64,31 @@ def test_math_and_numpy_sqrt_agree_on_the_parts_arguments(monkeypatch):
     assert [math.sqrt(v) for v in seen] == roots.tolist()
 
 
+def _fresh(*lines, argv=()):
+    """The stdout of ``lines`` run in a fresh interpreter under -W error,
+    with ``argv`` as its arguments."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-W", "error", "-c",
+                          "\n".join(lines), *argv],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def _loads_numpy(*argv):
     """Whether numpy is in sys.modules after ``repower.cli.main(argv)``
     in a fresh interpreter under -W error (after the imports alone for
     no argv), with the exit status."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    script = "\n".join([
+    return _fresh(
         "import contextlib, io, sys",
         "import repower, repower.cli",
         "code = 0",
         "if sys.argv[1:]:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        code = repower.cli.main(sys.argv[1:])",
-        "print(code, 'numpy' in sys.modules)",
-    ])
-    out = subprocess.run([sys.executable, "-W", "error", "-c", script,
-                          *argv], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
+        "print(code, 'numpy' in sys.modules)", argv=argv)
 
 
 # the one-tail solves the inverse rules answer, as (argv, request)
@@ -119,6 +124,9 @@ INVERSE_SOLVES = [
      "--both-tails"],
     # a look at a non-significant interim
     ["interim", "--zo", "3.2", "--zi", "-1.3", "--c", "2", "--f", "0.4"],
+    # both-tail CPi at a zero original: its supremum is a rule too
+    *(["interim", "--both-tails", "--zo", "0", "--zi", "1", "--c", "2",
+       "--f", "0.4", "--format", f] for f in ("text", "json")),
     *(["solve", *argv] for argv, _ in INVERSE_SOLVES),
     *(["ssrp", "--report", r, "--format", f] for r, f in (
         ("interim", "text"), ("futility", "csv"), ("records", "text"),
@@ -126,6 +134,18 @@ INVERSE_SOLVES = [
 ], ids=lambda argv: " ".join(argv[:3]) or "import")
 def test_scalar_commands_leave_numpy_unloaded(argv):
     assert _loads_numpy(*argv) == "0 False\n"
+
+
+@pytest.mark.parametrize("call", [
+    "repower.z_to_p(2.0)",
+    # both-tail CPi at a zero original, with and without an interior peak
+    *("repower.cpi(repower.FixedDesign(0.0, {}), repower.InterimState({}, "
+      "0.4), repower.DesignConfig(both_tails=True))".format(c, zi)
+      for c, zi in ((2.0, 1.0), (1e7, 1.5), (3.0, 0.0))),
+])
+def test_scalar_calls_leave_numpy_unloaded(call):
+    assert _fresh("import sys, repower", call,
+                  "print('numpy' in sys.modules)") == "False\n"
 
 
 @pytest.mark.parametrize("request_kwargs", [r for _, r in INVERSE_SOLVES],

@@ -25,7 +25,7 @@ from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
                      SolveRequest, _methods, cbp, cp, cp_pp_intersection,
                      cpi, design, design_power, fbp, fbp_cbp_intersection,
                      fbp_minimum, interim_power, ippi, ippi_limit, pp, ppi,
-                     ppi_minimum, solve_c, std_normal_cdf,
+                     ppi_minimum, solve_c, solver, std_normal_cdf,
                      std_normal_quantile)
 
 DRAWN = settings(derandomize=True, database=None, deadline=None,
@@ -77,7 +77,7 @@ def test_both_tail_suprema_need_no_search(method, zo, zi, c, f, config):
     # with both tails these curves tend to 1 as the size grows, which
     # their rules state without the numeric search
     state = (InterimState(zi, f),) if method in METHODS_INTERIM else ()
-    with mock.patch.object(design, "_numeric_supremum",
+    with mock.patch.object(solver, "_numeric_supremum",
                            side_effect=AssertionError("numeric search")):
         res = RESULTS[method](FixedDesign(zo, c), *state, config)
     assert res.supremum == 1.0 and res.feasible_100
@@ -91,7 +91,7 @@ def test_one_tail_suprema_need_no_search(method, zo, zi, c, f, config):
     # over the remaining size: a limit, or the value where the slope of
     # the Phi argument vanishes
     state = (InterimState(zi, f),) if method in METHODS_INTERIM else ()
-    with mock.patch.object(design, "_numeric_supremum",
+    with mock.patch.object(solver, "_numeric_supremum",
                            side_effect=AssertionError("numeric search")):
         res = RESULTS[method](FixedDesign(zo, c), *state, config)
     assert res.power <= res.supremum <= 1.0
@@ -113,7 +113,7 @@ def _searched(curve, lo, hi):
 def _rule(method, zd, zi, s, config, f=None):
     """A one-tail supremum from the method table, with the numeric search
     switched off."""
-    with mock.patch.object(design, "_numeric_supremum",
+    with mock.patch.object(solver, "_numeric_supremum",
                            side_effect=AssertionError("numeric search")):
         return design._supremum(_methods.METHODS[method], zd, zi, s,
                                 config, f)
