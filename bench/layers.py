@@ -5,11 +5,14 @@
         --out BENCH_21.json
 
 Each row times one call of one layer: Phi on a float and on arrays of
-33, 1200 and 1e5 points, the scalar closed forms (``design_power``,
-``interim_power``), three results with their suprema (``cp``, ``ippi``,
-and ``cpi`` with both tails at a zero original), ``solve_c`` on each of
-its paths, ``simulate_power`` at 1e5 draws, the case-study loader, its
-two reports and the full replay that perfbench's monitor workload runs.
+33, 1200 and 1e5 points, the other normal primitives and the dominance
+thresholds on a float (Phi^-1 in and beyond AS241's central range,
+``p_to_z``, ``z_to_p``, the density, the Fisher transforms), the scalar
+closed forms (``design_power``, ``interim_power``), three results with
+their suprema (``cp``, ``ippi``, and ``cpi`` with both tails at a zero
+original), ``solve_c`` on each of its paths, ``simulate_power`` at 1e5
+draws, the case-study loader, its two reports and the full replay that
+perfbench's monitor workload runs.
 The solver rows are: the one-tail inverse path (CP); the both-tail
 fixed-design cell, one row per method, on planning questions like
 perfbench's plan workload (a target just under the power at a size
@@ -85,9 +88,12 @@ def _rows():
     import repower
     from repower import (DesignConfig, FixedDesign, FutilityRule,
                          InterimState, SimSpec, SolveRequest, cp, cpi,
-                         design_power, futility_replay, interim_power,
-                         ippi, load_csv, p_to_z, reproduce_interim_powers,
-                         simulate_power, solve_c, std_normal_cdf)
+                         design_power, fisher_z, fisher_z_inv,
+                         futility_replay, interim_power, ippi, load_csv,
+                         p_to_z, reproduce_interim_powers, simulate_power,
+                         solve_c, std_normal_cdf, std_normal_pdf,
+                         std_normal_quantile, weight_dominance_threshold,
+                         z_to_p)
 
     rng = random.Random(SEED)
     # looks at a non-significant interim, the case study's common case
@@ -135,6 +141,19 @@ def _rows():
         for zo, zi, f in ((2.0, 1.0, 0.75), (-1.5, -1.0, 0.5),
                           (2.0, 1.0, 0.25))]
 
+    # the other primitives on floats, drawn after the inputs above so
+    # that those stay as they were: Phi^-1 in AS241's central range and
+    # beyond it, where a Newton step follows
+    central = [rng.uniform(0.075, 0.925) for _ in range(N_INPUTS)]
+    tails = [10 ** rng.uniform(-12.0, -1.2) for _ in range(N_INPUTS)]
+    pvalues = [(10 ** rng.uniform(-6.0, -0.7), rng.choice((1, -1)))
+               for _ in range(N_INPUTS)]
+    rs = [rng.uniform(-0.99, 0.99) for _ in range(N_INPUTS)]
+    ratios = [10 ** rng.uniform(-1.0, 1.0) for _ in range(N_INPUTS)]
+
+    def floats(fn, inputs):
+        return lambda: [fn(v) for v in inputs]
+
     def infeasible(request):
         try:
             solve_c(request)
@@ -157,6 +176,18 @@ def _rows():
     return repower.__version__, [
         ("calibration", _calibration, 1),
         ("Phi float", lambda: [std_normal_cdf(x) for x in xs], N_INPUTS),
+        ("Phi^-1 float central", floats(std_normal_quantile, central),
+         N_INPUTS),
+        ("Phi^-1 float tail", floats(std_normal_quantile, tails), N_INPUTS),
+        ("p_to_z float", lambda: [p_to_z(p, d) for p, d in pvalues],
+         N_INPUTS),
+        ("z_to_p float", floats(z_to_p, xs), N_INPUTS),
+        ("std_normal_pdf float", floats(std_normal_pdf, xs), N_INPUTS),
+        ("fisher_z float", floats(fisher_z, rs), N_INPUTS),
+        ("fisher_z_inv float", floats(fisher_z_inv, xs), N_INPUTS),
+        *((f"weight_dominance_threshold {m} float", floats(
+            lambda c, m=m: weight_dominance_threshold(m, c), ratios),
+           N_INPUTS) for m in ("CPi", "IPPi")),
         *((f"Phi array {n}", lambda a=a: std_normal_cdf(a), 1)
           for n, a in arrays.items()),
         ("design_power CP", each(

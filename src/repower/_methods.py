@@ -21,80 +21,26 @@ axis, or None; IPPi has none.  ``solver`` also calls the fixed-design
 rules at |zd|, and at zd = 0 where they invert z alone, to bound and
 estimate a both-tail crossing; they read only the critical values of
 the config, which do not depend on the tails counted.  The input rules
-live here too, each written once: every public entry point applies
-``finite``, ``positive``, ``unit`` or ``size`` to its arguments, and
-nothing below checks again.  Scalar inputs reach the table as Python
-floats: ``Method.check`` returns the checked zo and zi as floats,
-``design`` makes floats of scalar sizes with ``_float_or_array`` and
-keeps a config's alpha and shrinkage as floats, and the input rules
-compare a float directly.  The parts also take arrays: ``_sqrt`` is
-``math.sqrt`` on a number and numpy's on an array, both correctly
-rounded, so a float stays a Python float and numpy is imported only
-where an array arrives.
+live in ``normal``, each written once, and are imported here: every
+public entry point applies ``finite``, ``positive``, ``unit`` or
+``size`` to its arguments, and nothing below checks again.  Scalar inputs
+reach the table as Python floats: ``Method.check`` returns the checked
+zo and zi as floats, ``design`` makes floats of scalar sizes with
+``_float_or_array`` and keeps a config's alpha and shrinkage as floats,
+and the input rules compare a float directly.  The parts also take
+arrays: ``_sqrt`` is ``math.sqrt`` on a number and numpy's on an array,
+both correctly rounded, so a float stays a Python float and numpy is
+imported only where an array arrives.
 """
 import math
-import sys
 from dataclasses import dataclass
 
-from .normal import std_normal_cdf
+from .normal import (_float_or_array, _within, finite, positive, single,
+                     size, std_normal_cdf, unit)
 
 # the roots of c^2 + 6c + 1 are -(3 -+ 2 sqrt(2)), correctly rounded
 _3_MINUS_2_SQRT2 = 0.1715728752538099
 _3_PLUS_2_SQRT2 = 5.82842712474619
-# formatted once: the repr of a float this small takes microseconds
-_SIZE_RULE = f"be at least {sys.float_info.min!r}"
-
-
-def _within(name, v, lo, hi, closed, rule):
-    """ValueError naming ``name`` unless lo < v < hi (lo <= v if closed).
-    A float or an int is compared directly, NaN failing both bounds."""
-    if isinstance(v, (float, int)):
-        ok = ((v >= lo) if closed else (v > lo)) and v < hi
-    else:
-        import numpy as np
-        try:
-            ok = ((v >= lo) if closed else (v > lo)) & (v < hi)
-            ok = ok.all() if isinstance(ok, np.ndarray) else ok
-        except TypeError:       # None, a list: no number at all
-            ok = False
-    if not ok:
-        raise ValueError(f"{name} must {rule}")
-
-
-def _float_or_array(v):
-    """A number or a 0-d array as a Python float, else a float array."""
-    if isinstance(v, (float, int)):
-        return float(v)
-    import numpy as np
-    v = np.asarray(v, dtype=float)
-    return float(v) if v.ndim == 0 else v
-
-
-def single(name, v):
-    """``v`` as a Python float; ValueError naming ``name`` unless it is
-    one number (a float, an int, a numpy float or a 0-d array)."""
-    v = _float_or_array(v)
-    if not isinstance(v, float):
-        raise ValueError(f"{name} must be a single number")
-    return v
-
-
-def finite(name, v):
-    _within(name, v, -math.inf, math.inf, False, "be finite")
-
-
-def positive(name, v):
-    _within(name, v, 0.0, math.inf, False, "be positive and finite")
-
-
-def unit(name, v, closed=False):
-    _within(name, v, 0.0, 1.0, closed,
-            "lie in [0, 1)" if closed else "lie strictly in (0, 1)")
-
-
-def size(name, v):
-    """A size the table divides by: at least the smallest normal double."""
-    _within(name, v, sys.float_info.min, math.inf, True, _SIZE_RULE)
 
 
 def _sqrt(v):
@@ -491,10 +437,11 @@ METHODS = {m.tag: m for m in (
     # the dominance thresholds 4c / (sqrt(4c + 1) + 1)^2 and
     # 2c / (c^2 + 4c + 1 + (c + 1) sqrt(c^2 + 6c + 1)), divided through
     # by c so that no square of c can overflow, and IPPi's also by 2 so
-    # that its two terms near c cannot overflow in their sum
+    # that its two terms near c cannot overflow in their sum.  CPi
+    # squares by a product, as an array does: a float's ** 2 is pow
     Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup,
-           _cpi_inv, "CP",
-           lambda c: 4.0 / (_sqrt(4.0 + 1.0 / c) + 1.0 / _sqrt(c)) ** 2),
+           _cpi_inv, "CP", lambda c: (lambda d: 4.0 / (d * d))(
+               _sqrt(4.0 + 1.0 / c) + 1.0 / _sqrt(c))),
     Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup,
            None, "PP",
            lambda c: 1.0 / (0.5 * c + 2.0 + 0.5 / c + (0.5 + 0.5 / c)

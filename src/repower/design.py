@@ -144,8 +144,7 @@ def _power(method, zo, zi, c, f, config, interim=None):
     """Power of one method (of the given family, if any) at total size c
     and interim fraction f, vectorized over both; checks every input."""
     entry = _methods._lookup(method, interim)
-    out = _at(entry, *_inputs(entry, zo, zi, c, f), config)
-    return float(out) if isinstance(out, float) else out
+    return _at(entry, *_inputs(entry, zo, zi, c, f), config)
 
 
 def _inputs(entry, zo, zi, c, f):

@@ -105,14 +105,12 @@ def weight_dominance_threshold(method, c):
     For f below the returned value the ``zo`` weight exceeds the ``zi``
     weight; above it the interim dominates.
     """
-    import numpy as np
-    c = np.asarray(c, dtype=float)
+    c = _methods._float_or_array(c)
     _methods.positive("c", c)
     entry = _methods.METHODS.get(method)
     if entry is None or entry.dominance is None:
         raise ValueError("threshold defined for CPi and IPPi only")
-    out = entry.dominance(c)
-    return float(out) if np.ndim(c) == 0 else out
+    return entry.dominance(c)
 
 
 def ippi_limit(zo, zi, c_stage1, config=DEFAULT_CONFIG):

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repower import (DesignConfig, _methods, p_to_z, std_normal_cdf,
-                     std_normal_quantile, weight_dominance_threshold,
-                     z_to_p)
+                     std_normal_pdf, std_normal_quantile,
+                     weight_dominance_threshold, z_to_p)
 
 UNIT = 2.0 ** -52
 TINY = 2.0 ** -1074
@@ -89,6 +89,20 @@ EDGES = [sign * v for b in (0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0))
          for sign in (1.0, -1.0)]
 
 
+def test_pdf_within_three_ulps_down_to_underflow():
+    # Phi's exp kernel, within 2.5 ulps on this grid, where an exp of the
+    # rounded x^2 / 2 is off by up to ~480; float and array agree
+    xs = np.concatenate([np.linspace(-38.5, 38.5, 3001),
+                         np.geomspace(1e-3, 0.66, 200), EDGES, [0.0]])
+    arr = std_normal_pdf(xs)
+    with mpmath.workprec(200):
+        for x, a in zip(xs.tolist(), arr.tolist()):
+            got = std_normal_pdf(x)
+            assert got == a
+            ref = mpmath.npdf(x)
+            assert abs(got - ref) <= 3.0 * math.ulp(float(ref)), x
+
+
 @DRAWN
 @given(st.lists(st.floats(-40.0, 40.0) | st.sampled_from(EDGES),
                 min_size=1, max_size=40))
@@ -144,6 +158,26 @@ def test_dominance_threshold_at_extreme_c(method, sizes):
                                * mpmath.sqrt(k * k + 6 * k + 1))
             got = weight_dominance_threshold(method, c)
             assert abs(got - ref) <= 1e-14 * ref, c
+
+
+@pytest.mark.parametrize("method", ["CPi", "IPPi"])
+def test_dominance_threshold_rounds_alike_in_every_form(method):
+    # CPi squares by a product, as an array does: a float's ** 2, pow,
+    # rounds 1-2 ulps apart at 9 of these sizes, such as c =
+    # 7.079457843841749e-271
+    sizes = np.geomspace(1e-300, 1e300, 20_001)
+    whole = weight_dominance_threshold(method, sizes).tolist()
+    for c, want in zip(sizes.tolist(), whole):
+        forms = [c, np.array(c), np.array([c])]
+        if c.is_integer():
+            forms.append(int(c))
+        for form in forms:
+            got = weight_dominance_threshold(method, form)
+            if np.ndim(form):
+                got = got[0]
+            else:
+                assert type(got) is float
+            assert got.hex() == want.hex(), (c, form)
 
 
 def _around(v, n=4):

@@ -3,11 +3,14 @@
 Reference values computed with mpmath at 30 significant digits:
 Phi(x) = erfc(-x/sqrt(2))/2, quantile via erfinv.
 """
+import math
+
 import numpy as np
 import pytest
 
 from repower import (fisher_z, fisher_z_inv, p_to_z, std_normal_cdf,
-                     std_normal_pdf, std_normal_quantile, z_to_p)
+                     std_normal_pdf, std_normal_quantile,
+                     weight_dominance_threshold, z_to_p)
 
 # (x, Phi(x)) pairs, mpmath oracle
 CDF_TABLE = [
@@ -155,8 +158,67 @@ def test_z_to_p_on_a_float_is_the_array_path_bit_for_bit():
     (lambda: std_normal_quantile(np.array([0.5, 1.0])),
      "p must lie strictly between 0 and 1"),
     (lambda: p_to_z(0.05, direction=0), "direction must be +1 or -1"),
+    (lambda: std_normal_pdf(float("nan")), "x must not contain NaN"),
+    (lambda: fisher_z(1.5), "r must lie strictly between -1 and 1"),
+    (lambda: fisher_z_inv(float("nan")), "z must not contain NaN"),
 ])
 def test_domain_errors_name_the_argument(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# the edges of each domain: signed zeros, 1e-300, Cody's range bounds,
+# where Phi's tail underflows, the clamp at 40 and the infinities
+CODY = (0.46875 * math.sqrt(2.0), 4.0 * math.sqrt(2.0))
+Z_EDGES = [s * v for v in (0.0, 1e-300, *CODY, 1.5, 38.5, 40.0, math.inf)
+           for s in (1.0, -1.0)]
+P_EDGES = [5e-324, 1e-300, 2.2250738585072014e-308, 0.025, 0.5, 0.925,
+           1.0 - 2.0 ** -53]
+R_EDGES = [s * v for v in (0.0, 1e-300, 0.5, CODY[0], 1.0 - 2.0 ** -53)
+           for s in (1.0, -1.0)]
+C_EDGES = [1e-300, *CODY, 38.5, 40.0, 1e300, 1.7e308]
+# (name, call, accepted edges, refused values); a 1-element array of
+# fisher_z and fisher_z_inv takes numpy's atanh and tanh, 2 ulps at most
+# from the standard library's
+PRIMITIVES = [
+    ("std_normal_cdf", std_normal_cdf, Z_EDGES, [math.nan]),
+    ("std_normal_pdf", std_normal_pdf, Z_EDGES, [math.nan]),
+    ("z_to_p", z_to_p, Z_EDGES, [math.nan]),
+    ("fisher_z_inv", fisher_z_inv, Z_EDGES, [math.nan]),
+    ("std_normal_quantile", std_normal_quantile, P_EDGES,
+     [math.nan, 0.0, 1.0, -0.1, 1.5, math.inf]),
+    *((f"p_to_z {d:+d}", lambda p, d=d: p_to_z(p, d), P_EDGES[1:],
+       [math.nan, 5e-324, 0.0, 1.0, 1.5, -math.inf]) for d in (1, -1)),
+    ("fisher_z", fisher_z, R_EDGES,
+     [math.nan, 1.0, -1.0, 1.5, math.inf, -math.inf]),
+    *((f"threshold {m}", lambda c, m=m: weight_dominance_threshold(m, c),
+       C_EDGES, [math.nan, 0.0, -1.0, math.inf]) for m in ("CPi", "IPPi")),
+]
+
+
+@pytest.mark.parametrize("name, call, edges, refused", PRIMITIVES,
+                         ids=[p[0] for p in PRIMITIVES])
+def test_a_number_in_any_form_gives_the_same_bits(name, call, edges,
+                                                  refused):
+    ulps = 2 if name.startswith("fisher") else 0
+    for v in edges:
+        want = call(v)
+        assert type(want) is float, v
+        forms = [np.float64(v), np.array(v)]
+        # an int where one is the same number, as for -0.0 none is
+        if math.isfinite(v) and v.is_integer() and \
+                repr(float(int(v))) == repr(v):
+            forms.append(int(v))
+        for form in forms:
+            got = call(form)
+            assert type(got) is float and got.hex() == want.hex(), (v, form)
+        one = call(np.array([v]))[0]
+        assert abs(one - want) <= ulps * math.ulp(want), v
+    for v in refused:
+        messages = set()
+        for form in (v, np.float64(v), np.array(v), np.array([v])):
+            with pytest.raises(ValueError) as exc:
+                call(form)
+            messages.add(str(exc.value))
+        assert len(messages) == 1, (v, messages)

@@ -138,6 +138,11 @@ def test_scalar_commands_leave_numpy_unloaded(argv):
 
 @pytest.mark.parametrize("call", [
     "repower.z_to_p(2.0)",
+    # every normal primitive and the dominance thresholds
+    "[f(0.3) for f in (repower.std_normal_cdf, repower.std_normal_pdf, "
+    "repower.std_normal_quantile, repower.p_to_z, repower.z_to_p, "
+    "repower.fisher_z, repower.fisher_z_inv)], repower.p_to_z(0.3, -1), "
+    "[repower.weight_dominance_threshold(m, 2.0) for m in ('CPi', 'IPPi')]",
     # both-tail CPi at a zero original, with and without an interior peak
     *("repower.cpi(repower.FixedDesign(0.0, {}), repower.InterimState({}, "
       "0.4), repower.DesignConfig(both_tails=True))".format(c, zi)

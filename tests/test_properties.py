@@ -584,6 +584,35 @@ def test_fbp_and_ppi_minima_lie_below_their_curves(zo, zi, config):
         assert ppi_minimum(zi, config) <= np.min(curve)
 
 
+# PPi's argument, sqrt(1 + q) zi + sqrt(q) z_alpha with q = f / (1 - f),
+# is FBP's at zd = zi and x = 1 / q when the pooled critical value
+# z_alpha_tilde equals z_alpha, at alpha' = sqrt(2 alpha).  The two round
+# alpha', 1 / q and the weights differently, and t and z cancel in the
+# argument a; the worst of 120 000 drawn inputs, most of them near that
+# cancellation, read 60 units of (1 + a^2) eps, so 128 holds with a margin
+PPI_AS_FBP_UNITS = 128.0
+
+
+@DRAWN
+@example(zi=-3.0, c=2.0, f=0.95, alpha=1e-4, both=False)
+@example(zi=8.0, c=2.0, f=0.5, alpha=0.3, both=True)
+@example(zi=-1.2, c=0.5, f=0.3, alpha=0.49, both=True)
+@example(zi=2.5, c=40.0, f=0.8, alpha=0.4899999, both=False)
+@given(zi=z_stats, c=sizes, f=fractions, alpha=st.floats(1e-4, 0.49),
+       both=st.booleans())
+def test_ppi_is_fbp_at_the_interim_weights(zi, c, f, alpha, both):
+    config = DesignConfig(alpha=alpha, both_tails=both)
+    pooled = DesignConfig(alpha=math.sqrt(2.0 * alpha), both_tails=both)
+    got = interim_power("PPi", None, zi, c, f, config)
+    want = design_power("FBP", zi, (1.0 - f) / f, pooled)
+    t, z = _methods.METHODS["PPi"].parts(zi, zi, c * f, c * (1.0 - f),
+                                         config)
+    a = max(abs(t + z), abs(z - t)) if both else abs(t + z)
+    assert abs(got - want) <= (PPI_AS_FBP_UNITS * (1.0 + a * a)
+                               * sys.float_info.epsilon * want
+                               + 2.0 * 5e-324), (got, want, a)
+
+
 # each input rule with the floats it accepts
 RULES = {
     "finite": (_methods.finite, math.isfinite),
