@@ -15,12 +15,13 @@ growing at the fixed interim fraction f.  A supremum rule returns the
 supremum: a limit, or Phi at a root of the argument's slope
 (``_newton``); only IPPi over c at a fixed f returns the tuple of its
 limits, for the one numeric search, in ``solver``.  An inverse rule
-returns a finite estimate of the first size at which the one-tail
-argument reaches ``level`` on a rising piece from the bottom of the
-axis, or None; IPPi has none.  ``solver`` also calls the fixed-design
-rules at |zd|, and at zd = 0 where they invert z alone, to bound and
-estimate a both-tail crossing; they read only the critical values of
-the config, which do not depend on the tails counted.  The input rules
+returns an estimate of the first size at which the one-tail argument
+reaches ``level`` on a rising piece from the bottom of the axis, or
+None; IPPi has none.  An estimate can overflow to inf, which ``solver``
+treats as no estimate.  ``solver`` also calls the fixed-design rules
+at |zd|, and at zd = 0 where they invert z alone, to bound and estimate
+a both-tail crossing; they read only the critical values of the
+config, which do not depend on the tails counted.  The input rules
 live in ``normal``, each written once, and are imported here: every
 public entry point applies ``finite``, ``positive``, ``unit`` or
 ``size`` to its arguments, and nothing below checks again.  Scalar inputs
@@ -129,7 +130,7 @@ def _pp(zd, zi, s, x, cfg):
 def _pp_sup(zd, zi, s, f, cfg):
     if cfg.both_tails:
         return 1.0      # both-tail rejection -> 1 as c grows
-    return float(max(std_normal_cdf(zd), cfg.alpha / 2.0))
+    return max(std_normal_cdf(zd), cfg.alpha / 2.0)
 
 
 def _pp_inv(zd, zi, s, f, level, cfg):
@@ -153,7 +154,7 @@ def _fbp_sup(zd, zi, s, f, cfg):
     # c -> 0 limit is 1.
     if cfg.both_tails or zd + cfg.z_alpha_tilde > 0.0:
         return 1.0
-    return float(std_normal_cdf(zd))
+    return std_normal_cdf(zd)
 
 
 def _fbp_inv(zd, zi, s, f, level, cfg):
@@ -319,7 +320,7 @@ def _ippi_sup(zd, zi, s, f, cfg):
     # both tails: Phi(a) + Phi(-a) = 1 as the quantile's weight vanishes
     if cfg.both_tails or _significant(zi, cfg):
         return 1.0
-    limit = float(_ippi_limit(zd, zi, s, cfg))
+    limit = _ippi_limit(zd, zi, s, cfg)
     # the argument's slope in x has the sign of P(v) = k v^4 + (zd - r zi)
     # v^3 - (s zd + r zi) v + k s, v = sqrt(x + s) > r = sqrt(s), k =
     # -z_alpha: P > 0 at v = r (= 0 at zi = k, where the argument tends
@@ -348,7 +349,21 @@ def _ippi_sup(zd, zi, s, f, cfg):
         return limit
     y = _newton(p, 1.0, y)
     x = s * (y - 1.0) * (y + 1.0)
-    return max(limit, float(_tail_power(*_ippi(zd, zi, s, x, cfg), False)))
+    return max(limit, _tail_power(*_ippi(zd, zi, s, x, cfg), False))
+
+
+def _ippi_dominance(c):
+    """The dominance threshold 2c / (c^2 + 4c + 1 + (c + 1) sqrt(c^2 +
+    6c + 1)), the same at c and 1/c: taken at m = min(c, 1/c) <= 1,
+    where no term overflows, with 1/c formed only where c > 1."""
+    if isinstance(c, float):
+        m = 1.0 / c if c > 1.0 else c
+    else:
+        import numpy as np
+        m = np.divide(1.0, c, out=c.copy(), where=c > 1.0)
+    return 2.0 * m / (m * m + 4.0 * m + 1.0 + (m + 1.0)
+                      * _sqrt(m + _3_MINUS_2_SQRT2)
+                      * _sqrt(m + _3_PLUS_2_SQRT2))
 
 
 def _ppi(zd, zi, s, x, cfg):
@@ -419,11 +434,6 @@ class Method:
         finite(name, value)
         return single(name, value)
 
-    def invert(self, zd, zi, s, f, level, config):
-        """The inverse rule's size, or None where it has none or inf."""
-        u = self.inverse(zd, zi, s, f, level, config)
-        return u if u is not None and u < math.inf else None
-
     def power(self, zd, zi, s, x, config):
         return _tail_power(*self.parts(zd, zi, s, x, config),
                            config.both_tails)
@@ -434,19 +444,15 @@ METHODS = {m.tag: m for m in (
     Method("PP", ("normal", "flat"), ("zo",), _pp, _pp_sup, _pp_inv),
     Method("FBP", ("normal", "normal"), ("zo",), _fbp, _fbp_sup, _fbp_inv),
     Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup, _cbp_inv),
-    # the dominance thresholds 4c / (sqrt(4c + 1) + 1)^2 and
-    # 2c / (c^2 + 4c + 1 + (c + 1) sqrt(c^2 + 6c + 1)), divided through
-    # by c so that no square of c can overflow, and IPPi's also by 2 so
-    # that its two terms near c cannot overflow in their sum.  CPi
-    # squares by a product, as an array does: a float's ** 2 is pow
+    # the dominance threshold 4c / (sqrt(4c + 1) + 1)^2 as (sqrt(c) /
+    # (sqrt(c + 1/4) + 1/2))^2, which neither overflows nor underflows
+    # before its square, a product, as an array squares: a float's ** 2
+    # is pow
     Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup,
-           _cpi_inv, "CP", lambda c: (lambda d: 4.0 / (d * d))(
-               _sqrt(4.0 + 1.0 / c) + 1.0 / _sqrt(c))),
+           _cpi_inv, "CP", lambda c: (lambda r: r * r)(
+               _sqrt(c) / (_sqrt(c + 0.25) + 0.5))),
     Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup,
-           None, "PP",
-           lambda c: 1.0 / (0.5 * c + 2.0 + 0.5 / c + (0.5 + 0.5 / c)
-                            * _sqrt(c + _3_MINUS_2_SQRT2)
-                            * _sqrt(c + _3_PLUS_2_SQRT2))),
+           None, "PP", _ippi_dominance),
     # a flat design prior only arises at interim, where the observed
     # stage-1 data replace it
     Method("PPi", ("flat", "flat"), ("zi",), _ppi, _ppi_sup,

@@ -31,11 +31,12 @@ Each method, design-stage or interim, is defined once, in the method
 table of ``_methods``: its Phi argument in the stage sizes s (observed)
 and x (still to come), its required inputs and its supremum rule.  This
 module evaluates the table and builds every ``PowerResult``, whose
-supremum is the rule's (``_supremum``): it runs no search and builds no
-array of its own.  The public inputs (c, f) become s = c * f and x = c
-* (1 - f) in one place, ``_inputs``, which also turns scalar inputs
-into Python floats; curves over the remaining size evaluate the table
-at (s, x) directly (``_at``, and ``_along`` for ``solver``).
+supremum is the rule's, CP's for CPi and PP's for IPPi before any
+interim data (``_result``): it runs no search and builds no array of
+its own.  The public inputs (c, f) become s = c * f and x = c * (1 - f)
+in one place, ``_inputs``, which also turns scalar inputs into Python
+floats; curves over the remaining size evaluate the table at (s, x)
+directly (``_at``).  The searches along the table live in ``solver``.
 """
 import math
 from dataclasses import dataclass
@@ -117,6 +118,10 @@ class FixedDesign:
     def __post_init__(self):
         _methods.finite("zo", self.zo)
         _methods.positive("c", self.c)
+        # kept as Python floats, as every checked scalar input is
+        for name in ("zo", "c"):
+            if type(v := getattr(self, name)) is not float:
+                object.__setattr__(self, name, _methods.single(name, v))
 
 
 @dataclass(frozen=True)
@@ -195,42 +200,6 @@ def design_power(method, zo, c, config=DEFAULT_CONFIG):
     return _power(method, zo, None, c, None, config, interim=False)
 
 
-def _along(entry, zd, zi, s, f, config):
-    """The curve to search as the size grows, and the map from its
-    values to powers.
-
-    The growing size is the remaining size x at fixed s when ``f`` is
-    None, else c at the fixed interim fraction f.  When one tail counts,
-    the curve is the Phi argument t + z and the map is Phi: Phi is
-    increasing, so maxima and crossings of the argument are those of
-    the power, found without evaluating Phi.  When both tails count,
-    the curve is the power itself.
-    """
-    def curve(u):
-        if f is None:
-            t, z = entry.parts(zd, zi, s, u, config)
-        else:
-            t, z = entry.parts(zd, zi, u * f, u * (1.0 - f), config)
-        if config.both_tails:
-            return _methods._tail_power(t, z, True)
-        return t + z
-    return curve, (float if config.both_tails else std_normal_cdf)
-
-
-def _supremum(entry, zd, zi, s, config, f=None):
-    """Least upper bound of a table entry's power as its size grows, at
-    the shrunken original z ``zd``: the method's rule (see ``_methods``).
-
-    With ``f`` None the remaining size x grows at fixed s, else c grows
-    at the fixed interim fraction f.  IPPi at a fixed f, which only
-    ``solve_c`` asks for, returns the tuple of its two limits instead.
-    """
-    if f is None and s == 0.0:
-        # no interim data yet: CPi is CP and IPPi is PP in disguise
-        entry = _methods.METHODS.get(entry.at_f0, entry)
-    return entry.sup(zd, zi, s, f, config)
-
-
 def _result(method, fixed, state, config):
     """The PowerResult of a method at a design (and interim state): its
     power and its supremum over c, or over the remaining size."""
@@ -239,8 +208,11 @@ def _result(method, fixed, state, config):
     zo, zi, s, x = _inputs(entry, fixed.zo, zi, fixed.c, f)
     # one zd for the power and the supremum; PPi's parts and rule ignore it
     zd = shrunken_zo(zo, config)
-    power = float(entry.power(zd, zi, s, x, config))
-    sup = float(max(_supremum(entry, zd, zi, s, config), power))
+    power = entry.power(zd, zi, s, x, config)
+    if s == 0.0:
+        # no interim data yet: CPi is CP and IPPi is PP in disguise
+        entry = _methods.METHODS.get(entry.at_f0, entry)
+    sup = max(entry.sup(zd, zi, s, None, config), power)
     return PowerResult(method, power, sup, sup >= 1.0 - 1e-12)
 
 
@@ -284,11 +256,11 @@ def cp_pp_intersection(zo, config=DEFAULT_CONFIG):
     not cross otherwise.
     """
     _methods.finite("zo", zo)
-    zd = shrunken_zo(zo, config)
+    zd = shrunken_zo(_methods.single("zo", zo), config)
     if zd <= 0.0:
         raise ValueError("CP and PP only cross for a positive original z")
     # ** 2 calls pow, off by an ulp where r * r is correctly rounded
-    r = config.z_alpha / float(zd)
+    r = config.z_alpha / zd
     return r * r
 
 
@@ -300,12 +272,12 @@ def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
     point is flagged infeasible.
     """
     _methods.finite("zo", zo)
-    zd = shrunken_zo(zo, config)
+    zd = shrunken_zo(_methods.single("zo", zo), config)
     if zd <= 0.0:
         raise ValueError("FBP and CBP only cross for a positive original z")
     zat = config.z_alpha_tilde
     zz = zd * zd        # 0 for a tiny zd, whose crossing lies beyond floats
-    c = float((zat + zd) * (zat - zd) / zz) if zz > 0.0 else math.inf
+    c = (zat + zd) * (zat - zd) / zz if zz > 0.0 else math.inf
     return CrossingPoint(c, c > 0.0)
 
 
@@ -325,16 +297,14 @@ def fbp_minimum(zo, config=DEFAULT_CONFIG):
     back towards its large-c bound).
     """
     _methods.finite("zo", zo)
-    zd = shrunken_zo(zo, config)
+    zd = shrunken_zo(_methods.single("zo", zo), config)
     zat = config.z_alpha_tilde
     if zd + zat <= 0.0:
         raise ValueError(
             "FBP has an interior minimum only when the original is "
             "significant at the pooled level alpha_tilde")
     gap = (zd + zat) * (zd - zat)
-    c = float(gap / (zat * zat))
-    power = float(std_normal_cdf(math.sqrt(gap)))
-    return PowerMinimum(c, power)
+    return PowerMinimum(gap / (zat * zat), std_normal_cdf(math.sqrt(gap)))
 
 
 # short aliases matching the method tags

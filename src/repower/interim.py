@@ -37,6 +37,10 @@ class InterimState:
     def __post_init__(self):
         _methods.finite("zi", self.zi)
         _methods.unit("f", self.f, closed=True)
+        # kept as Python floats, as every checked scalar input is
+        for name in ("zi", "f"):
+            if type(v := getattr(self, name)) is not float:
+                object.__setattr__(self, name, _methods.single(name, v))
 
 
 def interim_power(method, zo, zi, c, f, config=DEFAULT_CONFIG):
@@ -122,9 +126,10 @@ def ippi_limit(zo, zi, c_stage1, config=DEFAULT_CONFIG):
     interim.
     """
     _methods.positive("c_stage1", c_stage1)
+    c_stage1 = _methods.single("c_stage1", c_stage1)
     zo, zi = _methods.METHODS["IPPi"].check(zo, zi)
-    return float(_methods._ippi_limit(shrunken_zo(zo, config), zi,
-                                      c_stage1, config))
+    return _methods._ippi_limit(shrunken_zo(zo, config), zi, c_stage1,
+                                config)
 
 
 def ppi_minimum(zi, config=DEFAULT_CONFIG):
@@ -134,11 +139,11 @@ def ppi_minimum(zi, config=DEFAULT_CONFIG):
     original direction; the minimum value depends on ``zi`` alone.
     """
     _methods.finite("zi", zi)
-    za = config.z_alpha
+    zi, za = _methods.single("zi", zi), config.z_alpha
     if zi + za <= 0.0:
         raise ValueError(
             "PPi has an interior minimum only for a significant interim")
-    return float(std_normal_cdf(math.sqrt((zi + za) * (zi - za))))
+    return std_normal_cdf(math.sqrt((zi + za) * (zi - za)))
 
 
 @dataclass(frozen=True)

@@ -364,6 +364,22 @@ def fisher_z_inv(z):
     return np.tanh(z)
 
 
+def _z_of_p(p):
+    """-Phi^{-1}(p / 2) for a float p strictly inside (0, 1).
+
+    The lower tail keeps full precision down to the smallest p, whose
+    half alone underflows: there, Newton steps on ln(2 Phi(-z)) = ln p
+    from z = -Phi^{-1}(p), with 2 Phi(-z) = r exp(-z^2 / 2), r Cody's
+    outer factor, and the slope -(z + 1/z) of its logarithm.
+    """
+    if (h := p / 2.0) > 0.0:
+        return -_quantile_float(h)
+    z, lp = -_quantile_float(p), math.log(p)
+    for _ in range(3):
+        z += (math.log(_cody(z, 2)) - 0.5 * z * z - lp) / (z + 1.0 / z)
+    return z
+
+
 def p_to_z(p, direction=1):
     """Signed z-statistic recovering a two-sided p-value.
 
@@ -376,14 +392,17 @@ def p_to_z(p, direction=1):
     """
     if type(p) is float and 0.0 < p < 1.0 and \
             isinstance(direction, (int, float)) and direction in (1, -1):
-        return -float(direction) * std_normal_quantile(p / 2.0)
+        return float(direction) * _z_of_p(p)
     p = _checked("p", p, 0.0, 1.0, _P_RULE)
     # |d| = 1: from 1 up to, not including, the next double
     d = _float_or_array(direction)
     _within("direction", abs(d), 1.0, math.nextafter(1.0, 2.0), True,
             "be +1 or -1")
-    # the lower tail keeps full precision down to the smallest p
-    return -d * std_normal_quantile(p / 2.0)
+    if isinstance(p, float):
+        return d * _z_of_p(p)
+    import numpy as np
+    return d * np.array([_z_of_p(v) for v in p.ravel().tolist()],
+                        dtype=float).reshape(p.shape)
 
 
 def z_to_p(z):

@@ -18,11 +18,13 @@ where no scanned size passes, it zooms in where the curve comes closest
 supremum a ``PowerResult`` carries comes from a rule of the method
 table).  ``_refine`` then narrows any bracket by Illinois steps.  When
 one tail counts, the search runs on the Phi argument t + z against
-Phi^{-1} of the target (see ``design._along``), and Phi is applied to
-the result only.  If the target exceeds the least upper bound of the
-curve, ``InfeasibleTarget`` is raised carrying that bound.
+Phi^{-1} of the target (see ``_along``), and Phi is applied to the
+result only.  If the target exceeds the least upper bound of the
+curve, ``InfeasibleTarget`` is raised carrying that bound.  The
+inverse and supremum rules are called directly: an interim request has
+s > 0 or a fixed f, so no interim method stands in for its design
+counterpart there, as CPi does for CP in ``design._result``.
 """
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -144,7 +146,7 @@ def _refine(fn, level, a, b, fa, fb):
             if 2.0 * delta < w:
                 x = min(max(a + delta, a + w * ya / (ya - yb)), b - delta)
         widths = (*widths[1:], w)
-        fx = float(fn(x))
+        fx = fn(x)
         if (fx >= level) == rising:
             b, fb, yb = x, fx, fx - level
             ya, kept = (0.5 * ya if kept == 1 else ya), 1
@@ -159,11 +161,11 @@ def _cell(fn, level, u, lo, hi, gap=2.0 ** -30):
     an estimate u of the crossing in [lo, hi]: a partner 2^-30 u away on
     the side of the crossing, then partners 64 times as far, held in
     [lo, hi], until one lies across; None if lo or hi does not."""
-    fu = float(fn(u))
+    fu = fn(u)
     below = fu < level
     while True:
         v = min(u * (1.0 + gap), hi) if below else max(u * (1.0 - gap), lo)
-        fv = float(fn(v))
+        fv = fn(v)
         if (fv < level) != below:
             return (u, v, fu, fv) if below else (v, u, fv, fu)
         if v == (hi if below else lo):
@@ -192,7 +194,8 @@ def _two_tail_cell(fn, entry, zd, level, config, start):
     whose first partner lies as far off as the step moved.
     """
     def at(q, zd=zd):
-        return entry.invert(zd, None, 0.0, None, q, config)
+        u = entry.inverse(zd, None, 0.0, None, q, config)
+        return u if u is not None and u < math.inf else None
     q = std_normal_quantile(0.5 * level)
     half = at(q)
     b = min((x for x in (at(std_normal_quantile(level)), at(q, 0.0))
@@ -206,6 +209,28 @@ def _two_tail_cell(fn, entry, zd, level, config, start):
     u = b if u is None else min(max(u, lo), b)
     return _cell(fn, level, u, lo, b * (1.0 + 2.0 ** -30),
                  max(2.0 ** -30, (b - u) / u))
+
+
+def _along(entry, zd, zi, s, f, config):
+    """The curve to search as the size grows, and the map from its
+    values to powers.
+
+    The growing size is the remaining size x at fixed s when ``f`` is
+    None, else c at the fixed interim fraction f.  When one tail counts,
+    the curve is the Phi argument t + z and the map is Phi: Phi is
+    increasing, so maxima and crossings of the argument are those of
+    the power, found without evaluating Phi.  When both tails count,
+    the curve is the power itself.
+    """
+    def curve(u):
+        if f is None:
+            t, z = entry.parts(zd, zi, s, u, config)
+        else:
+            t, z = entry.parts(zd, zi, u * f, u * (1.0 - f), config)
+        if config.both_tails:
+            return _methods._tail_power(t, z, True)
+        return t + z
+    return curve, (float if config.both_tails else std_normal_cdf)
 
 
 def solve_c(request):
@@ -231,7 +256,7 @@ def solve_c(request):
     entry = _methods._lookup(r.method)
     zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
     s = r.c_stage1 or 0.0
-    curve, finish = design._along(entry, zd, r.zi, s, r.f, r.config)
+    curve, finish = _along(entry, zd, r.zi, s, r.f, r.config)
     evaluations = 0
 
     def fn(u):
@@ -248,9 +273,10 @@ def solve_c(request):
     start, stop = _span(r, s)
     cell, path = None, "inverse"
     if entry.inverse is not None and not r.config.both_tails:
-        u = entry.invert(zd, r.zi, s, r.f, level, r.config)
+        u = entry.inverse(zd, r.zi, s, r.f, level, r.config)
         # the rules answer on a curve below level all the way up to u,
-        # so the scan start, if well below u, is too
+        # so the scan start, if well below u, is too; an estimate that
+        # overflowed to inf lies past the stop
         if (u is not None and start <= u <= stop
                 and (u >= 2.0 * start or fn(start) < level)):
             cell = _cell(fn, level, u, u * (1.0 - 2.0 ** -30),
@@ -284,7 +310,7 @@ def solve_c(request):
             break
         step = step + step or math.ulp(u)
         u = u + step if rising else u - step
-        power = finish(float(fn(u)))
+        power = finish(fn(u))
     c = s + u
     if c == s != 0.0:
         raise ValueError(
@@ -296,8 +322,8 @@ def solve_c(request):
                    "target; returning the bound itself")
     # a downward crossing falls; a probe alone can step past a dip, up
     # to the end of the scan
-    elif not rising or finish(float(fn(
-            min(c * 1.001 + 1e-12 - s, max(start, stop))))) < power - 1e-12:
+    elif not rising or finish(fn(
+            min(c * 1.001 + 1e-12 - s, max(start, stop)))) < power - 1e-12:
         warning = ("solution lies on a falling branch: slightly larger "
                    "designs have lower power")
     f = r.f if r.c_stage1 is None else s / c
@@ -312,16 +338,15 @@ def _scan(fn, finish, r, entry, zd, s, level, start, stop):
     f(start)) where the curve never drops below level."""
     import numpy as np
     target = r.target_power
-    grid = _grid() if (start, stop) == (_C_MIN, C_CAP) else (
-        np.geomspace(start, stop, 1200) if start < stop
-        else np.array([start]))
+    grid = (np.geomspace(start, stop, 1200) if start < stop
+            else np.array([start]))
     vals = np.asarray(fn(grid), dtype=float)
     # a curve that meets the target at the lower bound has its smallest
     # exact crossing, if any, where it first drops below
     rising = not vals[0] >= level
     sup = ()    # the rule's bound, or IPPi's limits at a fixed f
     if rising and r.c_lower <= s and not vals[vals.argmax()] >= level:
-        sup = design._supremum(entry, zd, r.zi, s, r.config, r.f)
+        sup = entry.sup(zd, r.zi, s, r.f, r.config)
         if not isinstance(sup, tuple) and sup < target:
             raise InfeasibleTarget(target, sup)     # no zoom can pass it
     if rising:
@@ -365,16 +390,6 @@ def _numeric_supremum(curve, grid, vals, level=math.inf):
         vals = curve(grid)
 
 
-@functools.cache
-def _grid():
-    """The scan grid of every request without c_stage1 or a c_lower
-    above 1e-9, built on the first scan."""
-    import numpy as np
-    grid = np.geomspace(_C_MIN, C_CAP, 1200)
-    grid.setflags(write=False)
-    return grid
-
-
 def _span(request, s):
     """The growing size u runs from c_lower - s, but at least 1e-9 and
     s * 1e-300 (s / u stays finite), to c = s + u = C_CAP, or 10 s if
@@ -396,6 +411,8 @@ class FutilityRule:
         if self.method not in FUTILITY_METHODS:
             raise ValueError("futility rules use IPPi or PPi")
         _methods.unit("boundary", self.boundary)
+        object.__setattr__(self, "boundary",
+                           _methods.single("boundary", self.boundary))
 
 
 @dataclass(frozen=True)
@@ -417,6 +434,6 @@ def futility_decision(fixed, state, rule=FutilityRule(),
     """
     power = interim_power(rule.method, fixed.zo, state.zi, fixed.c,
                           state.f, config)
-    return FutilityDecision(method=rule.method, power=float(power),
+    return FutilityDecision(method=rule.method, power=power,
                             boundary=rule.boundary,
-                            stop=bool(power < rule.boundary))
+                            stop=power < rule.boundary)

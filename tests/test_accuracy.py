@@ -8,6 +8,7 @@ ulp of the mpmath root of Phi(z) = p.  Hypothesis runs derandomized, so
 every run draws the same cases.
 """
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -120,10 +121,10 @@ def test_quantile_float_and_array_paths_agree(ps):
 
 
 def test_p_to_z_float_and_array_paths_agree():
-    # a float p takes the float quantile directly; down to p = 1e-300
-    # and up to the last double below 1 it matches the array path bit
-    # for bit, and refuses what the array path refuses with its message
-    ps = np.concatenate([np.geomspace(1e-300, 0.5, 2001),
+    # a float p takes the float quantile directly; from the smallest p
+    # up to the last double below 1 it matches the array path bit for
+    # bit, and refuses what the array path refuses with its message
+    ps = np.concatenate([[TINY], np.geomspace(1e-300, 0.5, 2001),
                          1.0 - np.geomspace(2.0 ** -53, 0.5, 500)])
     for direction in (1, -1):
         arrays = p_to_z(ps, direction).tolist()
@@ -131,13 +132,26 @@ def test_p_to_z_float_and_array_paths_agree():
         assert [p_to_z(np.array(p), direction)
                 for p in ps.tolist()] == arrays
     for p, direction in ((math.nan, 1), (0.0, 1), (1.0, -1), (1.5, 1),
-                         (TINY, 1), (0.05, 0), (0.05, 1.5)):
+                         (0.05, 0), (0.05, 1.5)):
         messages = []
         for value in (p, np.array([p])):
             with pytest.raises(ValueError) as exc:
                 p_to_z(value, direction)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+
+
+def test_p_to_z_at_the_smallest_p():
+    # p / 2 underflows to 0 at p = 2^-1074 alone; the root of 2 Phi(-z)
+    # = 2^-1074, by mpmath in log space, is 38.485408335567342218
+    root = 38.485408335567342218
+    for direction in (1, -1):
+        got = [p_to_z(form, direction) for form in
+               (TINY, np.float64(TINY), np.array(TINY))]
+        got.append(p_to_z(np.array([TINY]), direction)[0])
+        assert len({v.hex() for v in got}) == 1
+        assert abs(got[0] - direction * root) <= 2.0 * math.ulp(root)
+    assert p_to_z(2.0 * TINY) == 38.46740561714434
 
 
 @pytest.mark.parametrize("method, sizes", [
@@ -158,6 +172,25 @@ def test_dominance_threshold_at_extreme_c(method, sizes):
                                * mpmath.sqrt(k * k + 6 * k + 1))
             got = weight_dominance_threshold(method, c)
             assert abs(got - ref) <= 1e-14 * ref, c
+
+
+@pytest.mark.parametrize("method", ["CPi", "IPPi"])
+def test_dominance_threshold_at_subnormal_c(method):
+    # both thresholds are about c there; CPi's d * d and IPPi's 0.5 / c
+    # overflowed, which made them 0.0 and warned on an array
+    with mpmath.workdps(50), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (5e-324, 1e-310, 2e-308):
+            k = mpmath.mpf(c)
+            if method == "CPi":
+                ref = 4 * k / (mpmath.sqrt(4 * k + 1) + 1) ** 2
+            else:
+                ref = 2 * k / (k * k + 4 * k + 1 + (k + 1)
+                               * mpmath.sqrt(k * k + 6 * k + 1))
+            for got in (weight_dominance_threshold(method, c),
+                        weight_dominance_threshold(method,
+                                                   np.array([c]))[0]):
+                assert abs(got - ref) <= TINY, c
 
 
 @pytest.mark.parametrize("method", ["CPi", "IPPi"])

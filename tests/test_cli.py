@@ -216,6 +216,15 @@ def test_simulate_envelope_and_determinism(capsys):
     assert first == second
 
 
+def test_simulate_with_no_spread_scores_zero(capsys):
+    # every draw succeeds, so the standard error is 0 and the z-score
+    # is 0 rather than a division by it
+    res = envelope(["simulate", "--method", "cp", "--zo", "10", "--c", "4",
+                    "--nsims", "1000"], capsys)["results"]
+    assert (res["estimate"], res["std_err"], res["z_score"]) == \
+        (1.0, 0.0, 0.0)
+
+
 def test_text_warnings_are_prefixed(capsys):
     code, out, _ = run(["interim", "--zo", "2.2", "--zi", "0.7",
                         "--c", "1.8", "--f", "0"], capsys)

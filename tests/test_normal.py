@@ -188,8 +188,8 @@ PRIMITIVES = [
     ("fisher_z_inv", fisher_z_inv, Z_EDGES, [math.nan]),
     ("std_normal_quantile", std_normal_quantile, P_EDGES,
      [math.nan, 0.0, 1.0, -0.1, 1.5, math.inf]),
-    *((f"p_to_z {d:+d}", lambda p, d=d: p_to_z(p, d), P_EDGES[1:],
-       [math.nan, 5e-324, 0.0, 1.0, 1.5, -math.inf]) for d in (1, -1)),
+    *((f"p_to_z {d:+d}", lambda p, d=d: p_to_z(p, d), P_EDGES,
+       [math.nan, 0.0, 1.0, 1.5, -math.inf]) for d in (1, -1)),
     ("fisher_z", fisher_z, R_EDGES,
      [math.nan, 1.0, -1.0, 1.5, math.inf, -math.inf]),
     *((f"threshold {m}", lambda c, m=m: weight_dominance_threshold(m, c),

@@ -21,12 +21,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
-                     FixedDesign, InfeasibleTarget, InterimState,
-                     SolveRequest, _methods, cbp, cp, cp_pp_intersection,
-                     cpi, design, design_power, fbp, fbp_cbp_intersection,
-                     fbp_minimum, interim_power, ippi, ippi_limit, pp, ppi,
-                     ppi_minimum, solve_c, solver, std_normal_cdf,
-                     std_normal_quantile)
+                     FixedDesign, FutilityRule, InfeasibleTarget,
+                     InterimState, SolveRequest, _methods, cbp, cp,
+                     cp_pp_intersection, cpi, design, design_power, fbp,
+                     fbp_cbp_intersection, fbp_minimum, futility_decision,
+                     interim_ordering_holds, interim_power, ippi,
+                     ippi_limit, pp, ppi, ppi_minimum, solve_c, solver,
+                     std_normal_cdf, std_normal_quantile)
 
 DRAWN = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -115,8 +116,7 @@ def _rule(method, zd, zi, s, config, f=None):
     switched off."""
     with mock.patch.object(solver, "_numeric_supremum",
                            side_effect=AssertionError("numeric search")):
-        return design._supremum(_methods.METHODS[method], zd, zi, s,
-                                config, f)
+        return _methods.METHODS[method].sup(zd, zi, s, f, config)
 
 
 def _argument(method, zd, zi, s=None, f=None, config=None):
@@ -263,9 +263,9 @@ def test_stage_sizes_agree_with_the_published_weights(method, c, f, zo, zi,
 
 def _solve_counting(request):
     """solve_c's answer and its number of scalar method-table calls,
-    counted on the curve ``design._along`` hands the solver."""
+    counted on the curve ``solver._along`` hands the solver."""
     scalar_calls = []
-    along = design._along
+    along = solver._along
 
     def counting(*args):
         curve, finish = along(*args)
@@ -274,7 +274,7 @@ def _solve_counting(request):
             scalar_calls.append(np.ndim(u) == 0)
             return curve(u)
         return counted, finish
-    with mock.patch.object(design, "_along", counting):
+    with mock.patch.object(solver, "_along", counting):
         res = solve_c(request)
     return res, sum(scalar_calls)
 
@@ -674,6 +674,44 @@ def test_an_array_zo_or_zi_is_refused_by_name():
     assert design_power("CP", one, 2.0) == design_power("CP", 1.0, 2.0)
     assert (interim_power("IPPi", one, one, 2.0, 0.4)
             == interim_power("IPPi", 1.0, 1.0, 2.0, 0.4))
+
+
+def test_scalar_only_calls_refuse_an_array_by_name():
+    two, fs = np.array([1.0, 2.0]), np.array([0.2, 0.4])
+    state = InterimState(1.0, 0.4)
+    for call, name in (
+            (lambda: cp(FixedDesign(2.0, two)), "c"),
+            (lambda: cpi(FixedDesign(2.0, 2.0), InterimState(1.0, fs)), "f"),
+            (lambda: futility_decision(FixedDesign(2.0, two), state), "c"),
+            (lambda: interim_ordering_holds(FixedDesign(two, 2.0), state),
+             "zo"),
+            (lambda: cp_pp_intersection(two), "zo"),
+            (lambda: fbp_cbp_intersection(two), "zo"),
+            (lambda: fbp_minimum(two), "zo"),
+            (lambda: ppi_minimum(two), "zi"),
+            (lambda: ippi_limit(2.0, 1.0, c_stage1=two), "c_stage1"),
+            (lambda: FutilityRule(boundary=fs), "boundary")):
+        with pytest.raises(ValueError, match=f"^{name} must be a single "
+                                             "number$"):
+            call()
+
+
+def test_numpy_floats_give_python_floats_and_the_same_bits():
+    fixed = FixedDesign(np.float64(3.2), np.float64(2.0))
+    state = InterimState(np.float64(2.5), np.float64(0.4))
+    rule = FutilityRule(boundary=np.float64(0.3))
+    for obj in (fixed, state, rule):
+        assert all(type(v) is float for v in vars(obj).values()
+                   if not isinstance(v, str))
+    assert repr(cpi(fixed, state)) == repr(
+        cpi(FixedDesign(3.2, 2.0), InterimState(2.5, 0.4)))
+    assert repr(futility_decision(fixed, state, rule)) == repr(
+        futility_decision(FixedDesign(3.2, 2.0), InterimState(2.5, 0.4),
+                          FutilityRule(boundary=0.3)))
+    for call, v in ((cp_pp_intersection, 3.2), (fbp_cbp_intersection, 1.5),
+                    (fbp_minimum, 4.0), (ppi_minimum, 2.5),
+                    (lambda v: ippi_limit(2.0, 1.0, v), 0.8)):
+        assert repr(call(np.float64(v))) == repr(call(v))
 
 
 def _outcome(call):

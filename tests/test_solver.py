@@ -7,7 +7,7 @@ import pytest
 
 from repower import (DesignConfig, FixedDesign, FutilityRule,
                      InfeasibleTarget, InterimState, SolveRequest, _methods,
-                     design, design_power, fbp_minimum, futility_decision,
+                     design_power, fbp_minimum, futility_decision,
                      interim_power, p_to_z, solve_c, std_normal_cdf)
 
 CFG = DesignConfig(alpha=0.05)
@@ -73,7 +73,7 @@ def test_cpi_at_a_fixed_f_peaks_below_the_smallest_scanned_size():
     # is met only below c = 5.6e-13, under the smallest size solve_c
     # scans, 1e-9, so the bound it reports is the power there
     entry = _methods.METHODS["CPi"]
-    assert design._supremum(entry, -0.5, 1.0, 0.0, CFG, 0.4) == \
+    assert entry.sup(-0.5, 1.0, 0.0, 0.4, CFG) == \
         pytest.approx(0.043282176619318568928, rel=1e-14, abs=0.0)
     with pytest.raises(InfeasibleTarget) as exc:
         solve_c(SolveRequest("CPi", 0.04328215, zo=-0.5, zi=1.0, f=0.4))
@@ -194,6 +194,21 @@ def test_inverse_meets_its_target_past_phi_rounding():
                                config=config))
     assert res.path == "inverse" and res.evaluations <= 8
     assert res.power >= target
+
+
+@pytest.mark.parametrize("request_", [
+    SolveRequest("PP", 0.1130317617082159, zo=1.2462839599778555,
+                 config=DesignConfig(alpha=0.05, shrinkage=0.25)),
+    SolveRequest("PPi", 0.23585985240769092, zi=-0.5783998972157001,
+                 c_stage1=0.3828126810722374,
+                 config=DesignConfig(alpha=0.1)),
+])
+def test_the_refined_answer_walks_on_to_the_target(request_):
+    # Phi of the refined crossing falls short of the target: the solver
+    # walks on by 1, 2, 4, ... ulps of c, 3 steps for PP and 5 for PPi
+    res = solve_c(request_)
+    assert res.path == "inverse" and res.evaluations <= 25
+    assert res.power >= request_.target_power
 
 
 def test_answers_near_the_floor_carry_every_digit():

@@ -290,6 +290,12 @@ def test_futility_replay(records):
                        "Rand"}
 
 
+def test_reports_default_to_the_bundled_data_and_rule(records):
+    assert reproduce_interim_powers() == reproduce_interim_powers(records)
+    assert futility_replay(records) == futility_replay(records,
+                                                       FutilityRule())
+
+
 @pytest.mark.parametrize("config", [DesignConfig(),
                                     DesignConfig(0.01, 0.3, True)])
 def test_report_rows_are_the_per_study_calls_bit_for_bit(records, config):
