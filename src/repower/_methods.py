@@ -22,13 +22,11 @@ treats as no estimate.  ``solver`` also calls the fixed-design rules
 at |zd|, and at zd = 0 where they invert z alone, to bound and estimate
 a both-tail crossing; they read only the critical values of the
 config, which do not depend on the tails counted.  The input rules
-live in ``normal``, each written once, and are imported here: every
-public entry point applies ``finite``, ``positive``, ``unit`` or
-``size`` to its arguments, and nothing below checks again.  Scalar inputs
-reach the table as Python floats: ``Method.check`` returns the checked
-zo and zi as floats, ``design`` makes floats of scalar sizes with
-``_float_or_array`` and keeps a config's alpha and shrinkage as floats,
-and the input rules compare a float directly.  The parts also take
+and converters live in ``normal`` and are imported here: every public
+entry point checks its arguments with them, and nothing below checks
+again.  Scalar inputs reach the table as Python floats, through
+``single`` (``Method.check`` for zo and zi, the records' ``settle``) or
+``_float_or_array`` (scalar sizes).  The parts also take
 arrays: ``_sqrt`` is ``math.sqrt`` on a number and numpy's on an array,
 both correctly rounded, so a float stays a Python float and numpy is
 imported only where an array arrives.
@@ -36,8 +34,9 @@ imported only where an array arrives.
 import math
 from dataclasses import dataclass
 
-from .normal import (_float_or_array, _within, finite, positive, single,
-                     size, std_normal_cdf, unit)
+from .normal import (_float_or_array, _within, finite, fraction,
+                     nonnegative, positive, settle, single, size,
+                     std_normal_cdf, unit)
 
 # the roots of c^2 + 6c + 1 are -(3 -+ 2 sqrt(2)), correctly rounded
 _3_MINUS_2_SQRT2 = 0.1715728752538099
@@ -415,7 +414,7 @@ class Method:
     def interim(self):
         return "zi" in self.needs
 
-    def check(self, zo, zi, stray=(), noun="arguments"):
+    def check(self, zo, zi, stray=()):
         """The checked (zo, zi): each input the method needs given,
         finite and a single number, returned as a Python float, and any
         other as it came.  ``stray`` holds the interim-only inputs,
@@ -423,7 +422,7 @@ class Method:
         zi = self._scalar("zi", zi)
         zo = self._scalar("zo", zo)
         if not self.interim and any(v is not None for v in (zi, *stray)):
-            raise ValueError(f"{self.tag} takes no interim {noun}")
+            raise ValueError(f"{self.tag} takes no interim arguments")
         return zo, zi
 
     def _scalar(self, name, value):
@@ -431,8 +430,7 @@ class Method:
             return value
         if value is None:
             raise ValueError(f"{self.tag} requires {name}")
-        finite(name, value)
-        return single(name, value)
+        return single(name, value, finite)
 
     def power(self, zd, zi, s, x, config):
         return _tail_power(*self.parts(zd, zi, s, x, config),

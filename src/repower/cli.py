@@ -21,7 +21,6 @@ subcommand's flags in usage order for ``build_parser``.
 """
 import argparse
 import csv as _csv
-import functools
 import io
 import json
 import math
@@ -55,8 +54,7 @@ def _typed(rule, message, cast=float):
 _finite = _typed(_methods.finite, "must be finite")
 _positive = _typed(_methods.positive, "must be positive")
 _unit_open = _typed(_methods.unit, "must lie strictly between 0 and 1")
-_unit_half_open = _typed(functools.partial(_methods.unit, closed=True),
-                         "must lie in [0, 1)")
+_unit_half_open = _typed(_methods.fraction, "must lie in [0, 1)")
 
 
 def _range_arg(text):

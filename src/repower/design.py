@@ -61,26 +61,35 @@ class DesignConfig:
     Parameters
     ----------
     alpha : float
-        Two-sided significance level of the replication analysis.
+        Two-sided significance level of the replication analysis, at
+        least 1e-323 (below it alpha / 2 is 0).
     shrinkage : float
         Fraction s in [0, 1) by which the original z-statistic is
         discounted before it enters any formula.
     both_tails : bool
         If True, also count rejections opposite to the original
-        direction (exact two-sided rejection probability).
+        direction (exact two-sided rejection probability).  A numpy
+        bool or a 0-d bool array is kept as a Python bool; any other
+        value is refused.
     """
 
     alpha: float = 0.05
     shrinkage: float = 0.0
     both_tails: bool = False
 
+    _RULES = (("alpha", _methods.unit), ("shrinkage", _methods.fraction))
+
     def __post_init__(self):
-        _methods.unit("alpha", self.alpha)
-        _methods.unit("shrinkage", self.shrinkage, closed=True)
-        # kept as Python floats, as every checked scalar input is
-        for name in ("alpha", "shrinkage"):
-            object.__setattr__(self, name,
-                               _methods.single(name, getattr(self, name)))
+        _methods.settle(self)
+        if self.alpha < 1e-323:
+            raise ValueError("alpha must be at least 1e-323: below it "
+                             "alpha / 2, the tail of the level, is 0")
+        # a numpy bool, or a 0-d bool array, is kept as Python's bool
+        if not (isinstance(b := self.both_tails, bool) or getattr(
+                b, "dtype", None) is not None and b.dtype.kind == "b"
+                and b.ndim == 0):
+            raise ValueError("both_tails must be True or False")
+        object.__setattr__(self, "both_tails", bool(b))
 
     @property
     def alpha_tilde(self):
@@ -115,13 +124,8 @@ class FixedDesign:
     zo: float
     c: float
 
-    def __post_init__(self):
-        _methods.finite("zo", self.zo)
-        _methods.positive("c", self.c)
-        # kept as Python floats, as every checked scalar input is
-        for name in ("zo", "c"):
-            if type(v := getattr(self, name)) is not float:
-                object.__setattr__(self, name, _methods.single(name, v))
+    _RULES = (("zo", _methods.finite), ("c", _methods.positive))
+    __post_init__ = _methods.settle
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,11 @@ def _inputs(entry, zo, zi, c, f):
     # warns, a Python float raises only on a division by zero or an
     # overflowing **: the parts use no **, and divide only by x, x + 1,
     # s + 1 and 1 + r, which the checks below keep positive
-    cv = _methods._float_or_array(c)
+    cv = _methods._float_or_array("c", c)
     _methods.positive("c", cv)
     s, x = 0.0, cv
     if entry.interim:
-        fv = _methods._float_or_array(f)
+        fv = _methods._float_or_array("f", f)
         # a method without a design counterpart at f = 0 needs f > 0
         _methods._within("f", fv, 0.0, 1.0, entry.at_f0 is not None,
                          "lie in [0, 1), strictly above 0 for PPi")
@@ -255,8 +259,7 @@ def cp_pp_intersection(zo, config=DEFAULT_CONFIG):
     Requires a positive shrunken original z-statistic; the curves do
     not cross otherwise.
     """
-    _methods.finite("zo", zo)
-    zd = shrunken_zo(_methods.single("zo", zo), config)
+    zd = shrunken_zo(_methods.single("zo", zo, _methods.finite), config)
     if zd <= 0.0:
         raise ValueError("CP and PP only cross for a positive original z")
     # ** 2 calls pow, off by an ulp where r * r is correctly rounded
@@ -271,8 +274,7 @@ def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
     significant at the pooled level alpha_tilde; otherwise the returned
     point is flagged infeasible.
     """
-    _methods.finite("zo", zo)
-    zd = shrunken_zo(_methods.single("zo", zo), config)
+    zd = shrunken_zo(_methods.single("zo", zo, _methods.finite), config)
     if zd <= 0.0:
         raise ValueError("FBP and CBP only cross for a positive original z")
     zat = config.z_alpha_tilde
@@ -296,8 +298,7 @@ def fbp_minimum(zo, config=DEFAULT_CONFIG):
     level alpha_tilde (then FBP falls from 1 at c -> 0 before rising
     back towards its large-c bound).
     """
-    _methods.finite("zo", zo)
-    zd = shrunken_zo(_methods.single("zo", zo), config)
+    zd = shrunken_zo(_methods.single("zo", zo, _methods.finite), config)
     zat = config.z_alpha_tilde
     if zd + zat <= 0.0:
         raise ValueError(

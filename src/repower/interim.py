@@ -34,13 +34,8 @@ class InterimState:
     zi: float
     f: float
 
-    def __post_init__(self):
-        _methods.finite("zi", self.zi)
-        _methods.unit("f", self.f, closed=True)
-        # kept as Python floats, as every checked scalar input is
-        for name in ("zi", "f"):
-            if type(v := getattr(self, name)) is not float:
-                object.__setattr__(self, name, _methods.single(name, v))
+    _RULES = (("zi", _methods.finite), ("f", _methods.fraction))
+    __post_init__ = _methods.settle
 
 
 def interim_power(method, zo, zi, c, f, config=DEFAULT_CONFIG):
@@ -86,15 +81,20 @@ def predictive_power_interim(fixed, interim, config=DEFAULT_CONFIG):
 def interim_ordering_holds(fixed, interim, config=DEFAULT_CONFIG):
     """Whether CPi >= IPPi >= PPi is guaranteed for these inputs.
 
-    The ordering holds whenever the (shrunken) original is significant,
-    the interim is not, the replication is at least twice the original
-    (c >= 2) and more than a quarter of it is done (f > 0.25).  Outside
-    that region any ordering can occur.
+    With one tail, the ordering holds whenever the (shrunken) original
+    is significant, the interim is not, the replication is at least
+    twice the original (c >= 2) and more than a quarter of it is done
+    (f > 0.25).  Outside that region any ordering can occur.  With both
+    tails it is never guaranteed: each method's opposite-direction term
+    grows as its argument falls, and in that region it breaks the
+    ordering for most drawn states.
 
     Returns
     -------
     {"ordered", "not_guaranteed"}
     """
+    if config.both_tails:
+        return "not_guaranteed"
     zd = shrunken_zo(fixed.zo, config)
     za = config.z_alpha
     ok = (zd > -za and interim.zi < -za and fixed.c >= 2.0
@@ -109,7 +109,7 @@ def weight_dominance_threshold(method, c):
     For f below the returned value the ``zo`` weight exceeds the ``zi``
     weight; above it the interim dominates.
     """
-    c = _methods._float_or_array(c)
+    c = _methods._float_or_array("c", c)
     _methods.positive("c", c)
     entry = _methods.METHODS.get(method)
     if entry is None or entry.dominance is None:
@@ -125,8 +125,7 @@ def ippi_limit(zo, zi, c_stage1, config=DEFAULT_CONFIG):
     certainty of success is never reached from a non-significant
     interim.
     """
-    _methods.positive("c_stage1", c_stage1)
-    c_stage1 = _methods.single("c_stage1", c_stage1)
+    c_stage1 = _methods.single("c_stage1", c_stage1, _methods.positive)
     zo, zi = _methods.METHODS["IPPi"].check(zo, zi)
     return _methods._ippi_limit(shrunken_zo(zo, config), zi, c_stage1,
                                 config)
@@ -138,8 +137,7 @@ def ppi_minimum(zi, config=DEFAULT_CONFIG):
     Exists only when the interim result is itself significant in the
     original direction; the minimum value depends on ``zi`` alone.
     """
-    _methods.finite("zi", zi)
-    zi, za = _methods.single("zi", zi), config.z_alpha
+    zi, za = _methods.single("zi", zi, _methods.finite), config.z_alpha
     if zi + za <= 0.0:
         raise ValueError(
             "PPi has an interior minimum only for a significant interim")
@@ -174,10 +172,10 @@ def remaining_n_curve(zo, zi, c_stage1, nj_ratio, config=DEFAULT_CONFIG):
     InterimPowerCurve
     """
     import numpy as np
-    x = np.asarray(nj_ratio, dtype=float)
+    x = np.asarray(_methods._float_or_array("nj_ratio", nj_ratio))
     _methods.positive("nj_ratio", x)
     _methods.size("nj_ratio", x)
-    _methods.positive("c_stage1", c_stage1)
+    c_stage1 = _methods.single("c_stage1", c_stage1, _methods.positive)
     zo, zi = _methods.METHODS["CPi"].check(zo, zi)
     return InterimPowerCurve(x, *(
         design._at(_methods.METHODS[m], zo, zi, c_stage1, x, config)

@@ -47,9 +47,13 @@ class SimSpec:
     n_o: float = 1000.0
     config: object = DEFAULT_CONFIG
 
+    _RULES = (("c", _methods.positive), ("n_o", _methods.positive),
+              ("f", _methods.unit))
+    _OPTIONAL = ("f",)
+
     def __post_init__(self):
         entry = _methods._lookup(self.method)
-        _methods.positive("c", self.c)
+        _methods.settle(self)
         if not (isinstance(self.n_sims, numbers.Integral)
                 and self.n_sims >= 1000):
             raise ValueError("n_sims must be an integer of at least 1000")
@@ -57,19 +61,13 @@ class SimSpec:
             raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "n_sims", int(self.n_sims))
         object.__setattr__(self, "seed", int(self.seed))
-        _methods.positive("n_o", self.n_o)
-        zo, zi = entry.check(self.zo, self.zi, (self.f,), noun="inputs")
-        if entry.interim and (self.f is None or not 0.0 < self.f < 1.0):
+        zo, zi = entry.check(self.zo, self.zi, (self.f,))
+        object.__setattr__(self, "zo", zo)
+        object.__setattr__(self, "zi", zi)
+        if entry.interim and self.f is None:
             raise ValueError(f"{self.method} requires f in (0, 1)")
         _methods.size("c * (1 - f)" if entry.interim else "c",
                       self.c * (1.0 - self.f) if entry.interim else self.c)
-        # kept as Python floats, as every checked scalar input is
-        object.__setattr__(self, "zo", zo)
-        object.__setattr__(self, "zi", zi)
-        for name in ("c", "f", "n_o"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _methods.single(name, value))
 
 
 @dataclass(frozen=True)

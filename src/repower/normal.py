@@ -43,11 +43,13 @@ ulp.  In the central range AS241 alone is within 2.5 * 2^-52 relative,
 and a step would only add the rounding of Phi near 1/2.  It works on
 floats; an array is mapped element by element.
 
-The package's input rules live here, in its lowest module, for
-``_methods`` to import.  Each public function here converts its input
-once, with ``_float_or_array``, refuses NaN and any value outside its
-domain through ``_within``, naming the argument, and runs a float or an
-array kernel: a number returns a Python float without importing numpy.
+The input boundary lives here, for ``_methods`` to import: the rules,
+each a function of (name, value) that raises a ValueError naming the
+argument, the converter ``_float_or_array``, which refuses text and
+complex values by name, ``single``, which runs a rule on a value as it
+came and then makes it a Python float, and ``settle``, which does so for
+a frozen record's (field, rule) pairs.  A number given to a public
+function here returns a Python float without importing numpy.
 """
 import functools
 import math
@@ -57,7 +59,6 @@ import sys
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_P_RULE = "lie strictly between 0 and 1"
 _INV_SQRT_PI = 5.6418958354775628695e-1
 # Phi(-x) underflows to zero beyond x = 38.5; clamping |x| here keeps
 # exp's head finite and its tail zero
@@ -116,11 +117,7 @@ def _array_tables():
             lambda w, m: np.ldexp(w, m.astype(np.int32), out=w))
 
 
-# formatted once: the repr of a float this small takes microseconds
-_SIZE_RULE = f"be at least {sys.float_info.min!r}"
-
-
-def _within(name, v, lo, hi, closed, rule):
+def _within(name, v, lo, hi, closed, text):
     """ValueError naming ``name`` unless lo < v < hi (lo <= v if closed).
     A float or an int is compared directly, NaN failing both bounds."""
     if isinstance(v, (float, int)):
@@ -133,53 +130,78 @@ def _within(name, v, lo, hi, closed, rule):
         except TypeError:       # None, a list: no number at all
             ok = False
     if not ok:
-        raise ValueError(f"{name} must {rule}")
+        raise ValueError(f"{name} must {text}")
 
 
-def _float_or_array(v):
-    """A number or a 0-d array as a Python float, else a float array."""
+def _float_or_array(name, v):
+    """A number or a 0-d array as a Python float, else a float array;
+    ValueError naming ``name`` for text or a complex value."""
     if isinstance(v, (float, int)):
         return float(v)
     import numpy as np
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v)
+    if v.dtype.kind in "USc" or v.dtype == object and any(
+            isinstance(e, (str, bytes, complex)) for e in v.flat):
+        raise ValueError(f"{name} must be a real number or an array of them")
+    v = v.astype(float, copy=False)
     return float(v) if v.ndim == 0 else v
 
 
-def single(name, v):
-    """``v`` as a Python float; ValueError naming ``name`` unless it is
-    one number (a float, an int, a numpy float or a 0-d array)."""
-    v = _float_or_array(v)
-    if not isinstance(v, float):
-        raise ValueError(f"{name} must be a single number")
+def single(name, v, rule):
+    """``v`` as a Python float, once ``rule(name, v)`` has passed on the
+    value as it came; ValueError naming ``name`` unless it is one number
+    (a float, an int, a numpy float or a 0-d array)."""
+    rule(name, v)
+    if type(v) is not float:
+        v = _float_or_array(name, v)
+        if not isinstance(v, float):
+            raise ValueError(f"{name} must be a single number")
     return v
 
 
-def finite(name, v):
-    _within(name, v, -math.inf, math.inf, False, "be finite")
+def settle(record):
+    """A frozen record's ``__post_init__``: each (field, rule) pair of its
+    ``_RULES`` through ``single``, setting only a field that changes and
+    skipping one its ``_OPTIONAL`` names while it is None."""
+    for name, rule in record._RULES:
+        if (v := getattr(record, name)) is None and \
+                name in getattr(record, "_OPTIONAL", ()):
+            continue
+        if (w := single(name, v, rule)) is not v:
+            object.__setattr__(record, name, w)
 
 
-def positive(name, v):
-    _within(name, v, 0.0, math.inf, False, "be positive and finite")
+def _rule(lo, hi, closed, text):
+    """An input rule: ValueError naming the argument unless lo < v < hi
+    (lo <= v if closed), with the message formatted once.  A float
+    inside the bounds passes without a further call."""
+    def rule(name, v):
+        if not (type(v) is float and (v >= lo if closed else v > lo)
+                and v < hi):
+            _within(name, v, lo, hi, closed, text)
+    return rule
 
 
-def unit(name, v, closed=False):
-    _within(name, v, 0.0, 1.0, closed,
-            "lie in [0, 1)" if closed else "lie strictly in (0, 1)")
+finite = _rule(-math.inf, math.inf, False, "be finite")
+positive = _rule(0.0, math.inf, False, "be positive and finite")
+nonnegative = _rule(0.0, math.inf, True, "be finite and nonnegative")
+unit = _rule(0.0, 1.0, False, "lie strictly in (0, 1)")
+fraction = _rule(0.0, 1.0, True, "lie in [0, 1)")
+# a size the table divides by: at least the smallest normal double
+size = _rule(sys.float_info.min, math.inf, True,
+             f"be at least {sys.float_info.min!r}")
+_probability = _rule(0.0, 1.0, False, "lie strictly between 0 and 1")
+_correlation = _rule(-1.0, 1.0, False, "lie strictly between -1 and 1")
 
 
-def size(name, v):
-    """A size the table divides by: at least the smallest normal double."""
-    _within(name, v, sys.float_info.min, math.inf, True, _SIZE_RULE)
-
-
-def _checked(name, v, lo=None, hi=None, rule=None):
+def _checked(name, v, rule=None):
     """``v`` as a Python float or a float array; ValueError naming
-    ``name`` if it holds NaN or, given a ``rule``, unless lo < v < hi."""
-    v = _float_or_array(v)
+    ``name`` if it holds NaN or, given a ``rule``, fails it."""
+    v = _float_or_array(name, v)
     if v != v if isinstance(v, float) else (v != v).any():
         raise ValueError(f"{name} must not contain NaN")
     if rule is not None:
-        _within(name, v, lo, hi, False, rule)
+        rule(name, v)
     return v
 
 
@@ -332,7 +354,7 @@ def std_normal_quantile(p):
     """
     if type(p) is float and 0.0 < p < 1.0:
         return _quantile_float(p)
-    p = _checked("p", p, 0.0, 1.0, _P_RULE)
+    p = _checked("p", p, _probability)
     if isinstance(p, float):
         return _quantile_float(p)
     import numpy as np
@@ -347,7 +369,7 @@ def fisher_z(r):
     differ by at most 2 ulps.  Mapping the float kernel over an array
     would make a 1e5-point call about 12 times slower.
     """
-    r = _checked("r", r, -1.0, 1.0, "lie strictly between -1 and 1")
+    r = _checked("r", r, _correlation)
     if isinstance(r, float):
         return math.atanh(r)
     import numpy as np
@@ -367,17 +389,13 @@ def fisher_z_inv(z):
 def _z_of_p(p):
     """-Phi^{-1}(p / 2) for a float p strictly inside (0, 1).
 
-    The lower tail keeps full precision down to the smallest p, whose
-    half alone underflows: there, Newton steps on ln(2 Phi(-z)) = ln p
-    from z = -Phi^{-1}(p), with 2 Phi(-z) = r exp(-z^2 / 2), r Cody's
-    outer factor, and the slope -(z + 1/z) of its logarithm.
+    The half of one p alone underflows, the smallest subnormal 2^-1074:
+    there the root of 2 Phi(-z) = p, 38.4854083355673422... (mpmath), is
+    returned correctly rounded.
     """
     if (h := p / 2.0) > 0.0:
         return -_quantile_float(h)
-    z, lp = -_quantile_float(p), math.log(p)
-    for _ in range(3):
-        z += (math.log(_cody(z, 2)) - 0.5 * z * z - lp) / (z + 1.0 / z)
-    return z
+    return 38.48540833556734
 
 
 def p_to_z(p, direction=1):
@@ -393,9 +411,9 @@ def p_to_z(p, direction=1):
     if type(p) is float and 0.0 < p < 1.0 and \
             isinstance(direction, (int, float)) and direction in (1, -1):
         return float(direction) * _z_of_p(p)
-    p = _checked("p", p, 0.0, 1.0, _P_RULE)
+    p = _checked("p", p, _probability)
     # |d| = 1: from 1 up to, not including, the next double
-    d = _float_or_array(direction)
+    d = _float_or_array("direction", direction)
     _within("direction", abs(d), 1.0, math.nextafter(1.0, 2.0), True,
             "be +1 or -1")
     if isinstance(p, float):

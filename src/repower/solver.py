@@ -77,31 +77,25 @@ class SolveRequest:
     c_lower: float = 0.0
     config: design.DesignConfig = DEFAULT_CONFIG
 
+    _RULES = (("target_power", _methods.unit),
+              ("c_lower", _methods.nonnegative), ("f", _methods.unit),
+              ("c_stage1", _methods.positive))
+    _OPTIONAL = ("f", "c_stage1")
+
     def __post_init__(self):
-        _methods.unit("target_power", self.target_power)
-        _methods._within("c_lower", self.c_lower, 0.0, math.inf, True,
-                         "be finite and nonnegative")
+        _methods.settle(self)
         entry = _methods._lookup(self.method)
         zo, zi = entry.check(self.zo, self.zi, (self.f, self.c_stage1))
         if entry.interim and (self.f is None) == (self.c_stage1 is None):
             raise ValueError(
                 "interim solving needs exactly one of f or c_stage1")
-        if self.f is not None:
-            _methods.unit("f", self.f)
         # without the original, power at a fixed f is the same for every c
         if self.f is not None and "zo" not in entry.needs:
             raise ValueError(
                 f"{self.method} at a fixed interim fraction does not vary "
                 "with c; fix c_stage1 instead")
-        if self.c_stage1 is not None:
-            _methods.positive("c_stage1", self.c_stage1)
-        # kept as Python floats, as every checked scalar input is
         object.__setattr__(self, "zo", zo)
         object.__setattr__(self, "zi", zi)
-        for name in ("target_power", "c_lower", "f", "c_stage1"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _methods.single(name, value))
 
 
 @dataclass(frozen=True)
@@ -407,12 +401,12 @@ class FutilityRule:
     method: str = "IPPi"
     boundary: float = 0.30
 
+    _RULES = (("boundary", _methods.unit),)
+
     def __post_init__(self):
         if self.method not in FUTILITY_METHODS:
             raise ValueError("futility rules use IPPi or PPi")
-        _methods.unit("boundary", self.boundary)
-        object.__setattr__(self, "boundary",
-                           _methods.single("boundary", self.boundary))
+        _methods.settle(self)
 
 
 @dataclass(frozen=True)

@@ -550,6 +550,11 @@ CURVE_IPPI = ["curve", "--method", "ippi", "--zo", "2", "--zi", "1",
     (["solve", "--method", "fbp", "--target", "0.9989853976", "--zo",
       "4.46518391558482"], 0, None, "warning: solution lies on a falling "
      "branch: slightly larger designs have lower power"),
+    # a both-tail look inside the one-tail ordering region, where PPi
+    # exceeds IPPi
+    (["interim", "--zo", "7.81275838196607", "--zi", "-2.259550283086341",
+      "--c", "151.69625813897292", "--f", "0.4754686226214025", "--alpha",
+      "0.01", "--both-tails"], 0, None, WARNING_ORDER),
 ])
 def test_cli_branches_are_pinned(argv, code, last_err, warning, capsys):
     got, out, err = run(argv, capsys)

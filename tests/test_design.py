@@ -314,3 +314,19 @@ def test_a_tiny_alpha_leaves_only_the_pooled_methods_without_a_level():
         assert 0.0 < fbp(design, DesignConfig(alpha=alpha)).power < 1e-100
     with pytest.raises(ValueError, match="^alpha must"):
         fbp(design, DesignConfig(alpha=3.51e-162))
+
+
+def test_a_config_refuses_a_vanishing_alpha_and_non_bool_tails():
+    # alpha / 2 underflows to 0 for the smallest subnormal alpha alone
+    with pytest.raises(ValueError, match="^alpha must be at least 1e-323"):
+        DesignConfig(alpha=5e-324)
+    power = cp(FixedDesign(2.0, 1.0), DesignConfig(alpha=1e-323)).power
+    assert 0.0 < power < 1e-100
+    for tails in ("no", 1, None, 0.0, np.array([True, False])):
+        with pytest.raises(ValueError,
+                           match="^both_tails must be True or False$"):
+            DesignConfig(both_tails=tails)
+    config = DesignConfig(both_tails=np.True_)
+    assert config.both_tails is True and config == DesignConfig(
+        both_tails=True)
+    assert DesignConfig(both_tails=np.array(False)).both_tails is False

@@ -613,13 +613,23 @@ def test_ppi_is_fbp_at_the_interim_weights(zi, c, f, alpha, both):
                                + 2.0 * 5e-324), (got, want, a)
 
 
+@settings(DRAWN, max_examples=300)
+@given(zo=st.floats(0.0, 8.0), zi=z_stats, c=st.floats(1.0, 1e3),
+       f=st.floats(0.2, 0.99), config=configs)
+def test_an_ordered_verdict_keeps_the_ordering(zo, zi, c, f, config):
+    # with one tail or both, "ordered" means CPi >= IPPi >= PPi, exactly
+    fixed, state = FixedDesign(zo, c), InterimState(zi, f)
+    if interim_ordering_holds(fixed, state, config) == "ordered":
+        powers = [m(fixed, state, config).power for m in (cpi, ippi, ppi)]
+        assert powers[0] >= powers[1] >= powers[2]
+
+
 # each input rule with the floats it accepts
 RULES = {
     "finite": (_methods.finite, math.isfinite),
     "positive": (_methods.positive, lambda v: 0.0 < v < math.inf),
     "unit": (_methods.unit, lambda v: 0.0 < v < 1.0),
-    "unit closed": (lambda name, v: _methods.unit(name, v, closed=True),
-                    lambda v: 0.0 <= v < 1.0),
+    "unit closed": (_methods.fraction, lambda v: 0.0 <= v < 1.0),
 }
 edges = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1.0 - 2.0 ** -53,
                          math.inf, -math.inf, math.nan])

@@ -183,8 +183,9 @@ def test_falling_crossing_meets_its_target():
 
 
 def test_inverse_meets_its_target_past_phi_rounding():
-    # Phi is not monotone at the ulp scale: past the level, Phi of this
-    # curve stays below the target for 27 ulps of c
+    # a target that is the power at a given c, met by the inverse rule's
+    # cell and the refine alone: the answer's power reaches the target
+    # without the ulp walk after the refine
     config = DesignConfig(alpha=0.22235512405877553,
                           shrinkage=0.12908658388166339)
     f = zo = 0.551090917329069
@@ -234,6 +235,23 @@ def test_a_flat_curve_meets_its_own_power():
     res = solve_c(SolveRequest("CP", target, zo=0.0, config=config))
     assert res.c == 1e-9 and res.power == target
     assert res.warning.startswith("every size down to the lower bound")
+
+
+@pytest.mark.parametrize("zi,f,both,target", [
+    (1.4421579090856085, 0.8302616566348727, True, 0.058473631054981115),
+    (0.0005912906430259947, 0.3967243877594316, False,
+     0.005818840505057435),
+])
+def test_a_target_the_curve_returns_past_its_supremum_rule(zi, f, both,
+                                                           target):
+    # CPi at zo = 0 and a fixed f is flat in c but for rounding: its
+    # supremum rule rounds a few ulps below the target, the curve at the
+    # start of the scan below it too, and a later size meets it
+    config = DesignConfig(both_tails=both)
+    assert _methods.METHODS["CPi"].sup(0.0, zi, 0.0, f, config) < target
+    res = solve_c(SolveRequest("CPi", target, zo=0.0, zi=zi, f=f,
+                               config=config))
+    assert res.path == "scan" and res.power >= target
 
 
 @pytest.mark.parametrize("method,target", [("CPi", 0.8), ("IPPi", 0.6)])
