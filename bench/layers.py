@@ -20,14 +20,20 @@ drawn from 0.1 to 20, on a curve that rises from the bottom of the
 axis); the scan (IPPi at a fixed c_stage1); and an infeasible IPPi
 request at a fixed f with both tails, which scans and zooms.  The
 cold-start rows time one fresh interpreter each, as a subprocess: bare
-``python3``, ``import repower``, ``repower power`` and ``repower
-curve``; ``repower curve`` builds an array, and loads numpy, where the
-other two need none.  A fixed pure-Python loop is timed beside them,
+``python3``, ``import repower``, ``import repower.cli``, and the
+commands ``repower power``, ``solve`` (an inverse-path CP solve),
+``ssrp`` (the interim report), ``curve`` and ``simulate`` (2e4 draws);
+``curve`` builds an array, and loads numpy, and ``simulate`` loads
+scipy too, where the others need neither.  A fixed pure-Python loop is
+timed beside them,
 so that numbers taken on different days or machines can be put on one
 scale: divide a row by the calibration row.
 
 Every tree is measured in its own child process, ROUNDS times,
-alternating which tree goes first; a round takes SAMPLES samples per
+alternating which tree goes first.  The child first byte-compiles its
+tree's package, so that no stale or missing ``.pyc`` file (a fresh copy
+of a tree, or ``PYTHONDONTWRITEBYTECODE`` set) makes the cold starts
+compile the source; a round takes SAMPLES samples per
 row, each the mean of a loop long enough to last about 10 ms.  A row
 reports the median and the quartiles of all its samples, in
 microseconds per call.  With two or more trees the output also gives
@@ -37,6 +43,8 @@ which spans Cody's three ranges.  Nothing is fetched or written but
 ``--out``.
 """
 import argparse
+import compileall
+import importlib.util
 import json
 import os
 import platform
@@ -62,10 +70,16 @@ SEED = 0
 COLD_STARTS = (
     ("python3", ["-c", "pass"]),
     ("import repower", ["-c", "import repower"]),
+    ("import repower.cli", ["-c", "import repower.cli"]),
     ("repower power", ["-m", "repower.cli", "power", "--zo", "2.3", "--c",
                        "1.5"]),
+    ("repower solve", ["-m", "repower.cli", "solve", "--method", "cp",
+                       "--target", "0.9", "--zo", "2.807"]),
+    ("repower ssrp", ["-m", "repower.cli", "ssrp"]),
     ("repower curve", ["-m", "repower.cli", "curve", "--method", "cp",
                        "--zo", "2", "--c-range", "0.5:3:0.5"]),
+    ("repower simulate", ["-m", "repower.cli", "simulate", "--method", "pp",
+                          "--zo", "2.2", "--c", "1.3", "--nsims", "20000"]),
 )
 
 
@@ -215,7 +229,11 @@ def _rows():
 
 
 def _measure():
-    """Per-call samples in microseconds of every row, in this process."""
+    """Per-call samples in microseconds of every row, in this process,
+    once the package on the path is byte-compiled."""
+    package = importlib.util.find_spec("repower").submodule_search_locations
+    if not compileall.compile_dir(package[0], quiet=1):
+        raise RuntimeError(f"{package[0]} does not byte-compile")
     version, rows = _rows()
     out = {}
     for name, fn, calls in rows:

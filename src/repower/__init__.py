@@ -18,52 +18,51 @@ fractions use the same effective sizes.
 sample size, ``simulate_power`` checks any closed form by simulation,
 and the ``ssrp`` module replays a 21-study replication program in which
 these interim decisions actually arose.
+
+Each public name is imported from its module on first use (PEP 562):
+``import repower`` loads no submodule, and a name, once looked up, is
+bound here as the defining module's own object.
 """
 
 __version__ = "0.1.0"
 
-from .design import (CrossingPoint, DEFAULT_CONFIG, DesignConfig,
-                     FixedDesign, METHODS_FIXED, METHODS_INTERIM,
-                     PRIOR_COMBINATIONS, PowerMinimum, PowerResult,
-                     cbp, conditional_bayesian_power, conditional_power,
-                     cp, cp_pp_intersection, design_power, fbp,
-                     fbp_cbp_intersection, fbp_minimum,
-                     fully_bayesian_power, pp, predictive_power,
-                     shrunken_zo)
-from .interim import (InterimPowerCurve, InterimState,
-                      conditional_power_interim, cpi,
-                      informed_predictive_power_interim, interim_ordering_holds,
-                      interim_power, ippi, ippi_limit, ppi, ppi_minimum,
-                      predictive_power_interim, remaining_n_curve,
-                      weight_dominance_threshold)
-from .mc import SimResult, SimSpec, closed_form, simulate_power
-from .normal import (fisher_z, fisher_z_inv, p_to_z, std_normal_cdf,
-                     std_normal_pdf, std_normal_quantile, z_to_p)
-from .solver import (FutilityDecision, FutilityRule, InfeasibleTarget,
-                     SolveRequest, SolveResult, futility_decision, solve_c)
-from .ssrp import (DatasetError, DerivedQuantities, InvariantViolation,
-                   REFERENCE_INTERIM_POWER_PCT, SsrpRecord, derive,
-                   futility_replay, load_csv,
-                   reproduce_design_powers, reproduce_interim_powers)
+from importlib import import_module
 
-__all__ = [
-    "CrossingPoint", "DEFAULT_CONFIG", "DatasetError", "DerivedQuantities",
-    "DesignConfig", "FixedDesign", "FutilityDecision", "FutilityRule",
-    "InfeasibleTarget", "InterimPowerCurve", "InterimState",
-    "InvariantViolation", "METHODS_FIXED", "METHODS_INTERIM",
-    "PRIOR_COMBINATIONS", "PowerMinimum", "PowerResult",
-    "REFERENCE_INTERIM_POWER_PCT", "SimResult", "SimSpec", "SolveRequest",
-    "SolveResult", "SsrpRecord", "cbp", "closed_form",
-    "conditional_bayesian_power", "conditional_power",
-    "conditional_power_interim", "cp", "cp_pp_intersection", "cpi",
-    "derive", "design_power", "fbp", "fbp_cbp_intersection",
-    "fbp_minimum", "fisher_z", "fisher_z_inv", "fully_bayesian_power",
-    "futility_decision", "futility_replay",
-    "informed_predictive_power_interim", "interim_ordering_holds",
-    "interim_power", "ippi", "ippi_limit", "load_csv", "p_to_z", "pp",
-    "ppi", "ppi_minimum", "predictive_power",
-    "predictive_power_interim", "remaining_n_curve",
-    "reproduce_design_powers", "reproduce_interim_powers", "shrunken_zo",
-    "simulate_power", "solve_c", "std_normal_cdf", "std_normal_pdf",
-    "std_normal_quantile", "weight_dominance_threshold", "z_to_p",
-]
+# each public name and the module that defines it
+_HOME = {name: module for module, names in (
+    ("design", "CrossingPoint DEFAULT_CONFIG DesignConfig FixedDesign "
+               "METHODS_FIXED METHODS_INTERIM PRIOR_COMBINATIONS "
+               "PowerMinimum PowerResult cbp conditional_bayesian_power "
+               "conditional_power cp cp_pp_intersection design_power fbp "
+               "fbp_cbp_intersection fbp_minimum fully_bayesian_power pp "
+               "predictive_power shrunken_zo"),
+    ("interim", "InterimPowerCurve InterimState conditional_power_interim "
+                "cpi informed_predictive_power_interim "
+                "interim_ordering_holds interim_power ippi ippi_limit ppi "
+                "ppi_minimum predictive_power_interim remaining_n_curve "
+                "weight_dominance_threshold"),
+    ("mc", "SimResult SimSpec closed_form simulate_power"),
+    ("normal", "fisher_z fisher_z_inv p_to_z std_normal_cdf std_normal_pdf "
+               "std_normal_quantile z_to_p"),
+    ("solver", "FutilityDecision FutilityRule InfeasibleTarget SolveRequest "
+               "SolveResult futility_decision solve_c"),
+    ("ssrp", "DatasetError DerivedQuantities InvariantViolation "
+             "REFERENCE_INTERIM_POWER_PCT SsrpRecord derive futility_replay "
+             "load_csv reproduce_design_powers reproduce_interim_powers"),
+) for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """A public name's object, its module imported on first use; the
+    name is then bound here, so later lookups never reach this."""
+    if name not in _HOME:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    obj = globals()[name] = getattr(
+        import_module(f".{_HOME[name]}", __name__), name)
+    return obj
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

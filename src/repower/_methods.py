@@ -35,8 +35,8 @@ import math
 from dataclasses import dataclass
 
 from .normal import (_float_or_array, _within, finite, fraction,
-                     nonnegative, positive, settle, single, size,
-                     std_normal_cdf, unit)
+                     nonnegative, positive, record, settle, single,
+                     size, std_normal_cdf, unit)
 
 # the roots of c^2 + 6c + 1 are -(3 -+ 2 sqrt(2)), correctly rounded
 _3_MINUS_2_SQRT2 = 0.1715728752538099
@@ -456,6 +456,8 @@ METHODS = {m.tag: m for m in (
     Method("PPi", ("flat", "flat"), ("zi",), _ppi, _ppi_sup,
            _ppi_inv),
 )}
+# the methods a futility rule may use
+FUTILITY_METHODS = ("IPPi", "PPi")
 
 
 def _lookup(tag, interim=None):

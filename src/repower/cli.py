@@ -17,20 +17,17 @@ domain errors and infeasible targets.
 
 Each flag is declared once, in the flag table ``_FLAGS``, with types
 that apply the input rules of ``_methods``; ``_COMMANDS`` lists each
-subcommand's flags in usage order for ``build_parser``.
+subcommand's flags in usage order for ``build_parser``.  Each handler
+imports the modules it runs, so a command loads only those: ``power``
+needs neither ``interim``, ``solver``, ``ssrp`` nor ``mc``.
 """
 import argparse
-import csv as _csv
-import io
-import json
 import math
 import sys
-from dataclasses import asdict
 
-from . import __version__, _methods, design, interim, mc, solver, ssrp
+from . import __version__, _methods, design
 from .design import (DesignConfig, FixedDesign, METHODS_FIXED,
                      METHODS_INTERIM)
-from .interim import InterimState
 from .normal import p_to_z
 
 _TAGS = {m.lower(): m for m in _methods.METHODS}
@@ -97,8 +94,10 @@ def _resolve_zo(args):
 
 
 def _csv_lines(header, rows):
+    import csv
+    import io
     buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue().splitlines()
@@ -137,10 +136,11 @@ def _cmd_power(args):
 
 
 def _cmd_interim(args):
+    from . import interim
     methods = (METHODS_INTERIM if args.method == "all"
                else (_TAGS[args.method],))
     config = _config(args)
-    state = InterimState(args.zi, args.f)
+    state = interim.InterimState(args.zi, args.f)
     warnings = []
     if args.f == 0.0:
         skipped = [m for m in methods if not _methods.METHODS[m].at_f0]
@@ -167,6 +167,7 @@ def _cmd_interim(args):
 
 
 def _cmd_solve(args):
+    from . import solver
     res = solver.solve_c(_usage(
         args, solver.SolveRequest, method=_TAGS[args.method],
         target_power=args.target, zo=args.zo, zi=args.zi, f=args.f,
@@ -241,6 +242,9 @@ def _cell(value, spec):
 
 
 def _cmd_ssrp(args):
+    from dataclasses import asdict
+
+    from . import solver, ssrp
     records = ssrp.load_csv(args.data)
     # the echo shows only the flags this report reads
     if args.report != "design-powers":
@@ -296,6 +300,7 @@ def _aligned(header, rows):
 
 
 def _cmd_simulate(args):
+    from . import mc
     spec = _usage(args, mc.SimSpec, method=_TAGS[args.method], c=args.c,
                   zo=args.zo, zi=args.zi, f=args.f, n_sims=args.nsims,
                   seed=args.seed, n_o=args.n_o, config=_config(args))
@@ -343,7 +348,7 @@ _FLAGS = {
     "--report": dict(default="interim", choices=tuple(_SSRP_COLUMNS)),
     "--data": dict(help="alternative dataset CSV path"),
     "--futility-method": dict(type=str.lower, default="ippi", choices=tuple(
-        map(str.lower, solver.FUTILITY_METHODS))),
+        map(str.lower, _methods.FUTILITY_METHODS))),
     "--boundary": dict(type=_unit_open, default=0.30,
                        help="futility boundary (default 0.30)"),
     "--nsims": dict(type=_typed(_methods.positive,
@@ -421,6 +426,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
+        import json
         inputs = {k: v for k, v in vars(args).items()
                   if k not in _NOT_ECHOED}
         envelope = {"command": args.command, "inputs": inputs,

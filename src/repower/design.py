@@ -115,6 +115,7 @@ class DesignConfig:
 
 
 DEFAULT_CONFIG = DesignConfig()
+_a_config = _methods.record(DesignConfig)
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,9 @@ class FixedDesign:
 
     _RULES = (("zo", _methods.finite), ("c", _methods.positive))
     __post_init__ = _methods.settle
+
+
+_a_design = _methods.record(FixedDesign)
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,8 @@ def _power(method, zo, zi, c, f, config, interim=None):
     """Power of one method (of the given family, if any) at total size c
     and interim fraction f, vectorized over both; checks every input."""
     entry = _methods._lookup(method, interim)
+    if not isinstance(config, DesignConfig):
+        _a_config("config", config)
     return _at(entry, *_inputs(entry, zo, zi, c, f), config)
 
 
@@ -206,7 +212,13 @@ def design_power(method, zo, c, config=DEFAULT_CONFIG):
 
 def _result(method, fixed, state, config):
     """The PowerResult of a method at a design (and interim state): its
-    power and its supremum over c, or over the remaining size."""
+    power and its supremum over c, or over the remaining size.  The
+    caller checks the state; the design and the config are checked
+    here, with an isinstance that spares a record the rules' calls."""
+    if not (isinstance(fixed, FixedDesign)
+            and isinstance(config, DesignConfig)):
+        _a_design("design" if state is None else "fixed", fixed)
+        _a_config("config", config)
     zi, f = (None, None) if state is None else (state.zi, state.f)
     entry = _methods._lookup(method, state is not None)
     zo, zi, s, x = _inputs(entry, fixed.zo, zi, fixed.c, f)
@@ -259,7 +271,8 @@ def cp_pp_intersection(zo, config=DEFAULT_CONFIG):
     Requires a positive shrunken original z-statistic; the curves do
     not cross otherwise.
     """
-    zd = shrunken_zo(_methods.single("zo", zo, _methods.finite), config)
+    zd = shrunken_zo(_methods.single("zo", zo, _methods.finite),
+                     _a_config("config", config))
     if zd <= 0.0:
         raise ValueError("CP and PP only cross for a positive original z")
     # ** 2 calls pow, off by an ulp where r * r is correctly rounded
@@ -274,7 +287,8 @@ def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
     significant at the pooled level alpha_tilde; otherwise the returned
     point is flagged infeasible.
     """
-    zd = shrunken_zo(_methods.single("zo", zo, _methods.finite), config)
+    zd = shrunken_zo(_methods.single("zo", zo, _methods.finite),
+                     _a_config("config", config))
     if zd <= 0.0:
         raise ValueError("FBP and CBP only cross for a positive original z")
     zat = config.z_alpha_tilde
@@ -298,7 +312,8 @@ def fbp_minimum(zo, config=DEFAULT_CONFIG):
     level alpha_tilde (then FBP falls from 1 at c -> 0 before rising
     back towards its large-c bound).
     """
-    zd = shrunken_zo(_methods.single("zo", zo, _methods.finite), config)
+    zd = shrunken_zo(_methods.single("zo", zo, _methods.finite),
+                     _a_config("config", config))
     zat = config.z_alpha_tilde
     if zd + zat <= 0.0:
         raise ValueError(

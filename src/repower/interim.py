@@ -38,6 +38,9 @@ class InterimState:
     __post_init__ = _methods.settle
 
 
+_a_state = _methods.record(InterimState)
+
+
 def interim_power(method, zo, zi, c, f, config=DEFAULT_CONFIG):
     """Power of one interim method, vectorized over ``c`` and ``f``.
 
@@ -64,18 +67,21 @@ def interim_power(method, zo, zi, c, f, config=DEFAULT_CONFIG):
 def conditional_power_interim(fixed, interim, config=DEFAULT_CONFIG):
     """CPi: success probability of the completed replication if the true
     effect equals the (shrunken) original estimate."""
-    return design._result("CPi", fixed, interim, config)
+    return design._result("CPi", fixed, _a_state("interim", interim),
+                          config)
 
 
 def informed_predictive_power_interim(fixed, interim, config=DEFAULT_CONFIG):
     """IPPi: success probability under the normal prior from the original
     study updated with the interim data."""
-    return design._result("IPPi", fixed, interim, config)
+    return design._result("IPPi", fixed, _a_state("interim", interim),
+                          config)
 
 
 def predictive_power_interim(fixed, interim, config=DEFAULT_CONFIG):
     """PPi: success probability judged from the interim data alone."""
-    return design._result("PPi", fixed, interim, config)
+    return design._result("PPi", fixed, _a_state("interim", interim),
+                          config)
 
 
 def interim_ordering_holds(fixed, interim, config=DEFAULT_CONFIG):
@@ -93,7 +99,9 @@ def interim_ordering_holds(fixed, interim, config=DEFAULT_CONFIG):
     -------
     {"ordered", "not_guaranteed"}
     """
-    if config.both_tails:
+    design._a_design("fixed", fixed)
+    _a_state("interim", interim)
+    if design._a_config("config", config).both_tails:
         return "not_guaranteed"
     zd = shrunken_zo(fixed.zo, config)
     za = config.z_alpha
@@ -127,8 +135,9 @@ def ippi_limit(zo, zi, c_stage1, config=DEFAULT_CONFIG):
     """
     c_stage1 = _methods.single("c_stage1", c_stage1, _methods.positive)
     zo, zi = _methods.METHODS["IPPi"].check(zo, zi)
-    return _methods._ippi_limit(shrunken_zo(zo, config), zi, c_stage1,
-                                config)
+    return _methods._ippi_limit(
+        shrunken_zo(zo, design._a_config("config", config)), zi, c_stage1,
+        config)
 
 
 def ppi_minimum(zi, config=DEFAULT_CONFIG):
@@ -137,7 +146,8 @@ def ppi_minimum(zi, config=DEFAULT_CONFIG):
     Exists only when the interim result is itself significant in the
     original direction; the minimum value depends on ``zi`` alone.
     """
-    zi, za = _methods.single("zi", zi, _methods.finite), config.z_alpha
+    zi = _methods.single("zi", zi, _methods.finite)
+    za = design._a_config("config", config).z_alpha
     if zi + za <= 0.0:
         raise ValueError(
             "PPi has an interior minimum only for a significant interim")
@@ -177,6 +187,7 @@ def remaining_n_curve(zo, zi, c_stage1, nj_ratio, config=DEFAULT_CONFIG):
     _methods.size("nj_ratio", x)
     c_stage1 = _methods.single("c_stage1", c_stage1, _methods.positive)
     zo, zi = _methods.METHODS["CPi"].check(zo, zi)
+    design._a_config("config", config)
     return InterimPowerCurve(x, *(
         design._at(_methods.METHODS[m], zo, zi, c_stage1, x, config)
         for m in METHODS_INTERIM))

@@ -54,6 +54,7 @@ class SimSpec:
     def __post_init__(self):
         entry = _methods._lookup(self.method)
         _methods.settle(self)
+        design._a_config("config", self.config)
         if not (isinstance(self.n_sims, numbers.Integral)
                 and self.n_sims >= 1000):
             raise ValueError("n_sims must be an integer of at least 1000")
@@ -70,6 +71,9 @@ class SimSpec:
                       self.c * (1.0 - self.f) if entry.interim else self.c)
 
 
+_a_spec = _methods.record(SimSpec)
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Estimated power with its binomial standard error."""
@@ -84,6 +88,7 @@ class SimResult:
 
 def closed_form(spec):
     """The closed-form power the simulation is meant to reproduce."""
+    _a_spec("spec", spec)
     return design._power(spec.method, spec.zo, spec.zi, spec.c, spec.f,
                          spec.config)
 
@@ -147,6 +152,7 @@ def simulate_power(spec):
     -------
     SimResult
     """
+    _a_spec("spec", spec)
     successes = 0
     done = 0
     index = 0

@@ -47,9 +47,10 @@ The input boundary lives here, for ``_methods`` to import: the rules,
 each a function of (name, value) that raises a ValueError naming the
 argument, the converter ``_float_or_array``, which refuses text and
 complex values by name, ``single``, which runs a rule on a value as it
-came and then makes it a Python float, and ``settle``, which does so for
-a frozen record's (field, rule) pairs.  A number given to a public
-function here returns a Python float without importing numpy.
+came and then makes it a Python float, ``settle``, which does so for
+a frozen record's (field, rule) pairs, and ``record``, which makes the
+rule of a record argument (a ``DesignConfig``, say).  A number given to
+a public function here returns a Python float without importing numpy.
 """
 import functools
 import math
@@ -179,6 +180,19 @@ def _rule(lo, hi, closed, text):
         if not (type(v) is float and (v >= lo if closed else v > lo)
                 and v < hi):
             _within(name, v, lo, hi, closed, text)
+    return rule
+
+
+def record(kind):
+    """The input rule of a record argument: ValueError naming it unless
+    it is a ``kind``; else the record, so that a call can check an
+    argument where it passes it on.  The hot entry points test
+    isinstance first and call the rule only for a value that fails."""
+    def rule(name, v):
+        if not isinstance(v, kind):
+            raise ValueError(f"{name} must be of type {kind.__name__}, "
+                             f"not {type(v).__name__}")
+        return v
     return rule
 
 

@@ -31,12 +31,12 @@ from dataclasses import dataclass, field
 
 from . import _methods, design
 from .design import DEFAULT_CONFIG
-from .interim import interim_power
+from .interim import InterimState, _a_state, interim_power
 from .normal import std_normal_cdf, std_normal_quantile
 
 C_CAP = 1e9
 _C_MIN = 1e-9
-FUTILITY_METHODS = ("IPPi", "PPi")
+FUTILITY_METHODS = _methods.FUTILITY_METHODS
 
 
 class InfeasibleTarget(ValueError):
@@ -84,6 +84,7 @@ class SolveRequest:
 
     def __post_init__(self):
         _methods.settle(self)
+        design._a_config("config", self.config)
         entry = _methods._lookup(self.method)
         zo, zi = entry.check(self.zo, self.zi, (self.f, self.c_stage1))
         if entry.interim and (self.f is None) == (self.c_stage1 is None):
@@ -96,6 +97,9 @@ class SolveRequest:
                 "with c; fix c_stage1 instead")
         object.__setattr__(self, "zo", zo)
         object.__setattr__(self, "zi", zi)
+
+
+_a_request = _methods.record(SolveRequest)
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,7 @@ def solve_c(request):
         If c_stage1 is so large that c_stage1 + nj / no rounds to
         c_stage1 at the answer.
     """
-    r = request
+    r = _a_request("request", request)
     # c = s + u, s = c_stage1 or 0 (see the module docstring); inputs
     # are checked by SolveRequest, and every u passed is finite and > 0
     entry = _methods._lookup(r.method)
@@ -409,6 +413,9 @@ class FutilityRule:
         _methods.settle(self)
 
 
+_a_rule = _methods.record(FutilityRule)
+
+
 @dataclass(frozen=True)
 class FutilityDecision:
     """Outcome of applying a futility rule at one interim look."""
@@ -426,6 +433,12 @@ def futility_decision(fixed, state, rule=FutilityRule(),
     The comparison is strict, so a power exactly on the boundary
     continues.
     """
+    if not (isinstance(fixed, design.FixedDesign)
+            and isinstance(state, InterimState)
+            and isinstance(rule, FutilityRule)):
+        design._a_design("fixed", fixed)
+        _a_state("state", state)
+        _a_rule("rule", rule)
     power = interim_power(rule.method, fixed.zo, state.zi, fixed.c,
                           state.f, config)
     return FutilityDecision(method=rule.method, power=power,

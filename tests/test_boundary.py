@@ -6,8 +6,12 @@ which input the method needs (``CPi requires zo``) or states a domain
 refusal (``... only cross ...``, ``... interior minimum ...``,
 ``... needs exactly one of f or c_stage1``).  It never raises a
 TypeError or numpy's truth-value or broadcast error, never warns, and
-never answers for text, bytes or a complex value.
+never answers for text, bytes or a complex value.  Every record
+argument (a config, a design, an interim state, a futility rule, a
+request or a spec) given anything but its record type raises a
+ValueError that names it.
 """
+import dataclasses
 import math
 import re
 import warnings
@@ -146,3 +150,77 @@ def test_every_argument_answers_or_names_itself(label, name, valid, call):
     faults = [_fault(call, name, kind, make(valid))
               for kind, make in KINDS.items()]
     assert [f for f in faults if f] == []
+
+
+# each malformed kind of record argument, as a function of a valid record
+RECORD_KINDS = {
+    "None": lambda v: None,
+    "str": lambda v: "x",
+    "float": lambda v: 1.0,
+    "dict": dataclasses.asdict,
+    "its class": type,
+    "another record": lambda v: (r.FixedDesign(2.0, 1.5)
+                                 if isinstance(v, r.DesignConfig)
+                                 else r.DesignConfig()),
+}
+_FIXED, _STATE = r.FixedDesign(2.0, 1.5), r.InterimState(1.0, 0.4)
+_CONFIG, _RULE = r.DesignConfig(shrinkage=0.1), r.FutilityRule("PPi", 0.2)
+
+# (label, argument, a valid record, the call with that argument replaced)
+RECORD_ARGS = [
+    ("design_power", "config", _CONFIG,
+     lambda v: r.design_power("PP", 2.0, 1.5, v)),
+    ("interim_power", "config", _CONFIG,
+     lambda v: r.interim_power("PPi", 2.0, 1.0, 2.0, 0.4, v)),
+    *((f.__name__, arg, valid, call) for f in (r.cp, r.pp, r.fbp, r.cbp)
+      for arg, valid, call in (
+          ("design", _FIXED, lambda v, f=f: f(v)),
+          ("config", _CONFIG, lambda v, f=f: f(_FIXED, v)))),
+    *((f.__name__, arg, valid, call)
+      for f in (r.cpi, r.ippi, r.ppi, r.interim_ordering_holds)
+      for arg, valid, call in (
+          ("fixed", _FIXED, lambda v, f=f: f(v, _STATE)),
+          ("interim", _STATE, lambda v, f=f: f(_FIXED, v)),
+          ("config", _CONFIG, lambda v, f=f: f(_FIXED, _STATE, v)))),
+    ("cp_pp_intersection", "config", _CONFIG,
+     lambda v: r.cp_pp_intersection(2.0, v)),
+    ("fbp_cbp_intersection", "config", _CONFIG,
+     lambda v: r.fbp_cbp_intersection(1.5, v)),
+    ("fbp_minimum", "config", _CONFIG, lambda v: r.fbp_minimum(4.0, v)),
+    ("ippi_limit", "config", _CONFIG,
+     lambda v: r.ippi_limit(2.0, 1.0, 0.8, v)),
+    ("ppi_minimum", "config", _CONFIG, lambda v: r.ppi_minimum(2.5, v)),
+    ("remaining_n_curve", "config", _CONFIG,
+     lambda v: r.remaining_n_curve(2.0, 1.0, 0.8, [0.5, 1.0], v)),
+    ("SolveRequest", "config", _CONFIG, lambda v: _solve(config=v)),
+    ("solve_c", "request", _solve(), r.solve_c),
+    ("futility_decision", "fixed", _FIXED,
+     lambda v: r.futility_decision(v, _STATE)),
+    ("futility_decision", "state", _STATE,
+     lambda v: r.futility_decision(_FIXED, v)),
+    ("futility_decision", "rule", _RULE,
+     lambda v: r.futility_decision(_FIXED, _STATE, v)),
+    ("futility_decision", "config", _CONFIG,
+     lambda v: r.futility_decision(_FIXED, _STATE, _RULE, v)),
+    ("SimSpec", "config", _CONFIG, lambda v: _sim(config=v)),
+    ("closed_form", "spec", _sim(), r.closed_form),
+    ("simulate_power", "spec", _sim(), r.simulate_power),
+    ("reproduce_interim_powers", "config", _CONFIG,
+     lambda v: r.reproduce_interim_powers(config=v)),
+    ("futility_replay", "rule", _RULE, lambda v: r.futility_replay(rule=v)),
+    ("futility_replay", "config", _CONFIG,
+     lambda v: r.futility_replay(rule=_RULE, config=v)),
+]
+
+
+@pytest.mark.parametrize("label, name, valid, call", RECORD_ARGS,
+                         ids=[f"{a[0]}.{a[1]}" for a in RECORD_ARGS])
+def test_every_record_argument_refuses_a_non_record_by_name(label, name,
+                                                            valid, call):
+    call(valid)
+    for kind, make in RECORD_KINDS.items():
+        if kind == "None" and label == "futility_replay" and name == "rule":
+            continue        # None is its default, the rule FutilityRule()
+        with pytest.raises(ValueError, match=rf"^{name} must be of type "
+                                             rf"{type(valid).__name__}, "):
+            call(make(valid))
