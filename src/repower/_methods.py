@@ -18,9 +18,15 @@ limits, for the one numeric search, in ``solver``.  An inverse rule
 returns an estimate of the first size at which the one-tail argument
 reaches ``level`` on a rising piece from the bottom of the axis, or
 None; IPPi has none.  An estimate can overflow to inf, which ``solver``
-treats as no estimate.  ``solver`` also calls the fixed-design rules
-at |zd|, and at zd = 0 where they invert z alone, to bound and estimate
-a both-tail crossing; they read only the critical values of the
+treats as no estimate.  Each rule is written once.  PPi's argument is
+FBP's with zi for zd, z_alpha for z_alpha_tilde and x / s for x, so
+PPi reads FBP's pooled-analysis rules (``_pooled_sup``,
+``_pooled_inv``) in its own coordinates and scales the size by s.
+CP's argument, and CPi's at a fixed f, rise along a line in sqrt(x),
+or in sqrt(c), and share its inverse, ``_line_inv``, with
+``design.cp_pp_intersection``.  ``solver`` also calls the fixed-design
+rules at |zd|, and at zd = 0 where they invert z alone, to bound and
+estimate a both-tail crossing; they read only the critical values of the
 config, which do not depend on the tails counted.  The input rules
 and converters live in ``normal`` and are imported here: every public
 entry point checks its arguments with them, and nothing below checks
@@ -116,9 +122,9 @@ def _cp_sup(zd, zi, s, f, cfg):
     return cfg.alpha if cfg.both_tails else cfg.alpha / 2.0
 
 
-def _cp_inv(zd, zi, s, f, level, cfg):
-    # sqrt(x) zd + z_alpha = level, rising for zd > 0
-    r = (level - cfg.z_alpha) / zd if zd > 0.0 else 0.0
+def _line_inv(slope, rise):
+    # sqrt(x) slope = rise, a line rising in sqrt(x) if the slope is > 0
+    r = rise / slope if slope > 0.0 else 0.0
     return r * r if r > 0.0 else None
 
 
@@ -148,24 +154,22 @@ def _fbp(zd, zi, s, x, cfg):
     return _sqrt((x + 1.0) / x) * zd, _sqrt(1.0 / x) * cfg.z_alpha_tilde
 
 
-def _fbp_sup(zd, zi, s, f, cfg):
-    # both tails: -> 1 as c grows.  Beyond the pooled threshold the
-    # c -> 0 limit is 1.
-    if cfg.both_tails or zd + cfg.z_alpha_tilde > 0.0:
+def _pooled_sup(z, k, both_tails):
+    # (z sqrt(x + 1) + k) / sqrt(x) tends to z as x grows, and beyond the
+    # threshold z + k > 0 to +inf as x -> 0; both tails: -> 1 as x grows
+    if both_tails or z + k > 0.0:
         return 1.0
-    return std_normal_cdf(zd)
+    return std_normal_cdf(z)
 
 
-def _fbp_inv(zd, zi, s, f, level, cfg):
-    # (zd sqrt(r^2 + 1) + z_alpha_tilde) / r = level, r = sqrt(x), squared;
-    # it rises towards zd, but beyond the pooled threshold the curve falls
-    # from 1 first
-    zt, ll = cfg.z_alpha_tilde, level * level
-    if zd + zt > 0.0 or level >= zd:
+def _pooled_inv(z, k, level):
+    # (z sqrt(r^2 + 1) + k) / r = level, r = sqrt(x), squared; it rises
+    # towards z, but beyond the threshold it falls from +inf first
+    zz, kk, ll = z * z, k * k, level * level
+    if z + k > 0.0 or level >= z:
         return None
-    r = _quadratic(ll - zd * zd, -level * zt, zt * zt - zd * zd,
-                   zd * zd * (ll + zt * zt - zd * zd),
-                   lambda r: level * r - zt - zd * math.hypot(1.0, r))
+    r = _quadratic(ll - zz, -level * k, kk - zz, zz * (ll + kk - zz),
+                   lambda r: level * r - k - z * math.hypot(1.0, r))
     return r * r if r else None
 
 
@@ -288,13 +292,11 @@ def _cpi_sup(zd, zi, s, f, cfg):
 
 
 def _cpi_inv(zd, zi, s, f, level, cfg):
-    # at a fixed f the argument rises as sqrt(c (1 - f)) zd plus a constant
-    if f is None or not zd > 0.0:
+    # at a fixed f: sqrt(c (1 - f)) zd plus its c -> 0 limit, without zd
+    if f is None:
         return None
-    q = f / (1.0 - f)
-    r = ((level - math.sqrt(q) * zi - math.sqrt(1.0 + q) * cfg.z_alpha)
-         / (math.sqrt(1.0 - f) * zd))
-    return r * r if r > 0.0 else None
+    t, z = _cpi(0.0, zi, f, 1.0 - f, cfg)
+    return _line_inv(math.sqrt(1.0 - f) * zd, level - t - z)
 
 
 def _ippi(zd, zi, s, x, cfg):
@@ -325,7 +327,8 @@ def _ippi_sup(zd, zi, s, f, cfg):
     # -z_alpha: P > 0 at v = r (= 0 at zi = k, where the argument tends
     # to 0 as x -> 0) and as v grows, with one inflection at most, so the
     # argument peaks at most once, at the first root, below P's minimiser.
-    # In y = v / r, dp = P'(v) / v^2 and p = P(v) / v^3 cannot overflow.
+    # In y = v / r, dp = P'(v) / v^2 and p = P(v) / v^3 do not overflow
+    # unless d or the bracket on dp's root does, at a tiny s.
     k, r = -cfg.z_alpha, math.sqrt(s)
     if zi >= k:
         return max(limit, 0.5)
@@ -343,11 +346,19 @@ def _ippi_sup(zd, zi, s, f, cfg):
     lo = max(1.0, cube if d < 0.0 else 1.0)
     if dp(lo)[0] >= 0.0:
         return limit
-    y = _newton(dp, lo, 2.0 * max(lo, 1.5 * abs(zd - r * zi) / (r * k), cube))
+    hi = 2.0 * max(lo, 1.5 * abs(zd - r * zi) / (r * k), cube)
+    if not abs(d) + hi < math.inf:
+        raise ValueError(f"zo and zi are too large in size for a stage-1 "
+                         f"size of {s:.6g}: IPPi's supremum rule overflows")
+    y = _newton(dp, lo, hi)
     if p(y)[0] >= 0.0:
         return limit
     y = _newton(p, 1.0, y)
-    x = s * (y - 1.0) * (y + 1.0)
+    # a root within half an ulp of y = 1 is one Newton step from there,
+    # where p = (k - zi)(r + 1 / r); a peak below x = s 1e-300, where s / x
+    # stays finite, or below the least positive x is taken there, past it
+    e = y - 1.0 or (k - zi) * (r + 1.0 / r) / -p(1.0)[1]
+    x = max(s * e * (y + 1.0), s * 1e-300, 5e-324)
     return max(limit, _tail_power(*_ippi(zd, zi, s, x, cfg), False))
 
 
@@ -370,25 +381,6 @@ def _ppi(zd, zi, s, x, cfg):
     # place of the pooled one
     q = s / x
     return _sqrt(1.0 + q) * zi, _sqrt(q) * cfg.z_alpha
-
-
-def _ppi_sup(zd, zi, s, f, cfg):
-    if cfg.both_tails or _significant(zi, cfg):
-        return 1.0
-    # increasing in nj towards the interim evidence alone
-    return std_normal_cdf(zi)
-
-
-def _ppi_inv(zd, zi, s, f, level, cfg):
-    # sqrt(1 + p^2) zi + p z_alpha = level, p = sqrt(s / x), squared: the
-    # argument rises in x unless the interim is significant
-    za, ll = cfg.z_alpha, level * level
-    if _significant(zi, cfg):
-        return None
-    p = _quadratic(zi * zi - za * za, level * za, zi * zi - ll,
-                   zi * zi * (ll + za * za - zi * zi),
-                   lambda p: level - p * za - zi * math.hypot(1.0, p))
-    return s / (p * p) if p else None
 
 
 @dataclass(frozen=True)
@@ -415,10 +407,10 @@ class Method:
         return "zi" in self.needs
 
     def check(self, zo, zi, stray=()):
-        """The checked (zo, zi): each input the method needs given,
-        finite and a single number, returned as a Python float, and any
-        other as it came.  ``stray`` holds the interim-only inputs,
-        which fixed-design methods refuse."""
+        """The checked (zo, zi): each input the method needs given, and
+        each one given finite and a single number, returned as a Python
+        float, even one the method ignores.  ``stray`` holds the
+        interim-only inputs, which fixed-design methods refuse."""
         zi = self._scalar("zi", zi)
         zo = self._scalar("zo", zo)
         if not self.interim and any(v is not None for v in (zi, *stray)):
@@ -426,11 +418,10 @@ class Method:
         return zo, zi
 
     def _scalar(self, name, value):
-        if name not in self.needs:
-            return value
-        if value is None:
+        if value is not None:
+            return single(name, value, finite)
+        if name in self.needs:
             raise ValueError(f"{self.tag} requires {name}")
-        return single(name, value, finite)
 
     def power(self, zd, zi, s, x, config):
         return _tail_power(*self.parts(zd, zi, s, x, config),
@@ -438,9 +429,15 @@ class Method:
 
 
 METHODS = {m.tag: m for m in (
-    Method("CP", ("point", "flat"), ("zo",), _cp, _cp_sup, _cp_inv),
+    Method("CP", ("point", "flat"), ("zo",), _cp, _cp_sup,
+           lambda zd, zi, s, f, level, cfg: _line_inv(
+               zd, level - cfg.z_alpha)),
     Method("PP", ("normal", "flat"), ("zo",), _pp, _pp_sup, _pp_inv),
-    Method("FBP", ("normal", "normal"), ("zo",), _fbp, _fbp_sup, _fbp_inv),
+    Method("FBP", ("normal", "normal"), ("zo",), _fbp,
+           lambda zd, zi, s, f, cfg: _pooled_sup(
+               zd, cfg.z_alpha_tilde, cfg.both_tails),
+           lambda zd, zi, s, f, level, cfg: _pooled_inv(
+               zd, cfg.z_alpha_tilde, level)),
     Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup, _cbp_inv),
     # the dominance threshold 4c / (sqrt(4c + 1) + 1)^2 as (sqrt(c) /
     # (sqrt(c + 1/4) + 1/2))^2, which neither overflows nor underflows
@@ -453,8 +450,11 @@ METHODS = {m.tag: m for m in (
            None, "PP", _ippi_dominance),
     # a flat design prior only arises at interim, where the observed
     # stage-1 data replace it
-    Method("PPi", ("flat", "flat"), ("zi",), _ppi, _ppi_sup,
-           _ppi_inv),
+    Method("PPi", ("flat", "flat"), ("zi",), _ppi,
+           lambda zd, zi, s, f, cfg: _pooled_sup(
+               zi, cfg.z_alpha, cfg.both_tails),
+           lambda zd, zi, s, f, level, cfg: (lambda x: x and s * x)(
+               _pooled_inv(zi, cfg.z_alpha, level))),
 )}
 # the methods a futility rule may use
 FUTILITY_METHODS = ("IPPi", "PPi")
@@ -462,6 +462,9 @@ FUTILITY_METHODS = ("IPPi", "PPi")
 
 def _lookup(tag, interim=None):
     """The entry of a method tag, optionally of one family only."""
+    if not isinstance(tag, str):
+        raise ValueError(f"method must be a method tag, not "
+                         f"{type(tag).__name__}")
     entry = METHODS.get(tag)
     if entry is None or interim not in (None, entry.interim):
         family = {None: "", False: "fixed-design ", True: "interim "}

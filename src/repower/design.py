@@ -186,9 +186,15 @@ def _inputs(entry, zo, zi, c, f):
 
 
 def _at(entry, zo, zi, s, x, config):
-    """Power of a table entry at stage sizes s and x; the caller checks."""
+    """Power of a table entry at stage sizes s and x; the caller checks.
+    An array overflows to inf, and inf - inf is NaN, without a warning,
+    as on a Python float."""
     zd = shrunken_zo(zo, config) if "zo" in entry.needs else 0.0
-    return entry.power(zd, zi, s, x, config)
+    if isinstance(x, float):
+        return entry.power(zd, zi, s, x, config)
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        return entry.power(zd, zi, s, x, config)
 
 
 def design_power(method, zo, c, config=DEFAULT_CONFIG):
@@ -275,9 +281,9 @@ def cp_pp_intersection(zo, config=DEFAULT_CONFIG):
                      _a_config("config", config))
     if zd <= 0.0:
         raise ValueError("CP and PP only cross for a positive original z")
-    # ** 2 calls pow, off by an ulp where r * r is correctly rounded
-    r = config.z_alpha / zd
-    return r * r
+    # both Phi arguments vanish there: CP's sqrt(c) zd + z_alpha, and PP's,
+    # which is CP's over sqrt(c + 1)
+    return _methods._line_inv(zd, -config.z_alpha)
 
 
 def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):

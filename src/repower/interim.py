@@ -119,10 +119,10 @@ def weight_dominance_threshold(method, c):
     """
     c = _methods._float_or_array("c", c)
     _methods.positive("c", c)
-    entry = _methods.METHODS.get(method)
-    if entry is None or entry.dominance is None:
+    dominance = _methods._lookup(method).dominance
+    if dominance is None:
         raise ValueError("threshold defined for CPi and IPPi only")
-    return entry.dominance(c)
+    return dominance(c)
 
 
 def ippi_limit(zo, zi, c_stage1, config=DEFAULT_CONFIG):

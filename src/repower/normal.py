@@ -306,13 +306,10 @@ def _cdf_array(x):
     k = (ax > _CODY_LOW).astype(np.int8)
     k += ax > _CODY_HIGH
     lo, hi = int(k.min(initial=0)), int(k.max(initial=0))
-    if lo == hi:
-        lower = _cody(ax, lo)
-    else:
-        lower = np.empty_like(ax)
-        for j in range(lo, hi + 1):
-            sel = k == j
-            lower[sel] = _cody(ax[sel], j)
+    lower = np.empty_like(ax)
+    for j in range(lo, hi + 1):
+        sel = k == j
+        lower[sel] = _cody(ax[sel], j)
     if hi > 0:
         # the outer ranges' factor on every point, and range 0's kept
         outer = _gauss(ax, lower, _array_tables())
@@ -439,6 +436,4 @@ def p_to_z(p, direction=1):
 
 def z_to_p(z):
     """Two-sided p-value of a z-statistic."""
-    if type(z) is float and z == z:
-        return 2.0 * _cdf_float(-abs(z))
     return 2.0 * std_normal_cdf(-abs(_checked("z", z)))

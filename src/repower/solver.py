@@ -294,7 +294,12 @@ def solve_c(request):
             if finish(lower) < target:
                 break
             level = lower
-        *cell, path = _scan(fn, finish, r, entry, zd, s, level, start, stop)
+        # the grid overflows to inf, and inf - inf is NaN, without a
+        # warning, as a Python float does
+        import numpy as np
+        with np.errstate(over="ignore", invalid="ignore"):
+            *cell, path = _scan(fn, finish, r, entry, zd, s, level, start,
+                                stop)
     rising = cell[3] >= level
     u, value = _refine(fn, level, *cell)
     # Phi is not monotone at the ulp scale, so a value at or above level

@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
+from . import _methods
 from .design import (DEFAULT_CONFIG, METHODS_FIXED, METHODS_INTERIM,
                      DesignConfig, FixedDesign, design_power)
 from .interim import InterimState, interim_power
@@ -90,6 +91,9 @@ class SsrpRecord:
         return self.nr is not None
 
 
+_a_record = _methods.record(SsrpRecord)
+
+
 def default_data_path():
     """Path of the bundled dataset file."""
     return str(resources.files("repower").joinpath("data/ssrp.csv"))
@@ -143,6 +147,10 @@ def load_csv(path=None):
     """
     if path is None:
         path = os.environ.get(ENV_DATA_PATH) or default_data_path()
+    elif not isinstance(path, (str, os.PathLike)):
+        # open() reads an int, or a bool, as a file descriptor
+        raise ValueError(f"path must be a str or an os.PathLike, not "
+                         f"{type(path).__name__}")
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -276,7 +284,7 @@ def _derived(records, continued=False):
     if records is None:
         records = load_csv()
     return ((rec, derive(rec)) for rec in records
-            if rec.continued or not continued)
+            if _a_record("records entry", rec).continued or not continued)
 
 
 @dataclass(frozen=True)

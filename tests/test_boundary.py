@@ -9,10 +9,15 @@ TypeError or numpy's truth-value or broadcast error, never warns, and
 never answers for text, bytes or a complex value.  Every record
 argument (a config, a design, an interim state, a futility rule, a
 request or a spec) given anything but its record type raises a
-ValueError that names it.
+ValueError that names it, and so does a method tag that is not a
+string, a dataset path that is not a str or an ``os.PathLike``, a
+``records`` entry that is not an ``SsrpRecord`` and a ``zo`` or ``zi``
+that the method ignores but is given.  At the edges of the rules, a
+call answers or names an argument, without a warning.
 """
 import dataclasses
 import math
+import os
 import re
 import warnings
 from decimal import Decimal
@@ -22,6 +27,7 @@ import numpy as np
 import pytest
 
 import repower as r
+from repower import _methods
 
 # each kind as a function of a valid value of the argument
 KINDS = {
@@ -224,3 +230,122 @@ def test_every_record_argument_refuses_a_non_record_by_name(label, name,
         with pytest.raises(ValueError, match=rf"^{name} must be of type "
                                              rf"{type(valid).__name__}, "):
             call(make(valid))
+
+
+def _quietly(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+METHOD_TAG_CALLS = {
+    "design_power": lambda m: r.design_power(m, 1.0, 1.0),
+    "interim_power": lambda m: r.interim_power(m, 1.0, 1.0, 2.0, 0.4),
+    "SolveRequest": lambda m: r.SolveRequest(m, 0.5, zo=1.0),
+    "SimSpec": lambda m: r.SimSpec(m, 2.0, zo=1.0, n_sims=2000),
+    "weight_dominance_threshold": lambda m: r.weight_dominance_threshold(
+        m, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", METHOD_TAG_CALLS.values(),
+                         ids=METHOD_TAG_CALLS)
+@pytest.mark.parametrize("tag", [["CP"], ("CPi",), None, 1, b"CP"],
+                         ids=["list", "tuple", "None", "int", "bytes"])
+def test_a_method_tag_that_is_not_a_string_is_refused_by_name(call, tag):
+    with pytest.raises(ValueError, match="^method must be a method tag, "
+                                         rf"not {type(tag).__name__}$"):
+        _quietly(lambda: call(tag))
+
+
+@pytest.mark.parametrize("path", [True, 0, 1.5, b"ssrp.csv", ["a.csv"]],
+                         ids=["bool", "int", "float", "bytes", "list"])
+def test_a_dataset_path_that_is_not_a_path_is_refused_by_name(path):
+    with pytest.raises(ValueError, match="^path must be a str or an "
+                                         r"os\.PathLike, not "):
+        r.load_csv(path)
+
+
+def test_a_file_descriptor_is_neither_read_nor_closed():
+    # open() takes an int as a file descriptor and closes it when done
+    read, write = os.pipe()
+    os.close(write)
+    try:
+        with pytest.raises(ValueError, match="^path must be "):
+            r.load_csv(read)
+        os.fstat(read)      # still open
+    finally:
+        os.close(read)
+
+
+@pytest.mark.parametrize("report", [
+    r.futility_replay, r.reproduce_interim_powers,
+    r.reproduce_design_powers])
+@pytest.mark.parametrize("entry", ["x", 1.0, None, {"study": "x"}])
+def test_a_records_entry_that_is_not_a_record_is_refused_by_name(report,
+                                                                 entry):
+    records = [*r.load_csv()[:2], entry]
+    with pytest.raises(ValueError, match="^records entry must be of type "
+                                         "SsrpRecord, not "):
+        report(records)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: r.interim_power("PPi", v, 1.0, 2.0, 0.4),
+    lambda v: r.SolveRequest("PPi", 0.5, zo=v, zi=1.0, c_stage1=1.0),
+    lambda v: r.SimSpec("PPi", 2.0, zo=v, zi=1.0, f=0.4, n_sims=2000),
+], ids=["interim_power", "SolveRequest", "SimSpec"])
+@pytest.mark.parametrize("kind", ["str", "nan", "inf", "list", "array"])
+def test_an_input_the_method_ignores_is_still_checked(call, kind):
+    # PPi reads no zo, but one given must be a finite number
+    with pytest.raises(ValueError, match="^zo "):
+        _quietly(lambda: call(KINDS[kind](2.0)))
+    assert r.SolveRequest("PPi", 0.5, zo=np.int64(2), zi=1.0,
+                          c_stage1=1.0).zo.hex() == (2.0).hex()
+
+
+def test_ippi_at_a_peak_within_an_ulp_of_the_stage_1_size_answers():
+    # the peak of the argument lies at x ~ 4e-305: y = sqrt(1 + x / s)
+    # rounds to 1, and the rule takes a Newton step from there
+    res = _quietly(lambda: r.ippi(r.FixedDesign(-1e300, 1e-9),
+                                  r.InterimState(0.0, 0.5)))
+    assert (res.power, res.supremum, res.feasible_100) == (0.0, 0.0, False)
+
+
+def test_ippi_refuses_a_supremum_its_rule_cannot_scale_by_name():
+    # zi / sqrt(s) overflows at s = c f = 2.3e-317
+    with pytest.raises(ValueError, match=r"^zo and zi are too large in "
+                                         r"size for a stage-1 size of "):
+        _quietly(lambda: r.ippi(r.FixedDesign(0.0, 2.3e-308),
+                                r.InterimState(-1e300, 1e-9)))
+
+
+def test_an_array_overflows_to_the_limit_a_float_reaches():
+    c = np.array([1e300, 1.0])
+    for method in r.METHODS_FIXED:
+        got = _quietly(lambda: r.design_power(method, 1e300, c))
+        assert got.tolist() == [r.design_power(method, 1e300, v)
+                                for v in c.tolist()]
+    got = _quietly(lambda: r.interim_power("CPi", 1e300, 1.0, c, 0.5))
+    assert got.tolist() == [1.0, 1.0]
+
+
+def test_a_scan_that_overflows_refuses_c_stage1_without_a_warning():
+    req = r.SolveRequest("CPi", 0.5, zo=0.0, zi=1e300, c_stage1=1e300,
+                         config=r.DesignConfig(alpha=1e-100))
+    with pytest.raises(ValueError, match=r"^c_stage1 = 1e\+300 is too "
+                                         r"large: "):
+        _quietly(lambda: r.solve_c(req))
+
+
+def test_cpi_at_a_fixed_f_with_a_subnormal_slope_solves():
+    # the slope sqrt(1 - f) zo underflows to 0: the line inverse has no
+    # estimate, and the scan finds the curve flat below the target
+    req = r.SolveRequest("CPi", 0.5, zo=5e-324, zi=0.1, f=0.9)
+    assert _methods.METHODS["CPi"].inverse(
+        5e-324, 0.1, 0.0, 0.9, 0.0, r.DesignConfig()) is None
+    with pytest.raises(r.InfeasibleTarget) as info:
+        _quietly(lambda: r.solve_c(req))
+    limit = r.interim_power("CPi", 0.0, 0.1, 1.0, 0.9)
+    assert info.value.supremum == pytest.approx(limit, rel=1e-12)
+

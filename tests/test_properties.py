@@ -374,6 +374,11 @@ def _solved(request, scan_only=False):
 @example("CP", 3e-5, 1.0, 0.0, 1.0, 0.5, 4e9, 0.0, DesignConfig())
 @example("CBP", 5e-5, 1.0, 0.0, 1.0, 0.5, 4e9, 0.0, DesignConfig())
 @example("CPi", 4e-5, 1.0, 0.5, 1.0, 0.5, 4e9, 0.0, DesignConfig())
+# PPi read through FBP's pooled rules: a level above zi, on the falling
+# branch of a significant interim, where the rule has no answer; and a
+# crossing at x = 40 c_stage1 = 4e9, past C_CAP, on a curve still rising
+@example("PPi", 0.0, 1.0, 2.5, 3.6, 0.5, 0.1, 0.0, DesignConfig())
+@example("PPi", 0.0, 1.0, 1.0, 1e8, 0.5, 4e9, 0.0, DesignConfig())
 @given(method=st.sampled_from(("CP", "PP", "FBP", "CBP", "CPi", "PPi")),
        zo=st.floats(-4.0, 6.0),
        scale=st.sampled_from((1.0, 1.0, 1.0, 1e-5)), zi=st.floats(-3.0, 3.0),
@@ -753,6 +758,10 @@ any_f = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(
 @example(method="CPi", both=False,
          values=(-4.491292982265977e-288, 0.0, 0.5, 0.5),
          forms=(float, np.float64, float, float))
+# a PPi solve, whose inverse rule is FBP's scaled by c_stage1, with the
+# zo it ignores given in every form
+@example(method="PPi", both=False, values=(2.0, 1.5, 0.5, 0.8),
+         forms=(np.array, np.float64, np.array, float))
 def test_a_float_a_numpy_float_and_a_0d_array_give_the_same_bits(
         method, both, values, forms):
     config = DesignConfig(both_tails=both)
