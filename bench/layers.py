@@ -17,8 +17,12 @@ The solver rows are: the one-tail inverse path (CP); the both-tail
 fixed-design cell, one row per method, on planning questions like
 perfbench's plan workload (a target just under the power at a size
 drawn from 0.1 to 20, on a curve that rises from the bottom of the
-axis); the scan (IPPi at a fixed c_stage1); and an infeasible IPPi
-request at a fixed f with both tails, which scans and zooms.  The
+axis); and the requests no inverse rule answers, which walk the
+curve's pieces: IPPi at a fixed c_stage1, a one-tail refusal (IPPi
+above its supremum at c_stage1), both-tail lower bounds (CP and PP
+below their power at the bottom of the axis), a both-tail interim
+solve (CPi at c_stage1), and an infeasible IPPi request at a fixed f
+with both tails.  The
 cold-start rows time one fresh interpreter each, as a subprocess: bare
 ``python3``, ``import repower``, ``import repower.cli``, and the
 commands ``repower power``, ``solve`` (an inverse-path CP solve),
@@ -109,7 +113,7 @@ def _rows():
                          std_normal_quantile, weight_dominance_threshold,
                          z_to_p)
 
-    rng = random.Random(SEED)
+    rng, extra = random.Random(SEED), random.Random(SEED + 1)
     # looks at a non-significant interim, the case study's common case
     looks = [(rng.uniform(1.5, 4.0), rng.uniform(-1.0, 1.5),
               10 ** rng.uniform(-0.5, 1.0), rng.uniform(0.2, 0.7))
@@ -144,7 +148,7 @@ def _rows():
     solves = {f"solve_c both tails {m}": plan(m, True)
               for m in ("CP", "PP", "FBP", "CBP")}
     solves["solve_c inverse CP"] = plan("CP", False)
-    solves["solve_c scan IPPi c_stage1"] = [
+    solves["solve_c IPPi c_stage1"] = [
         SolveRequest("IPPi", target, zo=zo, zi=zi, c_stage1=c * f)
         for (zo, zi, c, f), target in zip(
             looks, (rng.uniform(0.3, 0.7) for _ in looks))
@@ -154,6 +158,24 @@ def _rows():
         SolveRequest("IPPi", 0.99, zo=zo, zi=zi, f=f, config=both)
         for zo, zi, f in ((2.0, 1.0, 0.75), (-1.5, -1.0, 0.5),
                           (2.0, 1.0, 0.25))]
+    # IPPi against the original's direction, 0.05 above its supremum
+    # over the remaining size; the targets below come from a stream of
+    # their own, so that the inputs drawn after these rows stay as they
+    # were
+    solves["solve_c infeasible one tail"] = [
+        SolveRequest("IPPi", sup + 0.05, zo=-zo, zi=zi, c_stage1=c * f)
+        for zo, zi, c, f in looks if (sup := ippi(
+            FixedDesign(-zo, c), InterimState(zi, f)).supremum) < 0.9]
+    solves["solve_c lower bound both tails"] = [
+        SolveRequest(m, 0.9 * design_power(m, zo, 1e-9, both), zo=zo,
+                     config=both)
+        for (zo, _, _, _), m in zip(looks, ("CP", "PP") * N_INPUTS)]
+    solves["solve_c both tails interim"] = [
+        SolveRequest("CPi", target, zo=zo, zi=zi, c_stage1=c * f,
+                     config=both)
+        for (zo, zi, c, f), target in zip(
+            looks, (extra.uniform(0.3, 0.7) for _ in looks))
+        if interim_power("CPi", zo, zi, 1e9, c * f / 1e9, both) > target]
 
     # the other primitives on floats, drawn after the inputs above so
     # that those stay as they were: Phi^-1 in AS241's central range and

@@ -313,11 +313,36 @@ def test_ippi_at_a_peak_within_an_ulp_of_the_stage_1_size_answers():
 
 
 def test_ippi_refuses_a_supremum_its_rule_cannot_scale_by_name():
-    # zi / sqrt(s) overflows at s = c f = 2.3e-317
+    # the bracket on the slope polynomial's minimum, 1.5 |zd| / (r k) at
+    # r = sqrt(s) = 1e-10, overflows; no power of two scales it away
     with pytest.raises(ValueError, match=r"^zo and zi are too large in "
                                          r"size for a stage-1 size of "):
-        _quietly(lambda: r.ippi(r.FixedDesign(0.0, 2.3e-308),
-                                r.InterimState(-1e300, 1e-9)))
+        _quietly(lambda: r.ippi(r.FixedDesign(-1e300, 2e-20),
+                                r.InterimState(0.0, 0.5)))
+
+
+@pytest.mark.parametrize("fixed, state, expected", [
+    # zi / sqrt(s) overflows at s = c f = 1e-317: mpmath (60 digits, the
+    # double z_alpha) puts the peak, Phi(-1.960215), at x = 6.3e-10
+    (r.FixedDesign(-5.0, 1e-300), r.InterimState(-1e150, 1e-17),
+     0.0249853055004006),
+    # and at s = 2.3e-317, where the rule refused: the argument stays
+    # below -4.8e141, and mpmath's supremum is 5e-(4.99e18)
+    (r.FixedDesign(0.0, 2.3e-308), r.InterimState(-1e300, 1e-9), 0.0),
+])
+def test_ippi_scales_a_slope_polynomial_whose_terms_overflow(fixed, state,
+                                                             expected):
+    res = _quietly(lambda: r.ippi(fixed, state))
+    assert res.supremum == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+
+def test_ippi_peak_beside_the_critical_value_at_a_large_original():
+    # zi lies 1e-10 below k = -z_alpha and zd = -1e10: zd - d / y^2
+    # cancelled to rounding noise at y = 1, and the supremum read 0.0;
+    # mpmath (60 digits, golden section on log x) reads 0.443766059161
+    res = r.ippi(r.FixedDesign(-1e10, 2.0),
+                 r.InterimState(1.9599639845390542, 0.5))
+    assert res.supremum == pytest.approx(0.443766059161431, abs=1e-5)
 
 
 def test_an_array_overflows_to_the_limit_a_float_reaches():
