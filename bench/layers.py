@@ -17,21 +17,20 @@ The solver rows are: the one-tail inverse path (CP); the both-tail
 fixed-design cell, one row per method, on planning questions like
 perfbench's plan workload (a target just under the power at a size
 drawn from 0.1 to 20, on a curve that rises from the bottom of the
-axis); and the requests no inverse rule answers, which walk the
-curve's pieces: IPPi at a fixed c_stage1, a one-tail refusal (IPPi
-above its supremum at c_stage1), both-tail lower bounds (CP and PP
-below their power at the bottom of the axis), a both-tail interim
-solve (CPi at c_stage1), and an infeasible IPPi request at a fixed f
-with both tails.  The
-cold-start rows time one fresh interpreter each, as a subprocess: bare
-``python3``, ``import repower``, ``import repower.cli``, and the
-commands ``repower power``, ``solve`` (an inverse-path CP solve),
-``ssrp`` (the interim report), ``curve`` and ``simulate`` (2e4 draws);
-``curve`` builds an array, and loads numpy, and ``simulate`` loads
-scipy too, where the others need neither.  A fixed pure-Python loop is
-timed beside them,
-so that numbers taken on different days or machines can be put on one
-scale: divide a row by the calibration row.
+axis); and the requests no inverse rule answers, which scan: IPPi at
+a fixed c_stage1, a one-tail refusal (IPPi above its supremum at
+c_stage1), both-tail lower bounds (CP and PP below their power at the
+bottom of the axis), a both-tail interim solve (CPi at c_stage1), and
+an infeasible IPPi request at a fixed f with both tails, which also
+zooms.  The cold-start rows time one fresh interpreter each, as a
+subprocess: bare ``python3``, ``import repower``, ``import
+repower.cli``, and the commands ``repower power``, ``solve`` (an
+inverse-path CP solve), ``ssrp`` (the interim report), ``curve`` and
+``simulate`` (2e4 draws); ``curve`` builds an array, and loads numpy,
+and ``simulate`` loads scipy too, where the others need neither.  A
+fixed pure-Python loop is timed beside them, so that numbers taken on
+different days or machines can be put on one scale: divide a row by
+the calibration row.
 
 Every tree is measured in its own child process, ROUNDS times,
 alternating which tree goes first.  The child first byte-compiles its
@@ -148,7 +147,7 @@ def _rows():
     solves = {f"solve_c both tails {m}": plan(m, True)
               for m in ("CP", "PP", "FBP", "CBP")}
     solves["solve_c inverse CP"] = plan("CP", False)
-    solves["solve_c IPPi c_stage1"] = [
+    solves["solve_c scan IPPi c_stage1"] = [
         SolveRequest("IPPi", target, zo=zo, zi=zi, c_stage1=c * f)
         for (zo, zi, c, f), target in zip(
             looks, (rng.uniform(0.3, 0.7) for _ in looks))
@@ -162,15 +161,15 @@ def _rows():
     # over the remaining size; the targets below come from a stream of
     # their own, so that the inputs drawn after these rows stay as they
     # were
-    solves["solve_c infeasible one tail"] = [
+    solves["solve_c scan infeasible one tail"] = [
         SolveRequest("IPPi", sup + 0.05, zo=-zo, zi=zi, c_stage1=c * f)
         for zo, zi, c, f in looks if (sup := ippi(
             FixedDesign(-zo, c), InterimState(zi, f)).supremum) < 0.9]
-    solves["solve_c lower bound both tails"] = [
+    solves["solve_c scan lower bound both tails"] = [
         SolveRequest(m, 0.9 * design_power(m, zo, 1e-9, both), zo=zo,
                      config=both)
         for (zo, _, _, _), m in zip(looks, ("CP", "PP") * N_INPUTS)]
-    solves["solve_c both tails interim"] = [
+    solves["solve_c scan both tails interim"] = [
         SolveRequest("CPi", target, zo=zo, zi=zi, c_stage1=c * f,
                      config=both)
         for (zo, zi, c, f), target in zip(

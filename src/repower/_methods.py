@@ -9,23 +9,16 @@ total size c at interim fraction f has s = c * f and x = c * (1 - f),
 and a fixed design is the case s = 0, x = c.  A ``Method`` entry holds
 the Phi argument as ``parts(zd, zi, s, x, config) -> (t, z)``, the
 inputs the method needs, its supremum rule ``sup(zd, zi, s, f,
-config)``, its inverse rule ``inverse(zd, zi, s, f, level, config)``
-and its turns rule ``turns(zd, zi, s, f, config)``: with ``f`` None a
-rule covers x growing at fixed s, else c growing at the fixed interim
-fraction f.  A supremum rule returns the supremum: a limit, or Phi at
-a root of the argument's slope (``_newton``); IPPi's at a fixed f is
-the largest of its limits and its power where the argument turns, and
-with both tails, where either arm turns, a bound from below that
-``solver`` completes with the largest power it finds.  An inverse rule
+config)`` and its inverse rule ``inverse(zd, zi, s, f, level,
+config)``: with ``f`` None a rule covers x growing at fixed s, else c
+growing at the fixed interim fraction f.  A supremum rule returns the
+supremum: a limit, or Phi at a root of the argument's slope
+(``_newton``); only IPPi over c at a fixed f returns the tuple of its
+limits, for the one numeric search, in ``solver``.  An inverse rule
 returns an estimate of the first size at which the one-tail argument
 reaches ``level`` on a rising piece from the bottom of the axis, or
 None; IPPi has none.  An estimate can overflow to inf, which ``solver``
-treats as no estimate.  A turns rule returns the sizes at which the
-one-tail argument at (zd, zi) has an interior extremum, from the root
-solvers of the supremum rules: CP, and CPi at a fixed f, never turn,
-PP, FBP, CBP and PPi at most once, CPi and IPPi at a fixed s at most
-twice, IPPi at a fixed f at most three times (``_ippi_at_f``).  Each
-rule is written once.  PPi's argument is
+treats as no estimate.  Each rule is written once.  PPi's argument is
 FBP's with zi for zd, z_alpha for z_alpha_tilde and x / s for x, so
 PPi reads FBP's pooled-analysis rules (``_pooled_sup``,
 ``_pooled_inv``) in its own coordinates and scales the size by s.
@@ -54,8 +47,6 @@ from .normal import (_float_or_array, _within, finite, fraction,
 # the roots of c^2 + 6c + 1 are -(3 -+ 2 sqrt(2)), correctly rounded
 _3_MINUS_2_SQRT2 = 0.1715728752538099
 _3_PLUS_2_SQRT2 = 5.82842712474619
-# above zi / r = 2^1000 IPPi's slope polynomial is scaled (``_ippi_at_s``)
-_BIG = 2.0 ** 1000
 
 
 def _sqrt(v):
@@ -100,18 +91,6 @@ def _newton(fn, lo, hi):
             xn = math.sqrt(lo) * math.sqrt(hi)
         last, x = x - xn, xn
     return x
-
-
-def _roots(fn, points):
-    """The roots of ``fn`` (value, slope) between consecutive sizes of
-    ``points``, ascending, 0 < points[0], where fn is monotone between
-    each pair: one wherever its sign changes, by ``_newton`` from the
-    last size of the other sign."""
-    lo, below = points[0], fn(points[0])[0] < 0.0
-    for x in points[1:]:
-        if (fn(x)[0] < 0.0) != below:
-            yield _newton(fn, lo, x)
-            lo, below = x, not below
 
 
 def _quadratic(a, h, c, d, unsquared):
@@ -159,13 +138,6 @@ def _pp_sup(zd, zi, s, f, cfg):
     return max(std_normal_cdf(zd), cfg.alpha / 2.0)
 
 
-def _pp_turns(zd, zi, s, f, cfg):
-    # the slope in r = sqrt(x) has the sign of zd - r z_alpha: a dip at
-    # r = zd / z_alpha for zd < 0
-    r = zd / cfg.z_alpha
-    return (r * r,) if zd < 0.0 else ()
-
-
 def _pp_inv(zd, zi, s, f, level, cfg):
     # (r zd + z_alpha) / sqrt(1 + r^2) = level, r = sqrt(x), squared.  It
     # starts at z_alpha and, for zd < 0, dips before it rises towards zd
@@ -190,19 +162,6 @@ def _pooled_sup(z, k, both_tails):
     return std_normal_cdf(z)
 
 
-def _pooled_min(z, k):
-    """(x, value) at the interior minimum of (z sqrt(x + 1) + k) /
-    sqrt(x), for z + k > 0, where its slope -(z / sqrt(x + 1) + k) /
-    (2 x^(3/2)) vanishes: x = (z + k)(z - k) / k^2, the value
-    sqrt((z + k)(z - k))."""
-    gap = (z + k) * (z - k)
-    return gap / (k * k), math.sqrt(gap)
-
-
-def _pooled_turns(z, k, scale):
-    return (scale * _pooled_min(z, k)[0],) if z + k > 0.0 else ()
-
-
 def _pooled_inv(z, k, level):
     # (z sqrt(r^2 + 1) + k) / r = level, r = sqrt(x), squared; it rises
     # towards z, but beyond the threshold it falls from +inf first
@@ -219,24 +178,14 @@ def _cbp(zd, zi, s, x, cfg):
             _sqrt((x + 1.0) / x) * cfg.z_alpha_tilde)
 
 
-def _cbp_turn(zd, k):
-    """v = x + 1 where CBP's argument turns, k = -z_alpha_tilde: the
-    root of its slope's sign zd (v - 2) + k / sqrt(v), which falls for
-    zd < 0, to a peak in [max(2, v0), max(4, 1.6 v0)], v0 = (k /
-    |zd|)^(2/3), and for zd > k rises, to a dip in [1 + (zd - k) / zd,
-    1 + (zd - k) / (zd - k / 2)]; for 0 <= zd <= k it has none."""
-    if zd < 0.0:
-        v0 = k ** (2.0 / 3.0) * (-zd) ** (-2.0 / 3.0)
-        lo, hi = max(2.0, v0), max(4.0, 1.6 * v0)
-    else:
-        lo, hi = 1.0 + (zd - k) / zd, 1.0 + (zd - k) / (zd - 0.5 * k)
+def _cbp_peak(zd, k):
+    """v = x + 1 where CBP's argument peaks at zd < 0, k = -z_alpha_tilde:
+    the root of the falling slope zd (v - 2) + k / sqrt(v), which lies in
+    [max(2, v0), max(4, 1.6 v0)], v0 = (k / |zd|)^(2/3)."""
+    v0 = k ** (2.0 / 3.0) * (-zd) ** (-2.0 / 3.0)
     return _newton(lambda v: (zd * (v - 2.0) + k / math.sqrt(v),
-                              zd - 0.5 * k / (v * math.sqrt(v))), lo, hi)
-
-
-def _cbp_turns(zd, zi, s, f, cfg):
-    k = -cfg.z_alpha_tilde
-    return (_cbp_turn(zd, k) - 1.0,) if zd < 0.0 or zd > k else ()
+                              zd - 0.5 * k / (v * math.sqrt(v))),
+                   max(2.0, v0), max(4.0, 1.6 * v0))
 
 
 def _cbp_sup(zd, zi, s, f, cfg):
@@ -244,7 +193,7 @@ def _cbp_sup(zd, zi, s, f, cfg):
         return 1.0
     if zd == 0.0:
         return cfg.alpha_tilde if cfg.both_tails else cfg.alpha_tilde / 2.0
-    v = _cbp_turn(zd, -cfg.z_alpha_tilde)
+    v = _cbp_peak(zd, -cfg.z_alpha_tilde)
     return _tail_power(*_cbp(zd, zi, s, v - 1.0, cfg), False)
 
 
@@ -259,7 +208,7 @@ def _cbp_inv(zd, zi, s, f, level, cfg):
     x0 = k * k / ((level + k) * (level - k)) if level < -k else math.inf
     if zd == 0.0 or zd >= k:
         return x0 if zd == 0.0 and x0 < math.inf else None
-    hi = math.sqrt(_cbp_turn(zd, k) - 1.0) if zd < 0.0 else min(
+    hi = math.sqrt(_cbp_peak(zd, k) - 1.0) if zd < 0.0 else min(
         max(math.sqrt((k - zd) * (k + zd)), level + k) / zd,
         math.sqrt(x0) * (1.0 + 2.0 ** -40))
     top = max(zd, 0.0) - level
@@ -313,47 +262,6 @@ def _cpi_peak(a, k):
             + std_normal_cdf(-r * math.cosh(two_p - d)))
 
 
-def _cpi_roots(w, zi, k):
-    """The sizes u = x / s at which CPi's argument -w sqrt(u) + zi /
-    sqrt(u) - k sqrt(1 + 1 / u) turns, w = -zd sqrt(s), k = -z_alpha:
-    the roots of h(u) = -w u - zi + k / sqrt(1 + u), the sign of its
-    slope, which is convex.  For w > 0 h falls from k - zi, through a
-    root in [(k - zi) / (2w + k), (k - zi) / w] where zi < k; for w = 0,
-    or one too small for that bracket, to -zi, through (k - zi)(k + zi)
-    / zi^2 where 0 < zi < k.  For w < 0 h exceeds -w u - zi, so it has
-    roots only for zi > 0, below zi / -w: one on either side of its
-    minimum m = (k / -2w)^(2/3) - 1 where h(m) < 0 < k - zi, above
-    (k - zi)(k + zi) / zi^2, or one past max(m, (zi - k) / -w) where
-    k <= zi."""
-    def h(u):
-        return (-w * u - zi + k / math.sqrt(1.0 + u),
-                -w - 0.5 * k / ((1.0 + u) * math.sqrt(1.0 + u)))
-    if w >= 0.0:
-        hi = (k - zi) / w if w > 0.0 else math.inf
-        if not 0.0 < hi < math.inf:
-            return ((k - zi) / zi * ((k + zi) / zi),) if 0.0 < zi < k else ()
-        return (_newton(h, (k - zi) / (2.0 * w + k), hi),)
-    top = zi / -w
-    if not 0.0 < top < math.inf:
-        return ()
-    m = (k / (-2.0 * w)) ** (2.0 / 3.0) - 1.0
-    if zi < k:
-        lo = (k - zi) / zi * ((k + zi) / zi)
-    else:
-        lo = max(m, (zi - k) / -w)
-        if not lo > 0.0:
-            return ()
-    return tuple(_roots(h, [lo, *([m] if lo < m < top else ()), top]))
-
-
-def _cpi_turns(zd, zi, s, f, cfg):
-    # at a fixed f the argument is a line in sqrt(c)
-    if f is not None:
-        return ()
-    return tuple(s * u for u in _cpi_roots(-zd * math.sqrt(s), zi,
-                                            -cfg.z_alpha))
-
-
 def _cpi_sup(zd, zi, s, f, cfg):
     # a significant interim forces success as nj -> 0, a counted point
     # effect as c grows
@@ -365,8 +273,10 @@ def _cpi_sup(zd, zi, s, f, cfg):
         return _tail_power(*_cpi(0.0, zi, f, 1.0 - f, cfg), cfg.both_tails)
     if cfg.both_tails:      # zd = 0: a curve of q = s / x alone
         return max(cfg.alpha, _cpi_peak(abs(zi), -cfg.z_alpha))
-    # one tail, w = -zd sqrt(s) >= 0: a peak where the argument's slope
-    # falls through 0 (``_cpi_roots``)
+    # one tail in u = x / s: the argument is -w sqrt(u) + zi / sqrt(u)
+    # - k sqrt(1 + 1 / u), w = -zd sqrt(s) >= 0, k = -z_alpha, its slope
+    # of the sign of -w u - zi + k / sqrt(1 + u), which falls, with its
+    # root in [(k - zi) / (2w + k), (k - zi) / w]
     k, w = -cfg.z_alpha, -zd * math.sqrt(s)
     hi = (k - zi) / w if w > 0.0 else math.inf
     if not 0.0 < hi < math.inf:
@@ -374,7 +284,9 @@ def _cpi_sup(zd, zi, s, f, cfg):
         # -k; at zi = k, the edge of significance, 0 as u -> 0
         return cfg.alpha / 2.0 if zi <= 0.0 else max(
             cfg.alpha / 2.0, std_normal_cdf(-math.sqrt((k - zi) * (k + zi))))
-    u, = _cpi_roots(w, zi, k)
+    u = _newton(lambda u: (-w * u - zi + k / math.sqrt(1.0 + u),
+                           -w - 0.5 * k / ((1.0 + u) * math.sqrt(1.0 + u))),
+                (k - zi) / (2.0 * w + k), hi)
     return std_normal_cdf(-w * math.sqrt(u) + zi / math.sqrt(u)
                           - k * math.sqrt(1.0 + 1.0 / u))
 
@@ -398,25 +310,32 @@ def _ippi(zd, zi, s, x, cfg):
     return w_o * zd + w_i * zi, _sqrt((1.0 + q) / (1.0 + r)) * cfg.z_alpha
 
 
-def _ippi_at_s(zd, zi, s, k, first=False):
-    """The remaining sizes x, ascending, at which IPPi's argument turns
-    at a fixed stage-1 size s, k = -z_alpha; the first only, if any,
-    with ``first`` where zi < k.
-
-    Its slope in x has the sign of P(v) = k v^4 + (zd - r zi) v^3 - (s
-    zd + r zi) v + k s, v = sqrt(x + s) > r = sqrt(s): P(r) = s (s + 1)
-    (k - zi), P > 0 as v grows, and P has one inflection at most, so it
-    turns at most twice and vanishes at most three times.  In y = v / r,
-    dp = P'(v) / v^2 rises for d = zd + zi / r >= 0, else is convex with
-    its minimum at y = cube, and p = P(v) / v^3 has P's roots; neither
-    overflows unless d or the bracket on dp's root does.  Where zi / r
-    would, at a tiny s, zd, zi and k are scaled by a power of two, which
-    moves no root.  P's peak before cube bounds a root only where P(r)
-    < 0, and is sought only there; where P(r) > 0 the first root lies
-    before P's minimum, if anywhere.
-    """
-    r = math.sqrt(s)
-    if abs(zi) > _BIG * r:
+def _ippi_sup(zd, zi, s, f, cfg):
+    if f is not None:
+        # the argument turns up to three times, and the both-tail power
+        # may peak anywhere: no rule, the limits only, for the search in
+        # ``solver``: as c -> 0 (CPi's without zd) and as c grows (the
+        # original's weight vanishes)
+        return (_tail_power(*_cpi(0.0, zi, f, 1.0 - f, cfg), cfg.both_tails),
+                _tail_power(*_ppi(zd, zi, f, 1.0 - f, cfg), cfg.both_tails))
+    # both tails: Phi(a) + Phi(-a) = 1 as the quantile's weight vanishes
+    if cfg.both_tails or _significant(zi, cfg):
+        return 1.0
+    limit = _ippi_limit(zd, zi, s, cfg)
+    # the argument's slope in x has the sign of P(v) = k v^4 + (zd - r zi)
+    # v^3 - (s zd + r zi) v + k s, v = sqrt(x + s) > r = sqrt(s), k =
+    # -z_alpha: P > 0 at v = r (= 0 at zi = k, where the argument tends
+    # to 0 as x -> 0) and as v grows, with one inflection at most, so the
+    # argument peaks at most once, at the first root, below P's minimiser.
+    # In y = v / r, dp = P'(v) / v^2 and p = P(v) / v^3 do not overflow
+    # unless d or the bracket on dp's root does, at a tiny s.  Where zi /
+    # r would, zd, zi and k are scaled by a power of two, which moves no
+    # root; the power at the peak reads the unscaled inputs.
+    k, r = -cfg.z_alpha, math.sqrt(s)
+    if zi >= k:
+        return max(limit, 0.5)
+    unscaled = zd, zi
+    if abs(zi) > 2.0 ** 1000 * r:
         m = math.frexp(zi)[1] - math.frexp(r)[1] - 1000
         zd, zi, k = (math.ldexp(v, -m) for v in (zd, zi, k))
     d = zd + zi / r
@@ -426,117 +345,30 @@ def _ippi_at_s(zd, zi, s, k, first=False):
                 4.0 * r * k + 2.0 * d / (y * y * y))
 
     def p(y):
-        # zd - d / y^2 with zd (y - 1)(y + 1) / y^2, which does not cancel
-        # near y = 1
+        # zd - d / y^2 as zd (y - 1)(y + 1) / y^2 - zi / (r y^2), which
+        # does not cancel near y = 1
         return (r * (k * y - zi) + zd * ((y - 1.0) / y) * ((y + 1.0) / y)
                 - zi / (r * y * y) + k / (r * y * y * y),
                 r * k + 2.0 * d / (y * y * y) - 3.0 * k / (r * y * y * y * y))
+    # dp rises for d >= 0, else is convex with its minimum at y = cube
     cube = (abs(d) / (2.0 * k)) ** (1.0 / 3.0) / r ** (1.0 / 3.0)
     lo = max(1.0, cube if d < 0.0 else 1.0)
-    turns = ()
-    if dp(lo)[0] < 0.0:
-        hi = 2.0 * max(lo, 1.5 * abs(zd - r * zi) / (r * k), cube)
-        if not abs(d) + hi < math.inf:
-            raise ValueError(f"zo and zi are too large in size for a "
-                             f"stage-1 size of {s:.6g}: IPPi's supremum "
-                             f"rule overflows")
-        turns = (_newton(dp, lo, hi),)
-        if zi > k and lo > 1.0 and dp(1.0)[0] > 0.0:
-            turns = (_newton(dp, 1.0, lo), *turns)
-    elif zi <= k:
-        return ()       # P rises from P(r) >= 0
-    # p > 0 past top, as p >= r k y - |zd - r zi| - |d| for y >= 1, held
-    # to the doubles
-    top = () if first else (min(2.0 * max(
-        1.0, *turns, (abs(zd - r * zi) + abs(d)) / (r * k)), 1.7e308),)
-    xs = []
-    for y in _roots(p, [1.0, *turns, *top]):
-        # a root within half an ulp of y = 1 is one Newton step from
-        # there, where p = (k - zi)(r + 1 / r); a turn below x = s 1e-300,
-        # where s / x stays finite, or below the least positive x is taken
-        # there, past it
-        e = y - 1.0 or (k - zi) * (r + 1.0 / r) / -p(1.0)[1]
-        xs.append(max(s * e * (y + 1.0), s * 1e-300, 5e-324))
-        if first:
-            break
-    return xs
-
-
-def _ippi_at_f(zd, zi, f, k):
-    """The sizes c at which IPPi's argument turns at a fixed interim
-    fraction f, k = -z_alpha.
-
-    Its slope in c has the sign of H(y) = -f zd y^4 + (sqrt(f) zi + f k)
-    y^3 + (sqrt(f) zi + k) y + zd, y = sqrt(c), whose second derivative
-    6 y (-2 f zd y + sqrt(f) zi + f k) changes sign once at most: H'
-    vanishes at most twice for y > 0, and H three times, between the
-    bounds |a0| / (|a0| + max |ai|) and 1 + max |ai| / |a4| on the roots
-    of a polynomial (at most 2^511, where c stays a double).  At zd = 0,
-    H = y (a3 y^2 + a1).
-    """
-    a4, a3, a1 = -f * zd, math.sqrt(f) * zi + f * k, math.sqrt(f) * zi + k
-    if zd == 0.0:
-        return (-a1 / a3,) if a1 * a3 < 0.0 else ()
-    lo = abs(zd) / (abs(zd) + max(abs(a1), abs(a3), abs(a4)))
-    hi = min(1.0 + max(abs(zd), abs(a1), abs(a3)) / abs(a4), 2.0 ** 511) \
-        if a4 else 2.0 ** 511
-    if not lo > 0.0:
-        return ()
-
-    def h(y):
-        return (((a4 * y + a3) * y * y + a1) * y + zd,
-                (4.0 * a4 * y + 3.0 * a3) * y * y + a1)
-
-    def dh(y):
-        return ((4.0 * a4 * y + 3.0 * a3) * y * y + a1,
-                (12.0 * a4 * y + 6.0 * a3) * y)
-    bend = -a3 / (2.0 * a4) if a4 else 0.0
-    turns = list(_roots(dh, [lo, *([bend] if lo < bend < hi else ()), hi]))
-    return tuple(y * y for y in _roots(h, [lo, *turns, hi]))
-
-
-def _ippi_turns(zd, zi, s, f, cfg):
-    if f is not None:
-        return _ippi_at_f(zd, zi, f, -cfg.z_alpha)
-    # where the bracket on P's minimum overflows (zo or zi near 1e300
-    # against a tiny s) the turns go unsought, and ``solver`` takes the
-    # curve as monotone
-    try:
-        return tuple(_ippi_at_s(zd, zi, s, -cfg.z_alpha))
-    except ValueError:
-        return ()
-
-
-def _ippi_sup(zd, zi, s, f, cfg):
-    if f is not None:
-        # the larger of the limits as c -> 0 (CPi's without zd) and as c
-        # grows (the original's weight vanishes), and of the power where
-        # the argument turns, with either sign
-        both = cfg.both_tails
-        turns = _ippi_at_f(zd, zi, f, -cfg.z_alpha)
-        if both:
-            turns += _ippi_at_f(-zd, -zi, f, -cfg.z_alpha)
-        return max(_tail_power(*_cpi(0.0, zi, f, 1.0 - f, cfg), both),
-                   _tail_power(*_ppi(zd, zi, f, 1.0 - f, cfg), both),
-                   *(_tail_power(*_ippi(zd, zi, c * f, c * (1.0 - f), cfg),
-                                 both) for c in turns if c * (1.0 - f) > 0.0))
-    # both tails: Phi(a) + Phi(-a) = 1 as the quantile's weight vanishes
-    if cfg.both_tails or _significant(zi, cfg):
-        return 1.0
-    limit = _ippi_limit(zd, zi, s, cfg)
-    # P(r) > 0 here (``_ippi_at_s``): the argument peaks at most once, at
-    # P's first root; at zi = k, the edge of significance, it tends to 0
-    # as x -> 0.  Where d >= 0 and dp(1) >= 0, P rises from r and has no
-    # root: the common case, answered without the search
-    k, r = -cfg.z_alpha, math.sqrt(s)
-    if zi >= k:
-        return max(limit, 0.5)
-    d = zd + zi / r
-    if d >= 0.0 and r * (4.0 * k - 3.0 * zi) + 3.0 * zd - d >= 0.0:
+    if dp(lo)[0] >= 0.0:
         return limit
-    for x in _ippi_at_s(zd, zi, s, k, True):
-        return max(limit, _tail_power(*_ippi(zd, zi, s, x, cfg), False))
-    return limit
+    hi = 2.0 * max(lo, 1.5 * abs(zd - r * zi) / (r * k), cube)
+    if not abs(d) + hi < math.inf:
+        raise ValueError(f"zo and zi are too large in size for a stage-1 "
+                         f"size of {s:.6g}: IPPi's supremum rule overflows")
+    y = _newton(dp, lo, hi)
+    if p(y)[0] >= 0.0:
+        return limit
+    y = _newton(p, 1.0, y)
+    # a root within half an ulp of y = 1 is one Newton step from there,
+    # where p = (k - zi)(r + 1 / r); a peak below x = s 1e-300, where s / x
+    # stays finite, or below the least positive x is taken there, past it
+    e = y - 1.0 or (k - zi) * (r + 1.0 / r) / -p(1.0)[1]
+    x = max(s * e * (y + 1.0), s * 1e-300, 5e-324)
+    return max(limit, _tail_power(*_ippi(*unscaled, s, x, cfg), False))
 
 
 def _ippi_dominance(c):
@@ -576,7 +408,6 @@ class Method:
     parts: object
     sup: object
     inverse: object
-    turns: object
     at_f0: str = None
     dominance: object = None
 
@@ -609,35 +440,30 @@ class Method:
 METHODS = {m.tag: m for m in (
     Method("CP", ("point", "flat"), ("zo",), _cp, _cp_sup,
            lambda zd, zi, s, f, level, cfg: _line_inv(
-               zd, level - cfg.z_alpha), lambda *args: ()),
-    Method("PP", ("normal", "flat"), ("zo",), _pp, _pp_sup, _pp_inv,
-           _pp_turns),
+               zd, level - cfg.z_alpha)),
+    Method("PP", ("normal", "flat"), ("zo",), _pp, _pp_sup, _pp_inv),
     Method("FBP", ("normal", "normal"), ("zo",), _fbp,
            lambda zd, zi, s, f, cfg: _pooled_sup(
                zd, cfg.z_alpha_tilde, cfg.both_tails),
            lambda zd, zi, s, f, level, cfg: _pooled_inv(
-               zd, cfg.z_alpha_tilde, level),
-           lambda zd, zi, s, f, cfg: _pooled_turns(
-               zd, cfg.z_alpha_tilde, 1.0)),
-    Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup, _cbp_inv,
-           _cbp_turns),
+               zd, cfg.z_alpha_tilde, level)),
+    Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup, _cbp_inv),
     # the dominance threshold 4c / (sqrt(4c + 1) + 1)^2 as (sqrt(c) /
     # (sqrt(c + 1/4) + 1/2))^2, which neither overflows nor underflows
     # before its square, a product, as an array squares: a float's ** 2
     # is pow
     Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup,
-           _cpi_inv, _cpi_turns, "CP", lambda c: (lambda r: r * r)(
+           _cpi_inv, "CP", lambda c: (lambda r: r * r)(
                _sqrt(c) / (_sqrt(c + 0.25) + 0.5))),
     Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup,
-           None, _ippi_turns, "PP", _ippi_dominance),
+           None, "PP", _ippi_dominance),
     # a flat design prior only arises at interim, where the observed
     # stage-1 data replace it
     Method("PPi", ("flat", "flat"), ("zi",), _ppi,
            lambda zd, zi, s, f, cfg: _pooled_sup(
                zi, cfg.z_alpha, cfg.both_tails),
            lambda zd, zi, s, f, level, cfg: (lambda x: x and s * x)(
-               _pooled_inv(zi, cfg.z_alpha, level)),
-           lambda zd, zi, s, f, cfg: _pooled_turns(zi, cfg.z_alpha, s)),
+               _pooled_inv(zi, cfg.z_alpha, level))),
 )}
 # the methods a futility rule may use
 FUTILITY_METHODS = ("IPPi", "PPi")

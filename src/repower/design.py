@@ -325,8 +325,8 @@ def fbp_minimum(zo, config=DEFAULT_CONFIG):
         raise ValueError(
             "FBP has an interior minimum only when the original is "
             "significant at the pooled level alpha_tilde")
-    c, arg = _methods._pooled_min(zd, zat)
-    return PowerMinimum(c, std_normal_cdf(arg))
+    gap = (zd + zat) * (zd - zat)
+    return PowerMinimum(gap / (zat * zat), std_normal_cdf(math.sqrt(gap)))
 
 
 # short aliases matching the method tags

@@ -19,6 +19,7 @@ each method's required inputs and supremum rules, in the method table
 of ``_methods``.  ``weight_dominance_threshold`` exposes which source
 dominates as the interim fraction grows.
 """
+import math
 from dataclasses import dataclass
 
 from . import _methods, design
@@ -150,7 +151,7 @@ def ppi_minimum(zi, config=DEFAULT_CONFIG):
     if zi + za <= 0.0:
         raise ValueError(
             "PPi has an interior minimum only for a significant interim")
-    return std_normal_cdf(_methods._pooled_min(zi, za)[1])
+    return std_normal_cdf(math.sqrt((zi + za) * (zi - za)))
 
 
 @dataclass(frozen=True)

@@ -3,25 +3,27 @@
 ``solve_c`` finds the smallest relative sample size ``c`` at which a
 chosen method reaches a target power.  It searches over the size that
 grows, u: the remaining size nj / no at a fixed ``c_stage1`` (so that
-c = c_stage1 + u), else c itself, up to where c reaches C_CAP, or ten
-times c_stage1 if that is larger.  When one tail counts and the curve
+c = c_stage1 + u), else c itself.  When one tail counts and the curve
 rises from the bottom of its axis, the method's inverse rule (see
 ``_methods``) estimates the crossing, and the estimate with a partner
 2^-30 u away brackets it.  When both tails count, a fixed design's
 power rises from the bottom of its axis wherever the one-tail rule
 answers, and the one-tail rules bound and estimate its crossing
-(``_two_tail_cell``).  Otherwise the method's turns cut the axis into
-pieces on which the curve is monotone, or bounded (``_walk``): the
-first piece that passes the target holds the first crossing, and the
-largest piece end is the supremum over the axis.  ``_refine`` then
-narrows any bracket by Illinois steps.  When one tail counts, the
-search runs on the Phi argument t + z against Phi^{-1} of the target
-(see ``_along``), and Phi is applied to the result only.  If the target
-exceeds the least upper bound of the curve, ``InfeasibleTarget`` is
-raised carrying that bound.  The rules are called directly: an interim
-request has s > 0 or a fixed f, so no interim method stands in for its
-design counterpart there, as CPi does for CP in ``design._result``.
-No search builds an array, and the module imports no numpy.
+(``_two_tail_cell``).  Otherwise (interim curves with both tails, IPPi,
+curves that start above the target or dip before they rise) a
+logarithmic grid is scanned up to where c reaches C_CAP, or ten times
+c_stage1 if that is larger, for the first upward or downward crossing;
+where no scanned size passes, it zooms in where the curve comes closest
+(``_numeric_supremum``, the package's one numeric search; every
+supremum a ``PowerResult`` carries comes from a rule of the method
+table).  ``_refine`` then narrows any bracket by Illinois steps.  When
+one tail counts, the search runs on the Phi argument t + z against
+Phi^{-1} of the target (see ``_along``), and Phi is applied to the
+result only.  If the target exceeds the least upper bound of the
+curve, ``InfeasibleTarget`` is raised carrying that bound.  The
+inverse and supremum rules are called directly: an interim request has
+s > 0 or a fixed f, so no interim method stands in for its design
+counterpart there, as CPi does for CP in ``design._result``.
 """
 import math
 import sys
@@ -40,11 +42,12 @@ FUTILITY_METHODS = _methods.FUTILITY_METHODS
 class InfeasibleTarget(ValueError):
     """Target power above the least upper bound of the curve.
 
-    ``supremum`` is that bound, the method's rule, or the largest power
-    on the sizes ``solve_c`` searches (c up to C_CAP, or to ten times
-    c_stage1 if that is larger) where c_lower cuts the axis or the curve
-    nears its bound only beyond them; never less than a power the
-    search met.
+    ``supremum`` is that bound, or the maximum over the sizes
+    ``solve_c`` scans (c up to C_CAP, or to ten times c_stage1 if that
+    is larger) where c_lower cuts the axis or the curve nears its bound
+    only beyond them.  IPPi at a fixed f has no rule for its bound: it
+    is the larger of the zoomed maximum and the curve's limits as c ->
+    0 and as c grows, where that stays below the target.
     """
 
     def __init__(self, target, supremum):
@@ -106,11 +109,9 @@ class SolveResult:
     ``f`` is the interim fraction at the solution (None for fixed
     designs); ``warning`` flags solutions on a falling branch of the
     curve, where adding observations lowers power again.  ``path`` says
-    how the answer was found: "inverse" (an inverse rule's estimate),
-    "pieces" (the walk over the curve's monotone pieces) or "lower
-    bound"; ``evaluations``
-    says at how many sizes the curve was evaluated.  Neither takes part
-    in comparisons or the repr.
+    how the answer was found, "inverse", "scan" or "lower bound", and
+    ``evaluations`` at how many sizes the curve was evaluated; neither
+    takes part in comparisons or the repr.
     """
 
     c: float
@@ -121,7 +122,7 @@ class SolveResult:
     evaluations: int = field(default=None, compare=False, repr=False)
 
 
-def _refine(fn, level, a, b, fa, fb, shape=None):
+def _refine(fn, level, a, b, fa, fb):
     """(u, fn(u)) at the end of the bracket a <= b that reaches ``level``,
     once b - a <= 1e-14 * b; on entry fa = fn(a) and fb = fn(b),
     and exactly one of them reaches it unless a = b.
@@ -131,61 +132,26 @@ def _refine(fn, level, a, b, fa, fb, shape=None):
     inside the bracket by half the stop width, and by the width over
     which the secant moves one ulp of the level, so a step that lands
     beside the crossing lands across it.  Where the residuals are equal,
-    or three steps have not halved the bracket, it bisects.  ``shape``
-    is given for ``_walk``'s pieces, which span decades: over a bracket
-    with b > 4 a the secant then runs in log u where it lands in the
-    middle 7/8, else the step is sqrt(a b); the residuals are taken as
-    shape(f) - shape(level), and an end that lands exactly on the level
-    twice running, from which the secant would only creep, is left to
-    bisection; and the
-    search stops once f at both ends
-    lies within two ulps of the level: the rounded curve is flat between
-    them, and its first crossing is known to that width, its
-    conditioning, and no better.  Without it, the inverse paths' tight
-    brackets are refined as they always were.
+    or three steps have not halved the bracket, it bisects.
     """
     rising = fb >= level
-    if shape is None:
-        ya, yb, ulp = fa - level, fb - level, math.ulp(level)
-    else:
-        lv = shape(level)
-        ya, yb = shape(fa) - lv, shape(fb) - lv
-        ulp = shape(math.nextafter(level, math.inf)) - lv
+    ya, yb, ulp = fa - level, fb - level, math.ulp(level)
     kept, widths = 0, (math.inf,) * 3   # 1: the last step kept a; -1: b
     while (w := b - a) > (tol := 1e-14 * b):
         x = a + 0.5 * w
-        secant = ya != yb and w <= 0.5 * widths[0]
-        if shape:
-            if max(abs(fa - level), abs(fb - level)) <= 2.0 * math.ulp(level):
-                break
-            if b > 4.0 * a:
-                t = ya / (ya - yb) if ya != yb else 0.5
-                x = a * (b / a) ** (t if 0.0625 <= t <= 0.9375 else 0.5)
-            secant = secant and b <= 4.0 * a and not (
-                yb == 0.0 and kept == 1 or ya == 0.0 and kept == -1)
-        if secant:
+        if ya != yb and w <= 0.5 * widths[0]:
             delta = max(0.5 * tol, ulp * w / abs(ya - yb))
             if 2.0 * delta < w:
                 x = min(max(a + delta, a + w * ya / (ya - yb)), b - delta)
         widths = (*widths[1:], w)
         fx = fn(x)
-        y = fx - level if shape is None else shape(fx) - lv
         if (fx >= level) == rising:
-            b, fb, yb = x, fx, y
+            b, fb, yb = x, fx, fx - level
             ya, kept = (0.5 * ya if kept == 1 else ya), 1
         else:
-            a, fa, ya = x, fx, y
+            a, fa, ya = x, fx, fx - level
             yb, kept = (0.5 * yb if kept == -1 else yb), -1
     return (b, fb) if rising else (a, fa)
-
-
-def _z_of(p):
-    """Phi^{-1} of a power, from the nearer tail and held inside (0, 1):
-    the scale on which the refine steps over a both-tail power, whose
-    tails are straight there."""
-    if p < 0.5:
-        return std_normal_quantile(max(p, 5e-324))
-    return -std_normal_quantile(max(1.0 - p, 5e-324))
 
 
 def _cell(fn, level, u, lo, hi, gap=2.0 ** -30):
@@ -244,15 +210,15 @@ def _two_tail_cell(fn, entry, zd, level, config, start):
 
 
 def _along(entry, zd, zi, s, f, config):
-    """The curve to search as the size grows, the map from its values
-    to powers, and the arms (t + z, z - t) of the power.
+    """The curve to search as the size grows, and the map from its
+    values to powers.
 
     The growing size is the remaining size x at fixed s when ``f`` is
     None, else c at the fixed interim fraction f.  When one tail counts,
     the curve is the Phi argument t + z and the map is Phi: Phi is
     increasing, so maxima and crossings of the argument are those of
     the power, found without evaluating Phi.  When both tails count,
-    the curve is the power itself, Phi of one arm plus Phi of the other.
+    the curve is the power itself.
     """
     def curve(u):
         if f is None:
@@ -262,14 +228,7 @@ def _along(entry, zd, zi, s, f, config):
         if config.both_tails:
             return _methods._tail_power(t, z, True)
         return t + z
-
-    def arms(u):
-        if f is None:
-            t, z = entry.parts(zd, zi, s, u, config)
-        else:
-            t, z = entry.parts(zd, zi, u * f, u * (1.0 - f), config)
-        return t + z, z - t
-    return curve, (float if config.both_tails else std_normal_cdf), arms
+    return curve, (float if config.both_tails else std_normal_cdf)
 
 
 def solve_c(request):
@@ -295,12 +254,12 @@ def solve_c(request):
     entry = _methods._lookup(r.method)
     zd = design.shrunken_zo(r.zo, r.config) if "zo" in entry.needs else 0.0
     s = r.c_stage1 or 0.0
-    curve, finish, arms = _along(entry, zd, r.zi, s, r.f, r.config)
+    curve, finish = _along(entry, zd, r.zi, s, r.f, r.config)
     evaluations = 0
 
     def fn(u):
         nonlocal evaluations
-        evaluations += 1
+        evaluations += getattr(u, "size", 1)
         return curve(u)
     target = r.target_power
     # the least curve value whose power meets the target: Phi^{-1} of
@@ -314,7 +273,7 @@ def solve_c(request):
     if entry.inverse is not None and not r.config.both_tails:
         u = entry.inverse(zd, r.zi, s, r.f, level, r.config)
         # the rules answer on a curve below level all the way up to u,
-        # so the axis start, if well below u, is too; an estimate that
+        # so the scan start, if well below u, is too; an estimate that
         # overflowed to inf lies past the stop
         if (u is not None and start <= u <= stop
                 and (u >= 2.0 * start or fn(start) < level)):
@@ -335,16 +294,14 @@ def solve_c(request):
             if finish(lower) < target:
                 break
             level = lower
-
-        def ends(u):
-            nonlocal evaluations
-            evaluations += 1
-            return arms(u)
-        *cell, path = _walk(fn, ends, finish, r, entry, zd, s, level,
-                            start, stop)
+        # the grid overflows to inf, and inf - inf is NaN, without a
+        # warning, as a Python float does
+        import numpy as np
+        with np.errstate(over="ignore", invalid="ignore"):
+            *cell, path = _scan(fn, finish, r, entry, zd, s, level, start,
+                                stop)
     rising = cell[3] >= level
-    u, value = _refine(fn, level, *cell, shape=None if path != "pieces"
-                       else _z_of if r.config.both_tails else float)
+    u, value = _refine(fn, level, *cell)
     # Phi is not monotone at the ulp scale, so a value at or above level
     # can still fall short: walk on to where the power meets the target,
     # by 1, 2, 4, ... ulps of u, as a flat curve moves less than an ulp
@@ -367,7 +324,7 @@ def solve_c(request):
         warning = ("every size down to the lower bound meets the "
                    "target; returning the bound itself")
     # a downward crossing falls; a probe alone can step past a dip, up
-    # to the end of the axis
+    # to the end of the scan
     elif not rising or finish(fn(
             min(c * 1.001 + 1e-12 - s, max(start, stop)))) < power - 1e-12:
         warning = ("solution lies on a falling branch: slightly larger "
@@ -377,174 +334,70 @@ def solve_c(request):
                        evaluations=evaluations)
 
 
-def _walk(fn, ends, finish, r, entry, zd, s, level, start, stop):
-    """The first cell (a, b, f(a), f(b)) from start to stop across which
-    the curve passes ``level``, and the path: "pieces", or "lower bound"
-    with the cell (start, start, f(start), f(start)) where the curve
-    never drops below level.  A curve that starts below level passes it
-    rising, else falling; one that never rises to it raises
-    ``InfeasibleTarget`` with the curve's largest value, or the rule's
-    supremum if larger where c_lower does not cut the axis and the rule
-    lies below the target.
-
-    The method's turns cut the axis into pieces on which the one-tail
-    argument is monotone, and with both tails the other arm z - t too
-    (it is the argument at (-zd, -zi)).  With one tail the curve is the
-    argument: it passes level in the first piece whose ends straddle it.
-    With both tails the power Phi(z + |t|) + Phi(z - |t|) rises wherever
-    z + |t| does, as z does not fall (``_two_tail_cell``): so on a piece
-    where both arms rise, or where the rising one is the larger at the
-    start, and it falls where both do.  Elsewhere ``_mixed`` searches.
-    """
-    zi, f, config = r.zi, r.f, r.config
-    sizes = [start]
-    if start < stop:
-        turns = entry.turns(zd, zi, s, f, config)
-        if config.both_tails:
-            turns += entry.turns(-zd, zi if zi is None else -zi, s, f,
-                                 config)
-        sizes = sorted({start, stop, *(u for u in turns if start < u < stop)})
-    both = config.both_tails
-    arm = ends(start) if both else (fn(start),)
-    fa = sum(map(std_normal_cdf, arm)) if both else arm[0]
-    rising, first = not fa >= level, fa
-    a, best, low, mixed = start, max(-math.inf, fa), fa, []
-    for b in sizes[1:]:
-        arm_b = ends(b) if both else (fn(b),)
-        fb = sum(map(std_normal_cdf, arm_b)) if both else arm_b[0]
-        cell = (a, b, fa, fb)
-        if both and (arm_b[0] < arm[0]) != (arm_b[1] < arm[1]):
-            mixed.append((a, b, arm, arm_b))
-            cell, top = _mixed(ends, level, rising, a, b, arm, arm_b)
-            best = max(best, top)
-        elif (fb >= level) != rising:
-            cell = None
-        if cell is not None:
-            return (*cell, "pieces")
-        best, low = max(best, fb), min(low, fb)
-        a, fa, arm = b, fb, arm_b
-    if not rising:
-        return start, start, first, first, "lower bound"
-    if len(sizes) > 1 and level - low <= 2.0 ** -40 * (abs(level) + 1.0):
-        # a curve flat at the level within rounding meets it where its
-        # rounding does: at the first of 64 van der Corput sizes in log u
-        # that meets it, as any size on a flat curve is as good as the
-        # first
-        span = math.log(stop) - math.log(start)
-        for k in range(1, 65):
-            u = start * math.exp(span * int(f"{k:b}"[::-1], 2)
-                                 / 2 ** k.bit_length())
-            if (fu := fn(u)) >= level:
-                return u, u, fu, fu, "pieces"
+def _scan(fn, finish, r, entry, zd, s, level, start, stop):
+    """The first cell (a, b, f(a), f(b)) of the scan grid from start to
+    stop, zoomed, across which the curve crosses ``level``, and the path:
+    "scan", or "lower bound" with the cell (start, start, f(start),
+    f(start)) where the curve never drops below level."""
+    import numpy as np
     target = r.target_power
-    for piece in mixed:
-        best = max(best, _mixed(ends, None, True, *piece)[1])
-    best = min(1.0, finish(best))
-    if r.c_lower <= s:
-        sup = entry.sup(zd, zi, s, f, config)
-        if sup < target:
-            raise InfeasibleTarget(target, max(sup, best))
-    raise InfeasibleTarget(target, best)
+    grid = (np.geomspace(start, stop, 1200) if start < stop
+            else np.array([start]))
+    vals = np.asarray(fn(grid), dtype=float)
+    # a curve that meets the target at the lower bound has its smallest
+    # exact crossing, if any, where it first drops below
+    rising = not vals[0] >= level
+    sup = ()    # the rule's bound, or IPPi's limits at a fixed f
+    if rising and r.c_lower <= s and not vals[vals.argmax()] >= level:
+        sup = entry.sup(zd, r.zi, s, r.f, r.config)
+        if not isinstance(sup, tuple) and sup < target:
+            raise InfeasibleTarget(target, sup)     # no zoom can pass it
+    if rising:
+        best, cell = _numeric_supremum(fn, grid, vals, level)
+    else:   # where f drops below level, -f passes -level
+        best, cell = _numeric_supremum(
+            lambda u: -fn(u), grid, -vals, math.nextafter(-level, math.inf))
+        cell = cell and (*cell[:2], -cell[2], -cell[3])
+    if cell is None and rising:
+        # the bound over the scanned sizes, or IPPi's limits past them
+        # where they stay below the target
+        best = min(1.0, finish(best))
+        bound = max((best, *sup)) if isinstance(sup, tuple) else best
+        raise InfeasibleTarget(target, bound if bound < target else best)
+    if cell is None:
+        return (*map(float, (grid[0], grid[0], vals[0], vals[0])),
+                "lower bound")
+    return (*map(float, cell), "scan")
 
 
-def _mixed(ends, level, rising, a, b, arm_a, arm_b):
-    """The first cell (a, b, P(a), P(b)) in [a, b] across which the
-    both-tail power P passes ``level`` (rising: upwards, from P(a) below
-    it), or None, and the largest power it evaluated, on a piece where
-    one arm F of the power falls and the other, R, rises; with level
-    None, (None, the largest power on [a, b]).
-
-    Where R >= F at the start of a stretch, P rises over it.  Elsewhere
-    P lies between Phi(F(b)) + Phi(R(a)) and Phi(F(a)) + Phi(R(b)) on a
-    stretch [a, b]: a stretch whose bound keeps P from passing level
-    holds no crossing, and the others are halved, left first, at sqrt(a
-    b) once b > 4 a, down to b <= 1.125 a.  Where no size passes, the
-    search climbs from the best of them towards level (``_summit``).
+def _numeric_supremum(curve, grid, vals, level=math.inf):
+    """Largest value of ``curve`` from a log grid and its values, and
+    the first cell (a, b, f(a), f(b)) where f reaches ``level``, or
+    None; till one does, zooms on the largest value (NaN aside) with a
+    33-point log grid over its two cells to a log spacing below 1e-6.
     """
-    i = 0 if arm_b[0] >= arm_a[0] else 1       # the rising arm
-    sign = 1.0 if rising else -1.0
-    top = -math.inf
-
-    def power(u, arm=None):
-        arm = arm or ends(u)
-        return arm, std_normal_cdf(arm[0]) + std_normal_cdf(arm[1])
-    stack = [power(b, arm_b) + (b,), power(a, arm_a) + (a,)]
-    seen, climbs = [], []
-    while len(stack) > 1:
-        (arm_a, pa, a), (arm_b, pb, b) = stack[-1], stack[-2]
-        top = max(top, pa, pb)
-        if level is not None and (pb >= level) == rising:
-            return (a, b, pa, pb), top
-        bound = std_normal_cdf(arm_a[1 - i] if rising else arm_b[1 - i]) \
-            + std_normal_cdf(arm_b[i] if rising else arm_a[i])
-        if (level is None and not bound > top
-                or level is not None and (bound >= level) != rising
-                or arm_a[i] >= arm_a[1 - i]):
-            seen.append(stack.pop())
-        elif b <= 1.125 * a:
-            seen.append(stack.pop())
-            climbs.append((sign * pb, b, a, pa))
-        else:
-            m = math.sqrt(a) * math.sqrt(b) if b > 4.0 * a else \
-                a + 0.5 * (b - a)
-            stack.insert(-1, power(m) + (m,))
-    if not climbs:
-        return None, top
-    _, u, lo, p_lo = max(climbs)
-    hi = min((v for _, _, v in seen + stack if v > u), default=u)
-    x, p = _summit(lambda v: sign * power(v)[1], lo, hi,
-                   lambda p: level is not None
-                   and (sign * p >= level) == rising)
-    top = max(top, sign * p)
-    return ((lo, x, p_lo, sign * p) if x is not None else None), top
-
-
-def _summit(g, lo, hi, done):
-    """Brent's search (1973) for a local maximum of ``g`` on [lo, hi],
-    golden sections and parabolic steps in log u down to 1e-9 of it:
-    (u, g(u)) at the first u where done(g(u)), else (None, the largest
-    g evaluated)."""
-    golden = 0.3819660112501051
-    a, b = math.log(lo), math.log(hi)
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = -g(math.exp(x))
-    if done(-fx):
-        return math.exp(x), -fx
-    d = e = 0.0
-    while abs(x - 0.5 * (a + b)) > 2e-9 - 0.5 * (b - a):
-        m, golden_step = 0.5 * (a + b), True
-        if abs(e) > 1e-9:       # a parabola through x, w and v
-            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-            p, q, last, e = (-p if q > 0.0 else p), abs(q), e, d
-            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
-                d, golden_step = p / q, False
-                if min(x + d - a, b - x - d) < 2e-9:
-                    d = math.copysign(1e-9, m - x)
-        if golden_step:
-            e = (a if x >= m else b) - x
-            d = golden * e
-        t = x + (d if abs(d) >= 1e-9 else math.copysign(1e-9, d))
-        gt = g(math.exp(t))
-        if done(gt):
-            return math.exp(t), gt
-        if -gt <= fx:
-            a, b = (x, b) if t >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, t, -gt
-        else:
-            a, b = (t, b) if t < x else (a, t)
-            if -gt <= fw or w == x:
-                v, fv, w, fw = w, fw, t, -gt
-            elif -gt <= fv or v in (x, w):
-                v, fv = t, -gt
-    return None, -fx
+    import numpy as np
+    best, t = -math.inf, None   # t: the log grid, taken on a zoom
+    while True:
+        i = int(vals.argmax())      # stops at a NaN: then skip them
+        i = i if vals[i] == vals[i] else int(np.fmax(vals, -math.inf).argmax())
+        if vals[i] >= level:
+            j = max(int((vals >= level).argmax()), 1)
+            return best, (grid[j - 1], grid[j], vals[j - 1], vals[j])
+        best = max(best, float(vals[i]))
+        t = np.log(grid) if t is None else t
+        if t.size < 2 or not t[1] - t[0] >= 1e-6:
+            return best, None
+        t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], 33)
+        grid = np.exp(t)
+        vals = curve(grid)
 
 
 def _span(request, s):
     """The growing size u runs from c_lower - s, but at least 1e-9 and
     s * 1e-300 (s / u stays finite), to c = s + u = C_CAP, or 10 s if
     larger, as the interim curves vary with u / s, but no further than
-    the largest double.  A start past the end leaves the walk one point."""
+    the largest double.  A start past the end leaves the scan one point."""
     start = max(request.c_lower - s, _C_MIN, s * 1e-300)
     stop = min(max(C_CAP, 10.0 * s), sys.float_info.max) - s
     return start, stop

@@ -1,11 +1,10 @@
 """The scalar path needs only the standard library.
 
 ``import repower`` and the subcommands that answer one scalar question
-(power, interim, every solve, the ssrp reports) run without importing
-numpy, and the method table's parts return Python floats on floats;
-``solve_c`` answers on each of its paths with numpy unimportable.  The
-subcommands that build arrays (curve, simulate) import it where they
-build them, and print what they did.
+(power, interim, an inverse-path solve, the ssrp reports) run without
+importing numpy, and the method table's parts return Python floats on
+floats.  The subcommands that build arrays (curve, a scanning solve,
+simulate) import it where they build them, and print what they did.
 """
 import math
 import os
@@ -113,27 +112,6 @@ INVERSE_SOLVES = [
 ]
 
 
-# a solve on each path that no inverse rule answers, as (argv, request,
-# the path or the refusal)
-PIECE_SOLVES = [
-    (["--method", "ippi", "--target", "0.8", "--zo", "2.8", "--zi", "1.2",
-      "--c-stage1", "0.8"],
-     dict(method="IPPi", target_power=0.8, zo=2.8, zi=1.2, c_stage1=0.8),
-     "pieces"),
-    (["--method", "ippi", "--target", "0.9", "--zo", "2", "--zi", "1",
-      "--f", "0.25"],
-     dict(method="IPPi", target_power=0.9, zo=2.0, zi=1.0, f=0.25),
-     "infeasible"),
-    (["--method", "cpi", "--target", "0.8", "--zo", "2.5", "--zi", "0.3",
-      "--c-stage1", "0.8", "--both-tails"],
-     dict(method="CPi", target_power=0.8, zo=2.5, zi=0.3, c_stage1=0.8,
-          config=DesignConfig(both_tails=True)), "pieces"),
-    (["--method", "fbp", "--target", "0.99", "--zo", "4.46518391558482"],
-     dict(method="FBP", target_power=0.99, zo=4.46518391558482),
-     "lower bound"),
-]
-
-
 @pytest.mark.parametrize("argv", [
     [],
     ["power", "--zo", "2.3", "--c", "1.5"],
@@ -156,36 +134,6 @@ PIECE_SOLVES = [
 ], ids=lambda argv: " ".join(argv[:3]) or "import")
 def test_scalar_commands_leave_numpy_unloaded(argv):
     assert _loads_numpy(*argv) == "0 False\n"
-
-
-@pytest.mark.parametrize("argv, path", [(a, p) for a, _, p in PIECE_SOLVES],
-                         ids=lambda v: " ".join(v[:2]) if isinstance(
-                             v, list) else v)
-def test_solves_without_an_inverse_rule_leave_numpy_unloaded(argv, path):
-    # a refusal exits 1
-    code = 1 if path == "infeasible" else 0
-    assert _loads_numpy("solve", *argv) == f"{code} False\n"
-
-
-def test_every_solve_path_answers_with_numpy_unimportable():
-    requests = [r for _, r in INVERSE_SOLVES] + [
-        r for _, r, _ in PIECE_SOLVES] + [
-        # a both-tail fixed design, from the one-tail rules
-        dict(method="PP", target_power=0.7, zo=2.5,
-             config=DesignConfig(both_tails=True))]
-    out = _fresh(
-        "import sys",
-        "sys.modules['numpy'] = None",
-        "import repower as r",
-        "from repower import DesignConfig",
-        f"for kw in {requests!r}:",
-        "    try:",
-        "        print(r.solve_c(r.SolveRequest(**kw)).path)",
-        "    except r.InfeasibleTarget:",
-        "        print('infeasible')")
-    assert out.split("\n")[:-1] == (
-        ["inverse"] * len(INVERSE_SOLVES) + [p for *_, p in PIECE_SOLVES]
-        + ["inverse"])
 
 
 @pytest.mark.parametrize("call", [
@@ -219,7 +167,7 @@ def test_the_numpy_free_solves_take_the_inverse_path(request_kwargs):
       "0.8", "--nj-range", "0.5:3:0.5", "--format", "csv"],
      "nj_ratio,power\n0.5,0.2511364869\n1,0.4594073028\n1.5,0.5798149142\n"
      "2,0.6570133906\n2.5,0.7102303389\n3,0.7488812589\n"),
-    # IPPi has no inverse rule: its pieces answer, without numpy
+    # IPPi has no inverse rule: the scan answers
     (["solve", "--method", "ippi", "--target", "0.8", "--zo", "2.8", "--zi",
       "1.2", "--c-stage1", "0.8"],
      "c=2.3801526\npower=0.800000\nf=0.336113\n"),

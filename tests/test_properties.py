@@ -28,7 +28,6 @@ from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig,
                      interim_ordering_holds, interim_power, ippi,
                      ippi_limit, pp, ppi, ppi_minimum, solve_c, solver,
                      std_normal_cdf, std_normal_quantile)
-from scan_oracle import scan_solve
 
 DRAWN = settings(derandomize=True, database=None, deadline=None,
                  max_examples=150)
@@ -77,9 +76,9 @@ def test_interim_supremum_bounds_the_curve(method, zo, zi, c, f, config):
        f=fractions, config=both_tails)
 def test_both_tail_suprema_need_no_search(method, zo, zi, c, f, config):
     # with both tails these curves tend to 1 as the size grows, which
-    # their rules state without the solver's search
+    # their rules state without the numeric search
     state = (InterimState(zi, f),) if method in METHODS_INTERIM else ()
-    with mock.patch.object(solver, "_walk",
+    with mock.patch.object(solver, "_numeric_supremum",
                            side_effect=AssertionError("numeric search")):
         res = RESULTS[method](FixedDesign(zo, c), *state, config)
     assert res.supremum == 1.0 and res.feasible_100
@@ -93,7 +92,7 @@ def test_one_tail_suprema_need_no_search(method, zo, zi, c, f, config):
     # over the remaining size: a limit, or the value where the slope of
     # the Phi argument vanishes
     state = (InterimState(zi, f),) if method in METHODS_INTERIM else ()
-    with mock.patch.object(solver, "_walk",
+    with mock.patch.object(solver, "_numeric_supremum",
                            side_effect=AssertionError("numeric search")):
         res = RESULTS[method](FixedDesign(zo, c), *state, config)
     assert res.power <= res.supremum <= 1.0
@@ -113,9 +112,9 @@ def _searched(curve, lo, hi):
 
 
 def _rule(method, zd, zi, s, config, f=None):
-    """A one-tail supremum from the method table, with the solver's
-    search switched off."""
-    with mock.patch.object(solver, "_walk",
+    """A one-tail supremum from the method table, with the numeric search
+    switched off."""
+    with mock.patch.object(solver, "_numeric_supremum",
                            side_effect=AssertionError("numeric search")):
         return _methods.METHODS[method].sup(zd, zi, s, f, config)
 
@@ -264,20 +263,17 @@ def test_stage_sizes_agree_with_the_published_weights(method, c, f, zo, zi,
 
 def _solve_counting(request):
     """solve_c's answer and its number of scalar method-table calls,
-    counted on the curve and the arms ``solver._along`` hands the
-    solver."""
+    counted on the curve ``solver._along`` hands the solver."""
     scalar_calls = []
     along = solver._along
 
     def counting(*args):
-        curve, finish, arms = along(*args)
+        curve, finish = along(*args)
 
-        def counted(fn):
-            def call(u):
-                scalar_calls.append(np.ndim(u) == 0)
-                return fn(u)
-            return call
-        return counted(curve), finish, counted(arms)
+        def counted(u):
+            scalar_calls.append(np.ndim(u) == 0)
+            return curve(u)
+        return counted, finish
     with mock.patch.object(solver, "_along", counting):
         res = solve_c(request)
     return res, sum(scalar_calls)
@@ -362,11 +358,15 @@ def test_solve_c_finds_narrow_peaks_and_dips(method, zo, zi, c_stage1, f,
 
 def _solved(request, scan_only=False):
     """solve_c's answer or its InfeasibleTarget; with ``scan_only`` the
-    scan's, the oracle (``scan_oracle``)."""
-    try:
-        return (scan_solve if scan_only else solve_c)(request)
-    except InfeasibleTarget as exc:
-        return exc
+    method's inverse rule is taken out of the table, so the scan runs."""
+    entry = _methods.METHODS[request.method]
+    table = {request.method: replace(entry, inverse=None)} if scan_only \
+        else {}
+    with mock.patch.dict(_methods.METHODS, table):
+        try:
+            return solve_c(request)
+        except InfeasibleTarget as exc:
+            return exc
 
 
 @settings(DRAWN, max_examples=400)
@@ -423,11 +423,9 @@ def test_inverse_rules_agree_with_the_scan(method, zo, scale, zi, s, f, u,
     assert got.power >= target
     # the rules answer on a rising piece that starts at the bottom of
     # the axis; elsewhere (a falling start, a falling branch, the lower
-    # bound) the pieces answer as the scan did, to the scan's 1e-14
+    # bound) the scan runs as before
     if want.warning is not None or power(1e-9) >= target:
-        assert got.path == {"scan": "pieces"}.get(want.path, want.path)
-        assert got.warning == want.warning
-        assert got.c == pytest.approx(want.c, rel=1e-13, abs=1e-14)
+        assert got == want and got.path == want.path != "inverse"
         return
     assert got.path == "inverse" and got.evaluations <= 8
     assert got.warning is None
@@ -457,10 +455,8 @@ def test_both_tail_inverse_agrees_with_the_scan(method, zo, u, config):
     rise = design_power(method, zo, np.geomspace(1e-9, u, 200), config)
     if not np.all(np.diff(rise) >= -8.0 * 2.0 ** -52 * rise[1:]):
         # a curve that dips first (FBP and CBP beyond the pooled
-        # threshold): the rules do not answer, and the pieces answer as
-        # the scan did
-        assert got.path == "pieces"
-        assert got.c == pytest.approx(want.c, rel=1e-13, abs=0.0)
+        # threshold): the rules do not answer, and the scan runs as before
+        assert got == want and got.path == "scan"
         return
     assert got.path == "inverse" and got.evaluations <= 25
     assert got.c == pytest.approx(want.c, rel=1e-13, abs=0.0)

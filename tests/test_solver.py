@@ -9,7 +9,6 @@ from repower import (DesignConfig, FixedDesign, FutilityRule,
                      InfeasibleTarget, InterimState, SolveRequest, _methods,
                      design_power, fbp_minimum, futility_decision,
                      interim_power, p_to_z, solve_c, std_normal_cdf)
-from scan_oracle import scan_solve
 
 CFG = DesignConfig(alpha=0.05)
 
@@ -176,15 +175,11 @@ def test_falling_crossing_meets_its_target():
     # IPPi falls through the target; the refined crossing's Phi argument
     # meets the level, yet Phi there rounds below the target
     target = 0.24687582369131147
-    req = SolveRequest(
+    res = solve_c(SolveRequest(
         "IPPi", target, zo=-0.38263270314898756, zi=2.1101096346003487,
-        f=0.16241886451375764, config=DesignConfig(alpha=0.14593080811942624))
-    res, want = solve_c(req), scan_solve(req)
-    assert res.path == "pieces" and "falling" in res.warning
+        f=0.16241886451375764, config=DesignConfig(alpha=0.14593080811942624)))
+    assert res.path == "scan" and "falling" in res.warning
     assert res.power >= target
-    # the scan, the oracle, finds the same crossing
-    assert res.warning == want.warning
-    assert res.c == pytest.approx(want.c, rel=1e-13, abs=0.0)
 
 
 def test_inverse_meets_its_target_past_phi_rounding():
@@ -251,14 +246,12 @@ def test_a_target_the_curve_returns_past_its_supremum_rule(zi, f, both,
                                                            target):
     # CPi at zo = 0 and a fixed f is flat in c but for rounding: its
     # supremum rule rounds a few ulps below the target, the curve at the
-    # ends of its one piece below it too, and a later size meets it, as
-    # it does on the scan, the oracle
+    # start of the scan below it too, and a later size meets it
     config = DesignConfig(both_tails=both)
     assert _methods.METHODS["CPi"].sup(0.0, zi, 0.0, f, config) < target
-    req = SolveRequest("CPi", target, zo=0.0, zi=zi, f=f, config=config)
-    res = solve_c(req)
-    assert res.path == "pieces" and res.power >= target
-    assert scan_solve(req).power >= target and res.evaluations <= 100
+    res = solve_c(SolveRequest("CPi", target, zo=0.0, zi=zi, f=f,
+                               config=config))
+    assert res.path == "scan" and res.power >= target
 
 
 @pytest.mark.parametrize("method,target", [("CPi", 0.8), ("IPPi", 0.6)])
@@ -281,24 +274,6 @@ def test_stage_sizes_near_the_top_of_the_doubles(method, target):
     with pytest.raises(InfeasibleTarget) as exc:
         solve_c(SolveRequest("IPPi", 0.8, zo=2, zi=1, c_stage1=1e300))
     assert exc.value.supremum == pytest.approx(0.6557057, rel=1e-6)
-
-
-def test_a_plateau_of_the_rounded_curve_ends_the_refine():
-    # both-tail CP at zd = 2.6e-6 rises by one ulp of its power, 0.338,
-    # over 1e-3 of c where it meets the target: every size there is a
-    # first crossing of the rounded curve.  The scan spent 1 242
-    # evaluations; the pieces stop once both ends of the bracket lie
-    # within two ulps of the level, on that plateau
-    config = DesignConfig(alpha=0.33805245197016887,
-                          shrinkage=0.8827724004049531, both_tails=True)
-    req = SolveRequest("CP", 0.3380524519701897, zo=2.212188273761631e-05,
-                       config=config)
-    res, want = solve_c(req), scan_solve(req)
-    assert res.path == "pieces" and res.evaluations <= 25
-    assert res.power == want.power == req.target_power
-    assert res.c == pytest.approx(want.c, rel=1e-3, abs=0.0)
-    assert design_power("CP", req.zo, res.c * (1.0 - 1e-3), config) \
-        >= req.target_power - 2.0 * 2.0 ** -53
 
 
 def test_an_overflowing_discriminant_leaves_the_inverse_without_answer():
