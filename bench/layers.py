@@ -24,10 +24,11 @@ bottom of the axis), a both-tail interim solve (CPi at c_stage1), and
 an infeasible IPPi request at a fixed f with both tails, which also
 zooms.  The cold-start rows time one fresh interpreter each, as a
 subprocess: bare ``python3``, ``import repower``, ``import
-repower.cli``, and the commands ``repower power``, ``solve`` (an
-inverse-path CP solve), ``ssrp`` (the interim report), ``curve`` and
-``simulate`` (2e4 draws); ``curve`` builds an array, and loads numpy,
-and ``simulate`` loads scipy too, where the others need neither.  A
+repower.cli``, and the commands ``repower power``, ``interim`` (all
+three interim methods), ``solve`` (an inverse-path CP solve), ``ssrp``
+(the interim report), ``curve`` and ``simulate`` (2e4 draws); ``curve``
+builds an array, and loads numpy, and ``simulate`` loads scipy too,
+where the others need neither.  A
 fixed pure-Python loop is timed beside them, so that numbers taken on
 different days or machines can be put on one scale: divide a row by
 the calibration row.
@@ -76,6 +77,8 @@ COLD_STARTS = (
     ("import repower.cli", ["-c", "import repower.cli"]),
     ("repower power", ["-m", "repower.cli", "power", "--zo", "2.3", "--c",
                        "1.5"]),
+    ("repower interim", ["-m", "repower.cli", "interim", "--zo", "2.3",
+                         "--zi", "0.8", "--c", "2", "--f", "0.4"]),
     ("repower solve", ["-m", "repower.cli", "solve", "--method", "cp",
                        "--target", "0.9", "--zo", "2.807"]),
     ("repower ssrp", ["-m", "repower.cli", "ssrp"]),

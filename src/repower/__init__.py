@@ -36,16 +36,16 @@ _HOME = {name: module for module, names in (
                "conditional_power cp cp_pp_intersection design_power fbp "
                "fbp_cbp_intersection fbp_minimum fully_bayesian_power pp "
                "predictive_power shrunken_zo"),
-    ("interim", "InterimPowerCurve InterimState conditional_power_interim "
-                "cpi informed_predictive_power_interim "
+    ("interim", "FutilityDecision FutilityRule InterimPowerCurve "
+                "InterimState conditional_power_interim cpi "
+                "futility_decision informed_predictive_power_interim "
                 "interim_ordering_holds interim_power ippi ippi_limit ppi "
                 "ppi_minimum predictive_power_interim remaining_n_curve "
                 "weight_dominance_threshold"),
     ("mc", "SimResult SimSpec closed_form simulate_power"),
     ("normal", "fisher_z fisher_z_inv p_to_z std_normal_cdf std_normal_pdf "
                "std_normal_quantile z_to_p"),
-    ("solver", "FutilityDecision FutilityRule InfeasibleTarget SolveRequest "
-               "SolveResult futility_decision solve_c"),
+    ("solver", "InfeasibleTarget SolveRequest SolveResult solve_c"),
     ("ssrp", "DatasetError DerivedQuantities InvariantViolation "
              "REFERENCE_INTERIM_POWER_PCT SsrpRecord derive futility_replay "
              "load_csv reproduce_design_powers reproduce_interim_powers"),

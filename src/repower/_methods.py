@@ -173,6 +173,14 @@ def _pooled_inv(z, k, level):
     return r * r if r else None
 
 
+def _pooled_min(z, k):
+    # beyond the threshold z + k > 0 the argument falls from +inf to its
+    # minimum sqrt(gap), gap = (z + k)(z - k), at x = gap / k^2; else None
+    if z + k > 0.0:
+        gap = (z + k) * (z - k)
+        return gap / (k * k), std_normal_cdf(math.sqrt(gap))
+
+
 def _cbp(zd, zi, s, x, cfg):
     return ((x + 1.0) / _sqrt(x) * zd,
             _sqrt((x + 1.0) / x) * cfg.z_alpha_tilde)

@@ -244,7 +244,7 @@ def _cell(value, spec):
 def _cmd_ssrp(args):
     from dataclasses import asdict
 
-    from . import solver, ssrp
+    from . import interim, ssrp
     records = ssrp.load_csv(args.data)
     # the echo shows only the flags this report reads
     if args.report != "design-powers":
@@ -270,8 +270,8 @@ def _cmd_ssrp(args):
             f"CBP >= FBP in all rows: {results['cbp_ge_fbp_all']}; "
             f"FBP - PP changes sign: {results['fbp_pp_sign_varies']}")
     else:
-        rule = solver.FutilityRule(method=_TAGS[args.futility_method],
-                                   boundary=args.boundary)
+        rule = interim.FutilityRule(method=_TAGS[args.futility_method],
+                                    boundary=args.boundary)
         results = asdict(ssrp.futility_replay(records, rule))
         results.update(results.pop("rule"))
         summary.append(

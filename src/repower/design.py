@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import _methods
-from .normal import std_normal_cdf, std_normal_quantile
+from .normal import std_normal_quantile
 
 METHODS_FIXED = tuple(t for t, m in _methods.METHODS.items()
                       if not m.interim)
@@ -299,7 +299,8 @@ def fbp_cbp_intersection(zo, config=DEFAULT_CONFIG):
         raise ValueError("FBP and CBP only cross for a positive original z")
     zat = config.z_alpha_tilde
     zz = zd * zd        # 0 for a tiny zd, whose crossing lies beyond floats
-    c = (zat + zd) * (zat - zd) / zz if zz > 0.0 else math.inf
+    c = (zat + zd) * (zat - zd) / zz if 0.0 < zz < math.inf else (
+        -1.0 if zz else math.inf)   # zat^2 / zz - 1 is -1 at an inf zz
     return CrossingPoint(c, c > 0.0)
 
 
@@ -320,13 +321,12 @@ def fbp_minimum(zo, config=DEFAULT_CONFIG):
     """
     zd = shrunken_zo(_methods.single("zo", zo, _methods.finite),
                      _a_config("config", config))
-    zat = config.z_alpha_tilde
-    if zd + zat <= 0.0:
+    found = _methods._pooled_min(zd, config.z_alpha_tilde)
+    if found is None:
         raise ValueError(
             "FBP has an interior minimum only when the original is "
             "significant at the pooled level alpha_tilde")
-    gap = (zd + zat) * (zd - zat)
-    return PowerMinimum(gap / (zat * zat), std_normal_cdf(math.sqrt(gap)))
+    return PowerMinimum(*found)
 
 
 # short aliases matching the method tags

@@ -17,14 +17,13 @@ Each method's success probability is Phi of a weighted sum of ``zo``,
 ``zi`` and the alpha/2 quantile.  The weights are defined once, with
 each method's required inputs and supremum rules, in the method table
 of ``_methods``.  ``weight_dominance_threshold`` exposes which source
-dominates as the interim fraction grows.
+dominates as the interim fraction grows.  ``futility_decision`` stops a
+replication whose IPPi or PPi falls below a ``FutilityRule``'s boundary.
 """
-import math
 from dataclasses import dataclass
 
 from . import _methods, design
 from .design import DEFAULT_CONFIG, METHODS_INTERIM, shrunken_zo
-from .normal import std_normal_cdf
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,54 @@ def predictive_power_interim(fixed, interim, config=DEFAULT_CONFIG):
     """PPi: success probability judged from the interim data alone."""
     return design._result("PPi", fixed, _a_state("interim", interim),
                           config)
+
+
+@dataclass(frozen=True)
+class FutilityRule:
+    """Stop the replication at interim when power drops below a boundary."""
+
+    method: str = "IPPi"
+    boundary: float = 0.30
+
+    _RULES = (("boundary", _methods.unit),)
+
+    def __post_init__(self):
+        if self.method not in _methods.FUTILITY_METHODS:
+            raise ValueError("futility rules use IPPi or PPi")
+        _methods.settle(self)
+
+
+_a_rule = _methods.record(FutilityRule)
+
+
+@dataclass(frozen=True)
+class FutilityDecision:
+    """Outcome of applying a futility rule at one interim look."""
+
+    method: str
+    power: float
+    boundary: float
+    stop: bool
+
+
+def futility_decision(fixed, state, rule=FutilityRule(),
+                      config=DEFAULT_CONFIG):
+    """Apply a futility rule: stop when interim power < boundary.
+
+    The comparison is strict, so a power exactly on the boundary
+    continues.
+    """
+    if not (isinstance(fixed, design.FixedDesign)
+            and isinstance(state, InterimState)
+            and isinstance(rule, FutilityRule)):
+        design._a_design("fixed", fixed)
+        _a_state("state", state)
+        _a_rule("rule", rule)
+    power = interim_power(rule.method, fixed.zo, state.zi, fixed.c,
+                          state.f, config)
+    return FutilityDecision(method=rule.method, power=power,
+                            boundary=rule.boundary,
+                            stop=power < rule.boundary)
 
 
 def interim_ordering_holds(fixed, interim, config=DEFAULT_CONFIG):
@@ -146,12 +193,12 @@ def ppi_minimum(zi, config=DEFAULT_CONFIG):
     Exists only when the interim result is itself significant in the
     original direction; the minimum value depends on ``zi`` alone.
     """
-    zi = _methods.single("zi", zi, _methods.finite)
-    za = design._a_config("config", config).z_alpha
-    if zi + za <= 0.0:
+    found = _methods._pooled_min(_methods.single("zi", zi, _methods.finite),
+                                 design._a_config("config", config).z_alpha)
+    if found is None:
         raise ValueError(
             "PPi has an interior minimum only for a significant interim")
-    return std_normal_cdf(math.sqrt((zi + za) * (zi - za)))
+    return found[1]
 
 
 @dataclass(frozen=True)

@@ -153,15 +153,10 @@ def simulate_power(spec):
     SimResult
     """
     _a_spec("spec", spec)
-    successes = 0
-    done = 0
-    index = 0
-    while done < spec.n_sims:
-        size = min(BATCH_SIZE, spec.n_sims - done)
-        gen = _batch_generator(spec.seed, index)
-        successes += _batch_successes(spec, gen, size)
-        done += size
-        index += 1
+    successes = sum(
+        _batch_successes(spec, _batch_generator(spec.seed, index),
+                         min(BATCH_SIZE, spec.n_sims - done))
+        for index, done in enumerate(range(0, spec.n_sims, BATCH_SIZE)))
     p = successes / spec.n_sims
     std_err = math.sqrt(p * (1.0 - p) / spec.n_sims)
     return SimResult(method=spec.method, estimate=p, std_err=std_err,

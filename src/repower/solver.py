@@ -1,4 +1,4 @@
-"""Invert power curves for the relative sample size, and futility rules.
+"""Invert power curves for the relative sample size.
 
 ``solve_c`` finds the smallest relative sample size ``c`` at which a
 chosen method reaches a target power.  It searches over the size that
@@ -31,12 +31,10 @@ from dataclasses import dataclass, field
 
 from . import _methods, design
 from .design import DEFAULT_CONFIG
-from .interim import InterimState, _a_state, interim_power
 from .normal import std_normal_cdf, std_normal_quantile
 
 C_CAP = 1e9
 _C_MIN = 1e-9
-FUTILITY_METHODS = _methods.FUTILITY_METHODS
 
 
 class InfeasibleTarget(ValueError):
@@ -279,8 +277,8 @@ def solve_c(request):
                 and (u >= 2.0 * start or fn(start) < level)):
             cell = _cell(fn, level, u, u * (1.0 - 2.0 ** -30),
                          u * (1.0 + 2.0 ** -30))
-    elif entry.inverse is not None and not entry.interim:
-        # the power is even in zd
+    elif entry.inverse is not None and not entry.interim and 0.5 * level:
+        # the power is even in zd; a level whose half is 0 is left to the scan
         cell = _two_tail_cell(fn, entry, abs(zd), level, r.config, start)
     if cell is None or not start <= cell[0] <= cell[1] <= stop:
         # the least level whose power still meets the target, which a
@@ -401,51 +399,3 @@ def _span(request, s):
     start = max(request.c_lower - s, _C_MIN, s * 1e-300)
     stop = min(max(C_CAP, 10.0 * s), sys.float_info.max) - s
     return start, stop
-
-
-@dataclass(frozen=True)
-class FutilityRule:
-    """Stop the replication at interim when power drops below a boundary."""
-
-    method: str = "IPPi"
-    boundary: float = 0.30
-
-    _RULES = (("boundary", _methods.unit),)
-
-    def __post_init__(self):
-        if self.method not in FUTILITY_METHODS:
-            raise ValueError("futility rules use IPPi or PPi")
-        _methods.settle(self)
-
-
-_a_rule = _methods.record(FutilityRule)
-
-
-@dataclass(frozen=True)
-class FutilityDecision:
-    """Outcome of applying a futility rule at one interim look."""
-
-    method: str
-    power: float
-    boundary: float
-    stop: bool
-
-
-def futility_decision(fixed, state, rule=FutilityRule(),
-                      config=DEFAULT_CONFIG):
-    """Apply a futility rule: stop when interim power < boundary.
-
-    The comparison is strict, so a power exactly on the boundary
-    continues.
-    """
-    if not (isinstance(fixed, design.FixedDesign)
-            and isinstance(state, InterimState)
-            and isinstance(rule, FutilityRule)):
-        design._a_design("fixed", fixed)
-        _a_state("state", state)
-        _a_rule("rule", rule)
-    power = interim_power(rule.method, fixed.zo, state.zi, fixed.c,
-                          state.f, config)
-    return FutilityDecision(method=rule.method, power=power,
-                            boundary=rule.boundary,
-                            stop=power < rule.boundary)

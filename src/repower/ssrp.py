@@ -25,8 +25,8 @@ from importlib import resources
 from . import _methods
 from .design import (DEFAULT_CONFIG, METHODS_FIXED, METHODS_INTERIM,
                      DesignConfig, FixedDesign, design_power)
-from .interim import InterimState, interim_power
-from .solver import FutilityRule, futility_decision
+from .interim import (FutilityRule, InterimState, futility_decision,
+                      interim_power)
 
 ENV_DATA_PATH = "REPOWER_SSRP_DATA"
 _SQRT2 = math.sqrt(2.0)

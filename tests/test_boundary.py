@@ -374,3 +374,42 @@ def test_cpi_at_a_fixed_f_with_a_subnormal_slope_solves():
     limit = r.interim_power("CPi", 0.0, 0.1, 1.0, 0.9)
     assert info.value.supremum == pytest.approx(limit, rel=1e-12)
 
+
+
+@pytest.mark.parametrize("method, c, path", [
+    ("CP", 1e-9, "lower bound"), ("PP", 1e-9, "lower bound"),
+    # the both-tail power underflows to 0 below these sizes
+    ("FBP", 0.0010151563238386808, "scan"),
+    ("CBP", 0.0010161862055768861, "scan"),
+])
+def test_a_both_tail_target_whose_half_underflows_is_scanned(method, c,
+                                                             path):
+    # half of 5e-324 is 0, which has no quantile for the one-tail rules
+    # to bound the crossing with; the scan decides
+    req = r.SolveRequest(method, 5e-324, zo=2.0,
+                         config=r.DesignConfig(both_tails=True))
+    res = _quietly(lambda: r.solve_c(req))
+    assert res.path == path and res.power >= 5e-324
+    assert res.c == pytest.approx(c, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["CP", "PP", "FBP", "CBP"])
+def test_a_both_tail_target_whose_half_underflows_meets_its_lower_bound(
+        method):
+    req = r.SolveRequest(method, 5e-324, zo=2.018103535491811,
+                         c_lower=0.058833762419586044,
+                         config=r.DesignConfig(alpha=0.005, shrinkage=0.3,
+                                               both_tails=True))
+    res = _quietly(lambda: r.solve_c(req))
+    assert (res.c, res.path, res.evaluations) == (
+        0.058833762419586044, "lower bound", 1299)
+
+
+@pytest.mark.parametrize("shrinkage", [0.0, 0.9])
+@pytest.mark.parametrize("zo", [1e154, 1e200, 1.7e308])
+def test_fbp_cbp_crossing_of_a_huge_original_is_minus_one(zo, shrinkage):
+    # (zat + zd)(zat - zd) / zd^2 = zat^2 / zd^2 - 1, and zat^2 / zd^2 <
+    # 2^-53, also where zd^2 overflows
+    got = _quietly(lambda: r.fbp_cbp_intersection(
+        zo, r.DesignConfig(shrinkage=shrinkage)))
+    assert (got.c, got.feasible) == (-1.0, False)

@@ -48,8 +48,8 @@ COMMANDS = [
     (["interim", "--zo", "2.3", "--zi", "0.8", "--c", "2", "--f", "0.4"],
      (*BASE, "interim")),
     (["solve", "--method", "cp", "--target", "0.9", "--zo", "2.807"],
-     (*BASE, "interim", "solver")),
-    (["ssrp", "--report", "futility"], (*BASE, "interim", "solver", "ssrp")),
+     (*BASE, "solver")),
+    (["ssrp", "--report", "futility"], (*BASE, "interim", "ssrp")),
     (["curve", "--method", "cp", "--zo", "2", "--c-range", "0.5:3:0.5",
       "--format", "csv"], BASE),
     (["simulate", "--method", "pp", "--zo", "2.2", "--c", "1.3", "--nsims",
@@ -114,5 +114,14 @@ def test_submodules_import_from_the_package():
 
 
 def test_futility_methods_are_one_object():
-    from repower import _methods, solver
-    assert solver.FUTILITY_METHODS is _methods.FUTILITY_METHODS
+    # the rule and the CLI's choices both read the one tuple in _methods
+    from repower import _methods, cli
+    from repower.interim import FutilityRule
+    for method in (*_methods.METHODS, "ippi", "", None):
+        if method in _methods.FUTILITY_METHODS:
+            assert FutilityRule(method).method == method
+        else:
+            with pytest.raises(ValueError, match="use IPPi or PPi"):
+                FutilityRule(method)
+    assert cli._FLAGS["--futility-method"]["choices"] == tuple(
+        m.lower() for m in _methods.FUTILITY_METHODS)
