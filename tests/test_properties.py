@@ -379,6 +379,10 @@ def _solved(request, scan_only=False):
 # crossing at x = 40 c_stage1 = 4e9, past C_CAP, on a curve still rising
 @example("PPi", 0.0, 1.0, 2.5, 3.6, 0.5, 0.1, 0.0, DesignConfig())
 @example("PPi", 0.0, 1.0, 1.0, 1e8, 0.5, 4e9, 0.0, DesignConfig())
+# a curve flat within rounding, where the walk past Phi's ulp-scale
+# steps once cost 9 evaluations
+@example("PPi", 0.0, 1.0, -0.27419531835253963, 1.0, 0.5, 10.0 ** 0.5, 0.0,
+         DesignConfig(alpha=0.5))
 @given(method=st.sampled_from(("CP", "PP", "FBP", "CBP", "CPi", "PPi")),
        zo=st.floats(-4.0, 6.0),
        scale=st.sampled_from((1.0, 1.0, 1.0, 1e-5)), zi=st.floats(-3.0, 3.0),
@@ -762,6 +766,11 @@ any_f = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(
 # zo it ignores given in every form
 @example(method="PPi", both=False, values=(2.0, 1.5, 0.5, 0.8),
          forms=(np.array, np.float64, np.array, float))
+# an IPPi solve next to the top of the doubles, whose weight (1 + r)(s + 1)
+# overflowed with a numpy warning
+@example(method="IPPi", both=False,
+         values=(0.0, 0.0, 1.5986765306076235e+308, 0.5),
+         forms=(np.float64, np.array, np.float64, np.array))
 def test_a_float_a_numpy_float_and_a_0d_array_give_the_same_bits(
         method, both, values, forms):
     config = DesignConfig(both_tails=both)
