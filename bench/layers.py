@@ -5,7 +5,8 @@
         --out BENCH_21.json
 
 Each row times one call of one layer: Phi on a float and on arrays of
-33, 1200 and 1e5 points, the other normal primitives and the dominance
+33, 1200 and 1e5 points, ``design_power`` on a 1200-point array of c,
+the other normal primitives and the dominance
 thresholds on a float (Phi^-1 in and beyond AS241's central range,
 ``p_to_z``, ``z_to_p``, the density, the Fisher transforms), the scalar
 closed forms (``design_power``, ``interim_power``), three results with
@@ -26,9 +27,8 @@ zooms.  The cold-start rows time one fresh interpreter each, as a
 subprocess: bare ``python3``, ``import repower``, ``import
 repower.cli``, and the commands ``repower power``, ``interim`` (all
 three interim methods), ``solve`` (an inverse-path CP solve), ``ssrp``
-(the interim report), ``curve`` and ``simulate`` (2e4 draws); ``curve``
-builds an array, and loads numpy, and ``simulate`` loads scipy too,
-where the others need neither.  A
+(the interim report), ``curve`` and ``simulate`` (2e4 draws);
+``simulate`` loads numpy and scipy, where the others need neither.  A
 fixed pure-Python loop is timed beside them, so that numbers taken on
 different days or machines can be put on one scale: divide a row by
 the calibration row.
@@ -42,8 +42,7 @@ row, each the mean of a loop long enough to last about 10 ms.  A row
 reports the median and the quartiles of all its samples, in
 microseconds per call.  With two or more trees the output also gives
 each row's median over the first tree's.  The scalar rows cycle
-through inputs drawn from SEED; Phi's inputs are uniform on (-8, 8),
-which spans Cody's three ranges.  Nothing is fetched or written but
+through inputs drawn from SEED; Phi's inputs are uniform on (-8, 8).  Nothing is fetched or written but
 ``--out``.
 """
 import argparse
@@ -125,6 +124,7 @@ def _rows():
     xs = [rng.uniform(-8.0, 8.0) for _ in range(N_INPUTS)]
     arrays = {n: numpy.random.default_rng(SEED).uniform(-8.0, 8.0, n)
               for n in (33, 1200, 100_000)}
+    sizes = numpy.geomspace(1e-3, 1e3, 1200)
     # both-tail CPi at a zero original: 11 of the 32 looks peak inside
     both = DesignConfig(both_tails=True)
     zero_looks = [(FixedDesign(0.0, c), InterimState(rng.uniform(0.0, 1.95),
@@ -230,6 +230,8 @@ def _rows():
           for n, a in arrays.items()),
         ("design_power CP", each(
             lambda zo, zi, c, f: design_power("CP", zo, c)), N_INPUTS),
+        ("design_power CP array 1200",
+         lambda: design_power("CP", 2.5, sizes), 1),
         ("interim_power IPPi", each(
             lambda zo, zi, c, f: interim_power("IPPi", zo, zi, c, f)),
          N_INPUTS),

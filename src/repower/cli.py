@@ -203,13 +203,15 @@ def _cmd_curve(args):
     # a fixed design is the case s = 0, with the whole grid still to come
     axis, rng, zi, s = (("nj_ratio", args.nj_range, args.zi, args.c_stage1)
                         if entry.interim else ("c", args.c_range, None, 0.0))
-    import numpy as np
+    # np.arange's points, on floats: each point is on the float path
     start, stop, step = rng
-    grid = start + step * np.arange(np.floor((stop - start) / step + 1e-9) + 1)
-    _methods.size(axis, grid)
-    power = design._at(entry, args.zo, zi, s, grid, _config(args))
-    results = {"axis": axis, "x": [float(v) for v in grid],
-               "power": [float(p) for p in power]}
+    grid = [start + step * float(k)
+            for k in range(math.floor((stop - start) / step + 1e-9) + 1)]
+    config = _config(args)
+    for x in grid:
+        _methods.size(axis, x)
+    power = [design._at(entry, args.zo, zi, s, x, config) for x in grid]
+    results = {"axis": axis, "x": grid, "power": power}
     rows = [(f"{x:.10g}", f"{p:.10g}") for x, p in zip(grid, power)]
     lines = _csv_lines((axis, "power"), rows)
     return results, [], lines, lines

@@ -4,34 +4,30 @@ All power formulas in this package reduce to Phi evaluated at a linear
 combination of z-statistics, so everything funnels through the two
 functions below.
 
-``std_normal_cdf`` is W. J. Cody's rational Chebyshev approximation of
-erfc (Cody 1969, "Rational Chebyshev approximations for the error
-function", Math. Comp. 23, 631-637; the CALERF routine of SPECFUN) on
-y = |x| / sqrt(2), in its three ranges y <= 0.46875, y <= 4 and y > 4.
-It yields Phi(-|x|), and Phi(x) is that or one minus it.  The factor
-exp(-x^2 / 2) of the two outer ranges is computed from x itself, without
-rounding x^2: with a head xh = k / 16, k the nearest integer to 16 |x|,
-and a tail dl = |x| - xh, x^2 = xh^2 + 2 xh dl + dl^2, where all but
-dl^2 are exact.  Its exp is Tang's table-driven method (ACM TOMS 15,
-144-157, 1989), with a reduction after Cody and Waite: n is the nearest
-integer to x^2 512 / ln 2, and s = x^2 - n ln 2 / 512 is formed from
-those terms and ln 2 / 512 in a high and a low part, so that it rounds
-by less than 2^-61.  Then
+``std_normal_cdf`` takes Phi(-|x|) = erfc(y) / 2 at y = |x| / sqrt(2)
+from the standard library's ``math.erfc``, and Phi(x) is that or one
+minus it.  Rounding y alone would cost Phi a relative error of about
+x^2 2^-53, so y is carried as a pair y + e to about 2^-104: Dekker's
+exact product (1971) of |x| and the head of 1/sqrt(2), with a Veltkamp
+split of |x|, plus |x| times the tail of 1/sqrt(2).  The tail e enters
+to first order,
 
-    exp(-x^2 / 2) = 2^m T[j] (1 + q(s)),   -n = 1024 m + j, 0 <= j < 1024,
+    Phi(-|x|) = erfc(y) / 2 - e exp(-y^2) / sqrt(pi),
 
-where T[j] = 2^(j / 1024), |s| <= ln 2 / 1024, and q is the degree-4
-Taylor polynomial of exp(-s / 2) - 1, off by less than 2^-60.  The power
-of two scales exactly, so the table and the polynomial round once each,
-and the scaling only where the result is subnormal.  The table is built
-once, from ``2.0 ** (j / 1024)``, as a Python list.  Phi(x) then keeps
-a relative error of about 4 * 2^-52 or less for every x down to
-underflow (x near -38.5); the rounding of Cody's Horner sums is most of
-it.  One kernel evaluates a range for a float and for an array alike,
-with the same IEEE operations in the same order, an array indexing a
-numpy copy of the table, so the two agree bit for bit.  A float needs
+and Phi keeps a relative error of about 2 * 2^-52 or less for every x
+down to underflow (x near -38.5), most of it erfc's own.  Where
+erfc(y) is subnormal, its half rounds once more.  An array runs the
+same IEEE operations in the same order, with ``math.erfc`` and
+``math.exp`` mapped over it, so a float and an array agree bit for bit,
+and Phi's last bits are those of the C library's erfc.  A float needs
 nothing beyond the standard library; numpy is imported where an array
 is built.
+
+``std_normal_pdf`` splits |x| at the head xh = k / 16, k the nearest
+integer to 16 |x|, whose square is exact, and the tail dl = |x| - xh:
+phi(x) = exp(-xh^2 / 2) exp(-(xh + dl / 2) dl) / sqrt(2 pi), with the
+constant scaled by 2^64 and the product scaled back once, so that a
+subnormal density rounds once.
 
 ``std_normal_quantile`` is Wichura's AS241 (PPND16, Applied Statistics
 37, 477-484, 1988), as the standard library's
@@ -52,70 +48,27 @@ a frozen record's (field, rule) pairs, and ``record``, which makes the
 rule of a record argument (a ``DesignConfig``, say).  A number given to
 a public function here returns a Python float without importing numpy.
 """
-import functools
 import math
 import statistics
 import sys
 
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _INV_SQRT_PI = 5.6418958354775628695e-1
+# phi's constant times 2^64, which keeps a subnormal density's product
+# normal until it is scaled back
+_PDF_SCALE = 64
+_INV_SQRT_2PI_UP = math.ldexp(_INV_SQRT_2PI, _PDF_SCALE)
 # Phi(-x) underflows to zero beyond x = 38.5; clamping |x| here keeps
-# exp's head finite and its tail zero
+# the split of x finite
 _X_MAX = 40.0
-
-# Cody's three approximations as (numerator, denominator) coefficients,
-# highest power first, each in its own variable v:
-#   y <= 0.46875:  erf(y) = y N(v) / D(v),                   v = y^2
-#   y <= 4:        erfc(y) = exp(-y^2) N(v) / D(v),          v = y
-#   y > 4:         erfc(y) = exp(-y^2) (1/sqrt(pi) - v N(v) / D(v)) / y,
-#                                                            v = 1 / y^2
-_CODY = (
-    ((1.85777706184603153e-1, 3.16112374387056560e+0,
-      1.13864154151050156e+2, 3.77485237685302021e+2,
-      3.20937758913846947e+3),
-     (1.0, 2.36012909523441209e+1, 2.44024637934444173e+2,
-      1.28261652607737228e+3, 2.84423683343917062e+3)),
-    ((2.15311535474403846e-8, 5.64188496988670089e-1,
-      8.88314979438837594e+0, 6.61191906371416295e+1,
-      2.98635138197400131e+2, 8.81952221241769090e+2,
-      1.71204761263407058e+3, 2.05107837782607147e+3,
-      1.23033935479799725e+3),
-     (1.0, 1.57449261107098347e+1, 1.17693950891312499e+2,
-      5.37181101862009858e+2, 1.62138957456669019e+3,
-      3.29079923573345963e+3, 4.36261909014324716e+3,
-      3.43936767414372164e+3, 1.23033935480374942e+3)),
-    ((1.63153871373020978e-2, 3.05326634961232344e-1,
-      3.60344899949804439e-1, 1.25781726111229246e-1,
-      1.60837851487422766e-2, 6.58749161529837803e-4),
-     (1.0, 2.56852019228982242e+0, 1.87295284992346725e+0,
-      5.27905102951428412e-1, 6.05183413124413191e-2,
-      2.33520497626869185e-3)),
-)
-_CODY_REST = [tuple(zip(num[2:], den[2:])) for num, den in _CODY]
-# the range bounds y = 0.46875 and y = 4 on |x| = sqrt(2) y
-_CODY_LOW, _CODY_HIGH = 0.46875 * _SQRT2, 4.0 * _SQRT2
+# 1/sqrt(2) as a head and a tail, the head split into halves of at most
+# 26 bits for Dekker's product
+_RSQRT2 = 0.7071067811865476
+_RSQRT2_TAIL = -4.833646656726457e-17
+_SPLIT = 134217729.0        # 2^27 + 1, Veltkamp's splitter
+_RSQRT2_HI = _SPLIT * _RSQRT2 - (_SPLIT * _RSQRT2 - _RSQRT2)
+_RSQRT2_LO = _RSQRT2 - _RSQRT2_HI
 _as241 = statistics.NormalDist().inv_cdf
-# Tang's table, with the factor 1/2 of Phi(-x) = erfc(y) / 2 folded
-# in, and ln 2 / 512 in two parts: the high part has 29 significant
-# bits, so its product with any n < 2^21 (|x| <= _X_MAX gives n < 1.2e6)
-# is exact
-_EXP2 = [2.0 ** (j / 1024.0 - 1.0) for j in range(1024)]
-_LN2_HI = 1.3538030834752135e-3         # 0x1.62e42fep-10
-_LN2_LO = 3.5559296845784106e-12        # ln 2 / 512 - _LN2_HI
-_LN2_LO_HI = _LN2_LO / _LN2_HI
-_INV_LN2 = -512.0 / math.log(2.0)
-
-
-@functools.cache
-def _array_tables():
-    """For arrays: a numpy copy of the table, rint in place, rint to
-    indices, and ldexp in place (numpy's loop takes 32-bit exponents)."""
-    import numpy as np
-    return (np.array(_EXP2), lambda v: np.rint(v, out=v),
-            lambda v: np.rint(v, out=v).astype(np.intp),
-            lambda w, m: np.ldexp(w, m.astype(np.int32), out=w))
 
 
 def _within(name, v, lo, hi, closed, text):
@@ -219,103 +172,41 @@ def _checked(name, v, rule=None):
     return v
 
 
-def _cody(ax, band):
-    """Cody's approximation in range ``band`` at a float ax, or an array
-    of them, 0 <= ax <= _X_MAX: Phi(-ax) itself in range 0, else the
-    factor r of Phi(-ax) = r exp(-ax^2 / 2) / 2."""
-    y = ax / _SQRT2
-    v = y * y if band == 0 else y if band == 1 else 1.0 / (y * y)
-    num, den = _CODY[band]
-    # Horner in place; the denominators lead with 1, and 1 * v is v
-    p = num[0] * v
-    p += num[1]
-    q = v + den[1]
-    for a, b in _CODY_REST[band]:
-        p *= v
-        p += a
-        q *= v
-        q += b
-    r = p
-    r /= q
-    if band == 0:
-        return 0.5 - 0.5 * (y * r)
-    if band == 2:
-        r = (_INV_SQRT_PI - v * r) / y
-    return r
+def _lower(ax, erfc=math.erfc, exp=math.exp):
+    """Phi(-ax) for a float ax, 0 <= ax <= _X_MAX, or for an array of
+    them with ``erfc`` and ``exp`` mapped over it; the same operations
+    in the same order, so the two agree bit for bit."""
+    y = ax * _RSQRT2
+    # e: ax / sqrt(2) - y, from the exact error of the product and the
+    # tail of 1/sqrt(2)
+    t = ax * _SPLIT
+    hi = t - (t - ax)
+    lo = ax - hi
+    e = ((hi * _RSQRT2_HI - y) + hi * _RSQRT2_LO + lo * _RSQRT2_HI) \
+        + lo * _RSQRT2_LO
+    e += ax * _RSQRT2_TAIL
+    return 0.5 * erfc(y) - e * _INV_SQRT_PI * exp(-y * y)
 
 
-def _gauss(ax, r, tables=(_EXP2, round, round, math.ldexp)):
-    """r exp(-ax^2 / 2) / 2 for a float ax, or an array of them, 0 <= ax
-    <= _X_MAX, to the accuracy of the module docstring for ax beyond
-    Cody's first range.  ``tables`` holds the table, rint, rint to
-    indices and ldexp for the type of ax, by default for a float.  In
-    place on an array, where on a float the same operations rebind, so
-    the two agree bit for bit."""
-    table, rint, nint, ldexp = tables
-    h = rint(16.0 * ax)
-    h *= 0.0625
-    dl = ax - h
-    e = h * h
-    h *= dl
-    h += h
-    dl *= dl
-    # -n, with n of the module docstring
-    n = nint(ax * ax * _INV_LN2)
-    # s: xh^2 - n ln2_hi is exact, a multiple of 2^-38 below 8, and so is
-    # its sum with 2 xh dl, a multiple of 2^-56 below 2^-9; n ln2_lo,
-    # below 2^-17, is taken as (n ln2_hi) (ln2_lo / ln2_hi)
-    t = n * _LN2_HI
-    e += t
-    e += h
-    t *= _LN2_LO_HI
-    e += t
-    e += dl
-    # exp(-s / 2) - 1
-    q = e * (1.0 / 384.0)
-    q -= 1.0 / 48.0
-    q *= e
-    q += 0.125
-    q *= e
-    q -= 0.5
-    q *= e
-    w = table[n & 1023]
-    q *= w
-    w += q
-    w *= r
-    return ldexp(w, n >> 10)
+def _mapped(fn):
+    """A float function mapped over a float array."""
+    import numpy as np
+    return lambda v: np.fromiter(map(fn, v.ravel().tolist()), float,
+                                 v.size).reshape(v.shape)
 
 
 def _cdf_float(x):
     """Phi(x) for a float x that is not NaN."""
     ax = abs(x)
-    if ax > _X_MAX:
-        ax = _X_MAX
-    if ax <= _CODY_LOW:
-        lower = _cody(ax, 0)
-    else:
-        lower = _gauss(ax, _cody(ax, 1 if ax <= _CODY_HIGH else 2))
+    lower = _lower(ax if ax <= _X_MAX else _X_MAX)
     return lower if x < 0.0 else 1.0 - lower
 
 
 def _cdf_array(x):
     """Phi over a 1-d float array without NaN; see the module docstring."""
     import numpy as np
-    ax = np.abs(x)
-    np.minimum(ax, _X_MAX, out=ax)
-    # each point's range, 0, 1 or 2
-    k = (ax > _CODY_LOW).astype(np.int8)
-    k += ax > _CODY_HIGH
-    lo, hi = int(k.min(initial=0)), int(k.max(initial=0))
-    lower = np.empty_like(ax)
-    for j in range(lo, hi + 1):
-        sel = k == j
-        lower[sel] = _cody(ax[sel], j)
-    if hi > 0:
-        # the outer ranges' factor on every point, and range 0's kept
-        outer = _gauss(ax, lower, _array_tables())
-        if lo == 0:
-            np.copyto(outer, lower, where=k == 0)
-        lower = outer
+    lower = _lower(np.minimum(np.abs(x), _X_MAX), _mapped(math.erfc),
+                   _mapped(math.exp))
     out = 1.0 - lower
     np.copyto(out, lower, where=x < 0.0)
     return out
@@ -332,14 +223,21 @@ def std_normal_cdf(x):
 
 
 def std_normal_pdf(x):
-    """phi(x), the standard normal density, from Phi's exp kernel (whose
-    table halves the factor): float and array agree bit for bit, within
-    2.5 ulps of phi."""
+    """phi(x), the standard normal density, within 3 ulps: float and
+    array agree bit for bit."""
     x = _checked("x", x)
     if isinstance(x, float):
-        return _gauss(min(abs(x), _X_MAX), _SQRT_2_OVER_PI)
-    return _gauss(abs(x).clip(max=_X_MAX), _SQRT_2_OVER_PI,
-                  _array_tables())
+        ax = min(abs(x), _X_MAX)
+        xh = round(16.0 * ax) * 0.0625
+        exp, ldexp = math.exp, math.ldexp
+    else:
+        import numpy as np
+        ax = np.minimum(np.abs(x), _X_MAX)
+        xh = np.rint(16.0 * ax) * 0.0625
+        exp, ldexp = _mapped(math.exp), np.ldexp
+    dl = ax - xh
+    return ldexp(_INV_SQRT_2PI_UP * exp(-0.5 * xh * xh)
+                 * exp(-(xh + 0.5 * dl) * dl), -_PDF_SCALE)
 
 
 def _quantile_float(p):

@@ -378,9 +378,12 @@ def test_cpi_at_a_fixed_f_with_a_subnormal_slope_solves():
 
 @pytest.mark.parametrize("method, c, path", [
     ("CP", 1e-9, "lower bound"), ("PP", 1e-9, "lower bound"),
-    # the both-tail power underflows to 0 below these sizes
-    ("FBP", 0.0010151563238386808, "scan"),
-    ("CBP", 0.0010161862055768861, "scan"),
+    # the both-tail power underflows to 0 below these sizes: where
+    # erfc(y) is subnormal, Phi = erfc(y) / 2 rounds twice and leaves 0
+    # once erfc(y) reaches 1.5 2^-1074, not once Phi passes 2^-1075
+    # (a correctly rounded Phi: 0.0010151563238386808, 0.0010161862055768861)
+    ("FBP", 0.0010156854566810895, "scan"),
+    ("CBP", 0.001016716411969854, "scan"),
 ])
 def test_a_both_tail_target_whose_half_underflows_is_scanned(method, c,
                                                              path):

@@ -55,11 +55,13 @@ def test_quantile_reference_values():
 
 # values of the package's own AS241 copy before the standard library's
 # took its place: AS241's range switches at |p - 1/2| = 0.425 with their
-# neighbours, the smallest normal and subnormal p, and the largest p < 1
+# neighbours, the smallest normal and subnormal p, and the largest p < 1.
+# At 0.925 the Newton step reads Phi, and Phi from erfc moved it an ulp
+# down, to the correctly rounded root 1.43953147093845623 (mpmath)
 @pytest.mark.parametrize("p, z", [
     (0.075, -1.4395314709384557),
     (0.07499999999999998, -1.4395314709384561),
-    (0.925, 1.4395314709384563),
+    (0.925, 1.4395314709384561),
     (0.9250000000000002, 1.439531470938457),
     (2.2250738585072014e-308, -37.5193793471445),
     (5e-324, -38.46740561714434),

@@ -1,9 +1,9 @@
 """The scalar path needs only the standard library.
 
-``import repower`` and the subcommands that answer one scalar question
-(power, interim, an inverse-path solve, the ssrp reports) run without
-importing numpy, and the method table's parts return Python floats on
-floats.  The subcommands that build arrays (curve, a scanning solve,
+``import repower`` and the subcommands that answer on the float path
+(power, interim, an inverse-path solve, the ssrp reports, curve) run
+without importing numpy, and the method table's parts return Python
+floats on floats.  The subcommands that build arrays (a scanning solve,
 simulate) import it where they build them, and print what they did.
 """
 import math
@@ -112,6 +112,18 @@ INVERSE_SOLVES = [
 ]
 
 
+# a text and a CSV curve, as (argv, stdout)
+CURVES = [
+    (["curve", "--method", "cp", "--zo", "2", "--c-range", "0.5:3:0.5"],
+     "c,power\n0.5,0.2926187535\n1,0.5159677934\n1.5,0.6877652385\n"
+     "2,0.8074295788\n2.5,0.8853789898\n3,0.9337270336\n"),
+    (["curve", "--method", "ippi", "--zo", "2", "--zi", "1", "--c-stage1",
+      "0.8", "--nj-range", "0.5:3:0.5", "--format", "csv"],
+     "nj_ratio,power\n0.5,0.2511364869\n1,0.4594073028\n1.5,0.5798149142\n"
+     "2,0.6570133906\n2.5,0.7102303389\n3,0.7488812589\n"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["power", "--zo", "2.3", "--c", "1.5"],
@@ -131,9 +143,18 @@ INVERSE_SOLVES = [
     *(["ssrp", "--report", r, "--format", f] for r, f in (
         ("interim", "text"), ("futility", "csv"), ("records", "text"),
         ("design-powers", "json"))),
+    # a curve evaluates its grid point by point on the float path
+    *(argv for argv, _ in CURVES),
 ], ids=lambda argv: " ".join(argv[:3]) or "import")
 def test_scalar_commands_leave_numpy_unloaded(argv):
     assert _loads_numpy(*argv) == "0 False\n"
+
+
+@pytest.mark.parametrize("argv, stdout", CURVES,
+                         ids=[argv[2] for argv, _ in CURVES])
+def test_numpy_free_curves_print_what_they_did(argv, stdout, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == stdout
 
 
 @pytest.mark.parametrize("call", [
@@ -160,13 +181,6 @@ def test_the_numpy_free_solves_take_the_inverse_path(request_kwargs):
 
 
 @pytest.mark.parametrize("argv, stdout", [
-    (["curve", "--method", "cp", "--zo", "2", "--c-range", "0.5:3:0.5"],
-     "c,power\n0.5,0.2926187535\n1,0.5159677934\n1.5,0.6877652385\n"
-     "2,0.8074295788\n2.5,0.8853789898\n3,0.9337270336\n"),
-    (["curve", "--method", "ippi", "--zo", "2", "--zi", "1", "--c-stage1",
-      "0.8", "--nj-range", "0.5:3:0.5", "--format", "csv"],
-     "nj_ratio,power\n0.5,0.2511364869\n1,0.4594073028\n1.5,0.5798149142\n"
-     "2,0.6570133906\n2.5,0.7102303389\n3,0.7488812589\n"),
     # IPPi has no inverse rule: the scan answers
     (["solve", "--method", "ippi", "--target", "0.8", "--zo", "2.8", "--zi",
       "1.2", "--c-stage1", "0.8"],

@@ -225,20 +225,20 @@ def test_answers_near_the_floor_carry_every_digit():
 
 
 def test_a_flat_curve_meets_its_own_power():
-    # CP at zo = 0 is flat at Phi(z_alpha) = 0.12500000000000008.  The
-    # level, Phi^{-1} of the target, lay an ulp above z_alpha and was
-    # never lowered to it, so the target was refused as above the
-    # supremum 0.125
+    # CP at zo = 0 is flat at Phi(z_alpha) = 0.12500000000000006, two
+    # ulps above the rule's supremum 0.125.  The level, Phi^{-1} of the
+    # target, lay an ulp above z_alpha and was never lowered to it, so
+    # the target was refused as above the supremum
     config = DesignConfig(alpha=0.25)
     target = design_power("CP", 0.0, 1.0, config)
-    assert target == 0.12500000000000008
+    assert target == 0.12500000000000006
     res = solve_c(SolveRequest("CP", target, zo=0.0, config=config))
     assert res.c == 1e-9 and res.power == target
     assert res.warning.startswith("every size down to the lower bound")
 
 
 @pytest.mark.parametrize("zi,f,both,target", [
-    (1.4421579090856085, 0.8302616566348727, True, 0.058473631054981115),
+    (1.4421579090856085, 0.8302616566348727, True, 0.0584736310549811),
     (0.0005912906430259947, 0.3967243877594316, False,
      0.005818840505057435),
 ])
