@@ -24,7 +24,7 @@ UNIT = 2.0 ** -52
 TINY = 2.0 ** -1074
 # Phi's relative error bound, in UNIT: erfc's own error is most of it,
 # up to 3.12 on 1e6 x in its range 0.84375 <= |x| / sqrt(2) < 1.25, and
-# about 1.7 elsewhere
+# 1.91 on 6e5 x elsewhere
 CDF_BOUND = 3.5
 DRAWN = settings(derandomize=True, database=None, deadline=None,
                  max_examples=300)
@@ -36,7 +36,8 @@ GRID = np.concatenate([-np.geomspace(1e-3, 38.5, 1500),
 
 def test_cdf_within_three_and_a_half_units_down_to_underflow():
     # the log grid, x = -4.8225, where Cody's erfc was 4.2 units off, and
-    # a dense grid over -4 sqrt(2) < x < -0.46875 sqrt(2)
+    # a dense grid over (-5.66, -0.66), which spans erfc's least accurate
+    # range, -1.25 sqrt(2) < x <= -0.84375 sqrt(2)
     xs = np.concatenate([GRID, [-4.8225], np.linspace(-5.66, -0.66, 20_001)])
     arr = std_normal_cdf(xs)
     with mpmath.workdps(40):
@@ -101,9 +102,10 @@ EDGES = [sign * v for b in (0.84375 * math.sqrt(2.0), 1.25 * math.sqrt(2.0),
 
 def test_pdf_within_three_ulps_down_to_underflow():
     # an exp of the rounded x^2 / 2 is off by up to ~480 ulps on this
-    # grid, the split at the head k / 16 by 3 at most, and a subnormal
-    # density rounds once; float and array agree
-    xs = np.concatenate([np.linspace(-38.5, 38.5, 3001),
+    # grid, and a split at the head k / 16 by 3.3; the head k / 1024 is
+    # within 2.5, and a subnormal density rounds once; float and array
+    # agree
+    xs = np.concatenate([np.linspace(-38.5, 38.5, 30_001),
                          np.geomspace(1e-3, 0.66, 200), EDGES, [0.0]])
     arr = std_normal_pdf(xs)
     with mpmath.workprec(200):
