@@ -6,9 +6,9 @@
 
 Each row times one call of one layer: Phi on a float and on arrays of
 33, 1200 and 1e5 points, ``design_power`` on a 1200-point array of c,
-the other normal primitives and the dominance
-thresholds on a float (Phi^-1 in and beyond AS241's central range,
-``p_to_z``, ``z_to_p``, the density, the Fisher transforms), the scalar
+the other normal primitives and the dominance thresholds on a float
+(Phi^-1 in and beyond AS241's central range, ``p_to_z``, ``z_to_p``,
+the density, the Fisher transforms), the scalar
 closed forms (``design_power``, ``interim_power``), three results with
 their suprema (``cp``, ``ippi``, and ``cpi`` with both tails at a zero
 original), ``solve_c`` on each of its paths, ``simulate_power`` at 1e5
@@ -42,8 +42,8 @@ row, each the mean of a loop long enough to last about 10 ms.  A row
 reports the median and the quartiles of all its samples, in
 microseconds per call.  With two or more trees the output also gives
 each row's median over the first tree's.  The scalar rows cycle
-through inputs drawn from SEED; Phi's inputs are uniform on (-8, 8).  Nothing is fetched or written but
-``--out``.
+through inputs drawn from SEED; Phi's inputs are uniform on (-8, 8).
+Nothing is fetched or written but ``--out``.
 """
 import argparse
 import compileall
