@@ -132,7 +132,9 @@ def test_numpy_integers_accepted():
     assert simulate_power(spec) == simulate_power(plain)
 
 
-@pytest.mark.parametrize("spec, n_success", [
+# the random stream is part of the interface: a seed always gives the
+# same draws, so these exact counts must never move
+PINNED = [
     (SimSpec(method="CP", zo=2.0, c=4.0, seed=31), 97953),
     (SimSpec(method="PP", zo=2.0, c=2.0, seed=32), 69424),
     (SimSpec(method="FBP", zo=4.465, c=0.6, seed=33), 99922),
@@ -157,8 +159,15 @@ def test_numpy_integers_accepted():
      19737),
     (SimSpec(method="IPPi", zo=2.2, zi=0.8, c=1.5, f=0.25, seed=48,
              n_o=37.5), 57784),
-])
+    # five batches, the last one short, and a two-normal spec with both
+    # tails at verify's size
+    (SimSpec(method="CBP", zo=2.5, c=3.0, n_sims=300_001, seed=49), 293942),
+    (SimSpec(method="FBP", zo=-2.2, c=1.7, n_sims=1 << 17, seed=50,
+             config=DesignConfig(alpha=0.01, shrinkage=0.25,
+                                 both_tails=True)), 19736),
+]
+
+
+@pytest.mark.parametrize("spec, n_success", PINNED)
 def test_success_counts_are_pinned(spec, n_success):
-    # the random stream is part of the interface: a seed always gives
-    # the same draws, so these exact counts must never move
     assert simulate_power(spec).n_success == n_success
