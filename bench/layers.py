@@ -11,9 +11,11 @@ the other normal primitives and the dominance thresholds on a float
 the density, the Fisher transforms), the scalar
 closed forms (``design_power``, ``interim_power``), three results with
 their suprema (``cp``, ``ippi``, and ``cpi`` with both tails at a zero
-original), ``solve_c`` on each of its paths, ``simulate_power`` at 1e5
-draws, the case-study loader, its two reports and the full replay that
-perfbench's monitor workload runs.
+original), ``solve_c`` on each of its paths, ``simulate_power`` (PP
+at 1e5 draws, two batches; both-tail FBP at 2^17, perfbench verify's
+costliest kind; CP at 1e6, sixteen batches), the case-study loader,
+its two reports and the full replay that perfbench's monitor workload
+runs.
 The solver rows are: the one-tail inverse path (CP); the both-tail
 fixed-design cell, one row per method, on planning questions like
 perfbench's plan workload (a target just under the power at a size
@@ -198,7 +200,11 @@ def _rows():
         except ValueError:
             return
         raise AssertionError(f"{request} was solved")
-    sim = SimSpec("PP", 1.3, zo=2.2, n_sims=100_000, seed=3)
+    sims = {"PP 1e5": SimSpec("PP", 1.3, zo=2.2, n_sims=100_000, seed=3),
+            "FBP both tails 2^17": SimSpec("FBP", 1.7, zo=-2.2,
+                                           n_sims=1 << 17, seed=5,
+                                           config=both),
+            "CP 1e6": SimSpec("CP", 1.3, zo=2.2, n_sims=1_000_000, seed=3)}
     records = load_csv()
     rules = (FutilityRule("IPPi", 0.2), FutilityRule("PPi", 0.2))
 
@@ -243,7 +249,8 @@ def _rows():
             infeasible if "infeasible" in name else solve_c): [
                 call(r) for r in reqs], len(reqs))
           for name, reqs in solves.items()),
-        ("simulate_power PP 1e5", lambda: simulate_power(sim), 1),
+        *((f"simulate_power {name}", lambda s=sim: simulate_power(s), 1)
+          for name, sim in sims.items()),
         ("load_csv", load_csv, 1),
         ("reproduce_interim_powers",
          lambda: reproduce_interim_powers(records), 1),

@@ -13,17 +13,23 @@ drawn, the analysis prior (flat or normal) the statistic and its
 critical value.  It shares no algebra with the closed
 forms beyond scipy's ``ndtri``, which turns uniforms into normals, so
 agreement within binomial error is a genuine check.  ``ndtri`` is
-imported when the first batch is drawn, so scipy is needed for
-simulation only and importing the package does not load it.
+imported when a simulation starts, so scipy is needed for simulation
+only and importing the package does not load it.
 
 Reproducibility: simulations are carved into fixed-size batches, each
 batch seeded independently from ``(seed, batch_index)`` through a
 counter-based generator, and only integer success counts are reduced.
-Results are therefore identical whether batches run sequentially or in
-parallel, and independent of batch scheduling.
+The batches run on min(batches, usable CPUs) threads: the calling
+thread and a pool that is shut down before the call returns.  The
+generator and ``ndtri`` release the GIL, so the threads draw at the
+same time.  With one batch or one usable CPU the batches run one after
+another on the calling thread, and no thread is started.  The counts
+do not depend on the number of threads or of CPUs, nor on the order in
+which batches finish.
 """
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 from . import _methods, design
@@ -93,56 +99,80 @@ def closed_form(spec):
                          spec.config)
 
 
-def _uniforms(gen, size):
-    """Uniform draws strictly inside (0, 1) from 53-bit integers."""
-    return gen.integers(1, 1 << 53, size=size) * _INV53
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
-def _normals(gen, size):
-    # k * 2**-53 is strictly inside (0, 1), so ndtri needs no checks
+def _batch_kernel(spec):
+    """The function ``(batch index, size) -> successes`` of the spec.
+
+    Each batch is drawn and judged as ``Method.priors`` say.  The spec's
+    scalars (the shrunken original, the effects, the weights and the
+    critical value) are worked out here, once, on the calling thread.
+    The returned function uses numpy, the Philox generator and
+    ``ndtri`` alone, all imported here, so any thread can run it.
+    """
+    import numpy as np
     from scipy.special import ndtri
-    return ndtri(_uniforms(gen, size))
-
-
-def _batch_generator(seed, index):
-    import numpy as np
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(seq))
-
-
-def _batch_successes(spec, gen, size):
-    """Successes in one batch, drawn and judged as ``Method.priors`` say."""
-    import numpy as np
     cfg = spec.config
     design_prior, analysis_prior = _methods.METHODS[spec.method].priors
     n_o = spec.n_o
     n_r = spec.c * n_o
     n_i = 0.0 if spec.f is None else spec.f * n_r     # fixed: n_i = 0
     n_j = n_r - n_i
-    if spec.zo is not None:
-        theta_d = shrunken_zo(spec.zo, cfg) / math.sqrt(n_o)
+    theta_d = (None if spec.zo is None
+               else shrunken_zo(spec.zo, cfg) / math.sqrt(n_o))
     theta_i = spec.zi / math.sqrt(n_i) if n_i else None
+    # the effect is theta_d, or (shift, scale): shift + z / scale
     if design_prior == "point":
-        theta = theta_d
+        prior = None
     elif design_prior == "flat":        # the stage-1 data alone
-        theta = theta_i + _normals(gen, size) / math.sqrt(n_i)
+        prior = theta_i, math.sqrt(n_i)
     elif n_i:                           # the original updated by stage 1
-        post = (n_o * theta_d + n_i * theta_i) / (n_o + n_i)
-        theta = post + _normals(gen, size) / math.sqrt(n_o + n_i)
+        prior = ((n_o * theta_d + n_i * theta_i) / (n_o + n_i),
+                 math.sqrt(n_o + n_i))
     else:
-        theta = theta_d + _normals(gen, size) / math.sqrt(n_o)
-    ybar = theta + _normals(gen, size) / math.sqrt(n_j)
+        prior = theta_d, math.sqrt(n_o)
+    # the statistic is root * (offset + weight * ybar) / total, or
+    # root * ybar where mean is None
     if analysis_prior == "normal":      # pooled with the original
-        post = (n_o * theta_d + n_r * ybar) / (n_o + n_r)
-        stat, z_crit = post * math.sqrt(n_o + n_r), cfg.z_alpha_tilde
+        mean = n_r, n_o * theta_d, n_o + n_r
+        root, z_crit = math.sqrt(n_o + n_r), cfg.z_alpha_tilde
     else:
-        if n_i:                         # the mean over both stages
-            ybar = (n_i * theta_i + n_j * ybar) / n_r
-        stat, z_crit = ybar * math.sqrt(n_r), cfg.z_alpha
-    success = stat > -z_crit
-    if cfg.both_tails:
-        success = success | (stat < z_crit)
-    return int(np.count_nonzero(success))
+        # the mean over both stages
+        mean = (n_j, n_i * theta_i, n_r) if n_i else None
+        root, z_crit = math.sqrt(n_r), cfg.z_alpha
+    noise = math.sqrt(n_j)
+    both_tails = cfg.both_tails
+
+    def normals(gen, size, shift, scale):
+        # shift + z / scale, in place; k * 2**-53 is strictly inside
+        # (0, 1), so ndtri needs no checks
+        z = np.multiply(gen.integers(1, 1 << 53, size=size), _INV53)
+        ndtri(z, out=z)
+        np.divide(z, scale, out=z)
+        return np.add(z, shift, out=z)
+
+    def successes(index, size):
+        seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
+        gen = np.random.Generator(np.random.Philox(seq))
+        theta = theta_d if prior is None else normals(gen, size, *prior)
+        stat = normals(gen, size, theta, noise)
+        if mean is not None:
+            weight, offset, total = mean
+            np.multiply(stat, weight, out=stat)
+            np.add(stat, offset, out=stat)
+            np.divide(stat, total, out=stat)
+        np.multiply(stat, root, out=stat)
+        success = stat > -z_crit
+        if both_tails:
+            success |= stat < z_crit
+        return int(np.count_nonzero(success))
+
+    return successes
 
 
 def simulate_power(spec):
@@ -153,10 +183,25 @@ def simulate_power(spec):
     SimResult
     """
     _a_spec("spec", spec)
-    successes = sum(
-        _batch_successes(spec, _batch_generator(spec.seed, index),
-                         min(BATCH_SIZE, spec.n_sims - done))
-        for index, done in enumerate(range(0, spec.n_sims, BATCH_SIZE)))
+    batch = _batch_kernel(spec)
+    sizes = [min(BATCH_SIZE, spec.n_sims - done)
+             for done in range(0, spec.n_sims, BATCH_SIZE)]
+    threads = min(len(sizes), _usable_cpus())
+
+    def share(first):
+        # every threads-th batch from first on
+        return sum(map(batch, range(first, len(sizes), threads),
+                       sizes[first::threads]))
+
+    if threads == 1:
+        successes = share(0)
+    else:
+        # the calling thread draws a share of its own: one thread fewer
+        # to start and wake
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(threads - 1) as pool:
+            others = pool.map(share, range(1, threads))
+            successes = share(0) + sum(others)
     p = successes / spec.n_sims
     std_err = math.sqrt(p * (1.0 - p) / spec.n_sims)
     return SimResult(method=spec.method, estimate=p, std_err=std_err,
