@@ -1,13 +1,7 @@
 """Simulation oracle: determinism, scale invariance, closed-form match,
-the same counts on any number of threads."""
-import json
-import os
-import pickle
-import subprocess
-import sys
+the same counts from concurrent callers."""
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +9,6 @@ import pytest
 from repower import (DesignConfig, SimSpec, closed_form, derive,
                      design_power, interim_power, p_to_z, simulate_power,
                      std_normal_cdf)
-from repower import mc
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 CFG = DesignConfig(alpha=0.05)
 PAIRS = DesignConfig(alpha=0.01, shrinkage=0.25, both_tails=True)
@@ -187,8 +178,8 @@ def test_success_counts_are_pinned(spec, n_success):
 
 
 def test_pinned_counts_from_four_caller_threads_at_once():
-    # four calls at a time, each fanning its own batches out over its
-    # own threads, and each thread through the specs in its own order
+    # four calls at a time, each caller thread through the specs in its
+    # own order
     barrier = threading.Barrier(4)
 
     def counts(shift):
@@ -201,44 +192,3 @@ def test_pinned_counts_from_four_caller_threads_at_once():
     with ThreadPoolExecutor(4) as pool:
         runs = list(pool.map(counts, (0, 5, 10, 15)))
     assert runs == [[n for _, n in PINNED]] * 4
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="no CPU affinity call on this platform")
-def test_one_usable_cpu_draws_on_the_calling_thread():
-    # a child pinned to one CPU (the child alone) runs its batches one
-    # after another on the calling thread: the same counts, no thread
-    # started and no thread pool imported
-    script = "\n".join([
-        "import json, os, pickle, sys, threading",
-        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
-        "started = []",
-        "start = threading.Thread.start",
-        "def record(thread):",
-        "    started.append(thread.name)",
-        "    start(thread)",
-        "threading.Thread.start = record",
-        "from repower import simulate_power",
-        "counts = [simulate_power(spec).n_success",
-        "          for spec in pickle.load(sys.stdin.buffer)]",
-        "print(json.dumps([counts, started,",
-        "                  'concurrent.futures.thread' in sys.modules]))",
-    ])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-W", "error", "-c", script],
-                         input=pickle.dumps([spec for spec, _ in PINNED]),
-                         env=env, capture_output=True)
-    assert out.returncode == 0, out.stderr.decode()
-    counts, started, pool = json.loads(out.stdout)
-    assert counts == [n for _, n in PINNED]
-    assert started == [] and not pool
-
-
-def test_usable_cpus_without_an_affinity_call(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert mc._usable_cpus() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert mc._usable_cpus() == 1
