@@ -8,7 +8,9 @@ Each row times one call of one layer: Phi on a float and on arrays of
 33, 1200 and 1e5 points, ``design_power`` on a 1200-point array of c,
 the other normal primitives and the dominance thresholds on a float
 (Phi^-1 in and beyond AS241's central range, ``p_to_z``, ``z_to_p``,
-the density, the Fisher transforms), the scalar
+the density, the Fisher transforms), the density, Phi^-1, ``p_to_z``,
+the Fisher transforms and the IPPi threshold on 1200-point arrays,
+which map their float kernels, the scalar
 closed forms (``design_power``, ``interim_power``), three results with
 their suprema (``cp``, ``ippi``, and ``cpi`` with both tails at a zero
 original), ``solve_c`` on each of its paths, ``simulate_power`` (PP
@@ -127,6 +129,14 @@ def _rows():
     arrays = {n: numpy.random.default_rng(SEED).uniform(-8.0, 8.0, n)
               for n in (33, 1200, 100_000)}
     sizes = numpy.geomspace(1e-3, 1e3, 1200)
+    # the other primitives on 1200-point arrays, from a generator of
+    # their own, so that the inputs of the rows above stay as they were
+    own = numpy.random.default_rng(SEED + 2)
+    mapped = {"z": own.uniform(-8.0, 8.0, 1200),
+              "p": own.uniform(0.0, 1.0, 1200),
+              "pvalue": 10 ** own.uniform(-6.0, -0.7, 1200),
+              "r": own.uniform(-0.99, 0.99, 1200),
+              "c": 10 ** own.uniform(-1.0, 1.0, 1200)}
     # both-tail CPi at a zero original: 11 of the 32 looks peak inside
     both = DesignConfig(both_tails=True)
     zero_looks = [(FixedDesign(0.0, c), InterimState(rng.uniform(0.0, 1.95),
@@ -234,6 +244,14 @@ def _rows():
            N_INPUTS) for m in ("CPi", "IPPi")),
         *((f"Phi array {n}", lambda a=a: std_normal_cdf(a), 1)
           for n, a in arrays.items()),
+        ("std_normal_pdf array 1200", lambda: std_normal_pdf(mapped["z"]),
+         1),
+        ("Phi^-1 array 1200", lambda: std_normal_quantile(mapped["p"]), 1),
+        ("p_to_z array 1200", lambda: p_to_z(mapped["pvalue"], 1), 1),
+        ("fisher_z array 1200", lambda: fisher_z(mapped["r"]), 1),
+        ("fisher_z_inv array 1200", lambda: fisher_z_inv(mapped["z"]), 1),
+        ("weight_dominance_threshold IPPi array 1200",
+         lambda: weight_dominance_threshold("IPPi", mapped["c"]), 1),
         ("design_power CP", each(
             lambda zo, zi, c, f: design_power("CP", zo, c)), N_INPUTS),
         ("design_power CP array 1200",

@@ -40,9 +40,9 @@ imported only where an array arrives.
 import math
 from dataclasses import dataclass
 
-from .normal import (_float_or_array, _within, finite, fraction,
-                     nonnegative, positive, record, settle, single,
-                     size, std_normal_cdf, unit)
+from .normal import (_float_or_array, _mapped, _within, finite,
+                     fraction, nonnegative, positive, record, settle,
+                     single, size, std_normal_cdf, unit)
 
 # the roots of c^2 + 6c + 1 are -(3 -+ 2 sqrt(2)), correctly rounded
 _3_MINUS_2_SQRT2 = 0.1715728752538099
@@ -382,15 +382,11 @@ def _ippi_sup(zd, zi, s, f, cfg):
 def _ippi_dominance(c):
     """The dominance threshold 2c / (c^2 + 4c + 1 + (c + 1) sqrt(c^2 +
     6c + 1)), the same at c and 1/c: taken at m = min(c, 1/c) <= 1,
-    where no term overflows, with 1/c formed only where c > 1."""
-    if isinstance(c, float):
-        m = 1.0 / c if c > 1.0 else c
-    else:
-        import numpy as np
-        m = np.divide(1.0, c, out=c.copy(), where=c > 1.0)
+    where no term overflows."""
+    m = 1.0 / c if c > 1.0 else c
     return 2.0 * m / (m * m + 4.0 * m + 1.0 + (m + 1.0)
-                      * _sqrt(m + _3_MINUS_2_SQRT2)
-                      * _sqrt(m + _3_PLUS_2_SQRT2))
+                      * math.sqrt(m + _3_MINUS_2_SQRT2)
+                      * math.sqrt(m + _3_PLUS_2_SQRT2))
 
 
 def _ppi(zd, zi, s, x, cfg):
@@ -458,11 +454,10 @@ METHODS = {m.tag: m for m in (
     Method("CBP", ("point", "normal"), ("zo",), _cbp, _cbp_sup, _cbp_inv),
     # the dominance threshold 4c / (sqrt(4c + 1) + 1)^2 as (sqrt(c) /
     # (sqrt(c + 1/4) + 1/2))^2, which neither overflows nor underflows
-    # before its square, a product, as an array squares: a float's ** 2
-    # is pow
+    # before its square
     Method("CPi", ("point", "flat"), ("zo", "zi"), _cpi, _cpi_sup,
            _cpi_inv, "CP", lambda c: (lambda r: r * r)(
-               _sqrt(c) / (_sqrt(c + 0.25) + 0.5))),
+               math.sqrt(c) / (math.sqrt(c + 0.25) + 0.5))),
     Method("IPPi", ("normal", "flat"), ("zo", "zi"), _ippi, _ippi_sup,
            None, "PP", _ippi_dominance),
     # a flat design prior only arises at interim, where the observed

@@ -169,7 +169,8 @@ def weight_dominance_threshold(method, c):
     dominance = _methods._lookup(method).dominance
     if dominance is None:
         raise ValueError("threshold defined for CPi and IPPi only")
-    return dominance(c)
+    return dominance(c) if isinstance(c, float) else \
+        _methods._mapped(dominance)(c)
 
 
 def ippi_limit(zo, zi, c_stage1, config=DEFAULT_CONFIG):

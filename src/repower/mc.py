@@ -18,13 +18,9 @@ only and importing the package does not load it.
 
 Reproducibility: simulations are carved into fixed-size batches, each
 batch seeded independently from ``(seed, batch_index)`` through a
-counter-based generator, and only integer success counts are reduced.
-Results are therefore identical whether batches run sequentially or in
-parallel, and independent of batch scheduling.  They run one after
-another on the calling thread: a second thread drew the two batches of
-a 2^17-draw call in about 0.55 of the time on two idle vCPUs, but only
-when the second vCPU was free, so the time of a call followed the load
-of the machine.
+counter-based generator, and only integer success counts are summed.
+The batches run one after another on the calling thread, and a call
+keeps no state between calls, so a spec and its seed fix the count.
 """
 import math
 import numbers

@@ -17,12 +17,8 @@ to first order,
 and on glibc Phi keeps a relative error within 3.5 * 2^-52 for every x
 down to underflow (x near -38.5), most of it erfc's own: up to 3.1
 where 0.84375 <= y < 1.25, and 1.9 elsewhere.  Where erfc(y) is
-subnormal, its half rounds once more.  An array runs the
-same IEEE operations in the same order, with ``math.erfc`` and
-``math.exp`` mapped over it, so a float and an array agree bit for bit,
-and Phi's last bits are those of the C library's erfc.  A float needs
-nothing beyond the standard library; numpy is imported where an array
-is built.
+subnormal, its half rounds once more.  Phi's last bits are those of the
+C library's erfc.
 
 ``std_normal_pdf`` splits |x| at the head xh = k / 1024, k the nearest
 integer to 1024 |x|, whose square is exact, and the tail dl = |x| - xh:
@@ -37,8 +33,16 @@ range (|p - 1/2| > 0.425) one Newton step on Phi follows, with the
 residual taken in the nearer tail so that it keeps relative precision
 down to the smallest normal tail; the result is then within about an
 ulp.  In the central range AS241 alone is within 2.5 * 2^-52 relative,
-and a step would only add the rounding of Phi near 1/2.  It works on
-floats; an array is mapped element by element.
+and a step would only add the rounding of Phi near 1/2.
+
+Each primitive is one float kernel, and an array maps it element by
+element (``_mapped``), so a float and an array give the same bits.
+Only Phi keeps numpy arithmetic, as the solver's scans evaluate it on
+1200-point grids: mapped, its float kernel made the slowest scans about
+three times as long.  Its array kernel runs the float's IEEE operations
+in the same order, with ``math.erfc`` and ``math.exp`` mapped, so it
+too agrees with a float bit for bit.  A float needs nothing beyond the
+standard library; numpy is imported where an array is built.
 
 The input boundary lives here, for ``_methods`` to import: the rules,
 each a function of (name, value) that raises a ValueError naming the
@@ -223,23 +227,20 @@ def std_normal_cdf(x):
     return _cdf_array(x.ravel()).reshape(x.shape)
 
 
-def std_normal_pdf(x):
-    """phi(x), the standard normal density; float and array agree bit
-    for bit."""
-    x = _checked("x", x)
-    if isinstance(x, float):
-        ax = min(abs(x), _X_MAX)
-        xh = round(1024.0 * ax) / 1024.0
-        exp, expm1, ldexp = math.exp, math.expm1, math.ldexp
-    else:
-        import numpy as np
-        ax = np.minimum(np.abs(x), _X_MAX)
-        xh = np.rint(1024.0 * ax) / 1024.0
-        exp, expm1 = _mapped(math.exp), _mapped(math.expm1)
-        ldexp = np.ldexp
+def _pdf_float(x):
+    """phi(x) for a float x that is not NaN."""
+    ax = min(abs(x), _X_MAX)
+    xh = round(1024.0 * ax) / 1024.0
     dl = ax - xh
-    head = _INV_SQRT_2PI_UP * exp(-0.5 * xh * xh)
-    return ldexp(head + head * expm1(-(xh + 0.5 * dl) * dl), -_PDF_SCALE)
+    head = _INV_SQRT_2PI_UP * math.exp(-0.5 * xh * xh)
+    return math.ldexp(head + head * math.expm1(-(xh + 0.5 * dl) * dl),
+                      -_PDF_SCALE)
+
+
+def std_normal_pdf(x):
+    """phi(x), the standard normal density."""
+    x = _checked("x", x)
+    return _pdf_float(x) if isinstance(x, float) else _mapped(_pdf_float)(x)
 
 
 def _quantile_float(p):
@@ -268,33 +269,19 @@ def std_normal_quantile(p):
     p = _checked("p", p, _probability)
     if isinstance(p, float):
         return _quantile_float(p)
-    import numpy as np
-    return np.array([_quantile_float(v) for v in p.ravel().tolist()],
-                    dtype=float).reshape(p.shape)
+    return _mapped(_quantile_float)(p)
 
 
 def fisher_z(r):
-    """Fisher z-transform atanh(r) of a correlation, |r| < 1.
-
-    A float takes ``math.atanh``, an array numpy's ``arctanh``: the two
-    differ by at most 2 ulps.  Mapping the float kernel over an array
-    would make a 1e5-point call about 12 times slower.
-    """
+    """Fisher z-transform atanh(r) of a correlation, |r| < 1."""
     r = _checked("r", r, _correlation)
-    if isinstance(r, float):
-        return math.atanh(r)
-    import numpy as np
-    return np.arctanh(r)
+    return math.atanh(r) if isinstance(r, float) else _mapped(math.atanh)(r)
 
 
 def fisher_z_inv(z):
-    """Back-transform tanh(z) from the Fisher scale to a correlation:
-    ``math.tanh`` or numpy's, at most 2 ulps apart, as in ``fisher_z``."""
+    """Back-transform tanh(z) from the Fisher scale to a correlation."""
     z = _checked("z", z)
-    if isinstance(z, float):
-        return math.tanh(z)
-    import numpy as np
-    return np.tanh(z)
+    return math.tanh(z) if isinstance(z, float) else _mapped(math.tanh)(z)
 
 
 def _z_of_p(p):
@@ -327,11 +314,7 @@ def p_to_z(p, direction=1):
     d = _float_or_array("direction", direction)
     _within("direction", abs(d), 1.0, math.nextafter(1.0, 2.0), True,
             "be +1 or -1")
-    if isinstance(p, float):
-        return d * _z_of_p(p)
-    import numpy as np
-    return d * np.array([_z_of_p(v) for v in p.ravel().tolist()],
-                        dtype=float).reshape(p.shape)
+    return d * (_z_of_p(p) if isinstance(p, float) else _mapped(_z_of_p)(p))
 
 
 def z_to_p(z):

@@ -368,7 +368,7 @@ def _scan(fn, finish, r, entry, zd, s, level, start, stop):
     return (*map(float, cell), "scan")
 
 
-def _numeric_supremum(curve, grid, vals, level=math.inf):
+def _numeric_supremum(curve, grid, vals, level):
     """Largest value of ``curve`` from a log grid and its values, and
     the first cell (a, b, f(a), f(b)) where f reaches ``level``, or
     None; till one does, zooms on the largest value (NaN aside) with a

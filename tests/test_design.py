@@ -264,7 +264,7 @@ def test_numeric_search_steps_over_nan():
     def curve(u):
         return np.where(u < 1e-2, np.nan, -(np.log(u) - 0.05) ** 2)
     grid = np.geomspace(1e-3, 1e3, 61)
-    best, cell = solver._numeric_supremum(curve, grid, curve(grid))
+    best, cell = solver._numeric_supremum(curve, grid, curve(grid), np.inf)
     assert cell is None and best == pytest.approx(0.0, abs=1e-11)
     a, b, fa, fb = solver._numeric_supremum(curve, grid, curve(grid),
                                             -1.0)[1]

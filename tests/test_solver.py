@@ -1,4 +1,5 @@
 """Sample-size inversion and futility rules."""
+import math
 import sys
 import warnings
 
@@ -8,7 +9,8 @@ import pytest
 from repower import (DesignConfig, FixedDesign, FutilityRule,
                      InfeasibleTarget, InterimState, SolveRequest, _methods,
                      design_power, fbp_minimum, futility_decision,
-                     interim_power, p_to_z, solve_c, std_normal_cdf)
+                     interim_power, p_to_z, solve_c, solver,
+                     std_normal_cdf)
 
 CFG = DesignConfig(alpha=0.05)
 
@@ -205,11 +207,31 @@ def test_inverse_meets_its_target_past_phi_rounding():
                  config=DesignConfig(alpha=0.1)),
 ])
 def test_the_refined_answer_walks_on_to_the_target(request_):
-    # Phi of the refined crossing falls short of the target: the solver
-    # walks on by 1, 2, 4, ... ulps of c, 3 steps for PP and 5 for PPi
+    # requests whose refined crossing once fell short of the target
     res = solve_c(request_)
     assert res.path == "inverse" and res.evaluations <= 25
     assert res.power >= request_.target_power
+
+
+def test_the_ulp_walk_after_the_refine_meets_the_target(monkeypatch):
+    # Phi steps down at the ulp scale, so the refined value can reach
+    # the level while Phi of it falls short of the target: the solver
+    # walks on by 1, 2, 4, ... ulps of c, here one step
+    refined, refine = [], solver._refine
+
+    def recorded(*args):
+        refined.append(refine(*args))
+        return refined[-1]
+    monkeypatch.setattr(solver, "_refine", recorded)
+    target = 0.1708387596538459
+    res = solve_c(SolveRequest("CP", target, zo=5.69719949552406,
+                               config=DesignConfig(alpha=0.01)))
+    [(u, value)] = refined
+    assert std_normal_cdf(value) < target
+    assert res.c.hex() == (0.08135226471616125).hex() == \
+        math.nextafter(u, math.inf).hex()
+    assert res.power.hex() == (0.17083875965384596).hex()
+    assert res.path == "inverse" and res.evaluations == 5
 
 
 def test_answers_near_the_floor_carry_every_digit():
