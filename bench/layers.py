@@ -15,9 +15,11 @@ closed forms (``design_power``, ``interim_power``), three results with
 their suprema (``cp``, ``ippi``, and ``cpi`` with both tails at a zero
 original), ``solve_c`` on each of its paths, ``simulate_power`` (PP
 at 1e5 draws, two batches; both-tail FBP at 2^17, perfbench verify's
-costliest kind; CP at 1e6, sixteen batches), the case-study loader,
-its two reports and the full replay that perfbench's monitor workload
-runs.
+costliest kind; CP at 1e6, sixteen batches; one-tail PP at 2^17,
+verify's median kind; and PP at 2^14 as a first call, which also
+builds the simulator's table of ndtri at its bins' edges), the
+case-study loader, its two reports and the full replay that
+perfbench's monitor workload runs.
 The solver rows are: the one-tail inverse path (CP); the both-tail
 fixed-design cell, one row per method, on planning questions like
 perfbench's plan workload (a target just under the power at a size
@@ -109,6 +111,7 @@ def _calibration():
 def _rows():
     """(name, callable, calls per invocation) of every timed row."""
     import repower
+    from repower import mc
     from repower import (DesignConfig, FixedDesign, FutilityRule,
                          InterimState, SimSpec, SolveRequest, cp, cpi,
                          design_power, fisher_z, fisher_z_inv,
@@ -214,7 +217,10 @@ def _rows():
             "FBP both tails 2^17": SimSpec("FBP", 1.7, zo=-2.2,
                                            n_sims=1 << 17, seed=5,
                                            config=both),
-            "CP 1e6": SimSpec("CP", 1.3, zo=2.2, n_sims=1_000_000, seed=3)}
+            "CP 1e6": SimSpec("CP", 1.3, zo=2.2, n_sims=1_000_000, seed=3),
+            "PP one tail 2^17": SimSpec("PP", 1.3, zo=2.2, n_sims=1 << 17,
+                                        seed=7)}
+    first = SimSpec("PP", 1.3, zo=2.2, n_sims=1 << 14, seed=7)
     records = load_csv()
     rules = (FutilityRule("IPPi", 0.2), FutilityRule("PPi", 0.2))
 
@@ -269,6 +275,9 @@ def _rows():
           for name, reqs in solves.items()),
         *((f"simulate_power {name}", lambda s=sim: simulate_power(s), 1)
           for name, sim in sims.items()),
+        # a tree without the table clears a list of its own
+        ("simulate_power first call PP 2^14", lambda: (
+            getattr(mc, "_EDGES", []).clear(), simulate_power(first)), 1),
         ("load_csv", load_csv, 1),
         ("reproduce_interim_powers",
          lambda: reproduce_interim_powers(records), 1),

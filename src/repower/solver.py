@@ -25,13 +25,14 @@ inverse and supremum rules are called directly: an interim request has
 s > 0 or a fixed f, so no interim method stands in for its design
 counterpart there, as CPi does for CP in ``design._result``.
 """
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
 
 from . import _methods, design
 from .design import DEFAULT_CONFIG
-from .normal import std_normal_cdf, std_normal_quantile
+from .normal import _mapped, std_normal_cdf, std_normal_quantile
 
 C_CAP = 1e9
 _C_MIN = 1e-9
@@ -339,8 +340,11 @@ def _scan(fn, finish, r, entry, zd, s, level, start, stop):
     f(start)) where the curve never drops below level."""
     import numpy as np
     target = r.target_power
-    grid = (np.geomspace(start, stop, 1200) if start < stop
-            else np.array([start]))
+    grid = np.array([start])
+    if start < stop:    # geomspace's grid, its powers from libm
+        grid = _mapped(functools.partial(math.pow, 10.0))(np.linspace(
+            math.log10(start), math.log10(stop), 1200))
+        grid[0], grid[-1] = start, stop
     vals = np.asarray(fn(grid), dtype=float)
     # a curve that meets the target at the lower bound has its smallest
     # exact crossing, if any, where it first drops below
@@ -383,11 +387,11 @@ def _numeric_supremum(curve, grid, vals, level):
             j = max(int((vals >= level).argmax()), 1)
             return best, (grid[j - 1], grid[j], vals[j - 1], vals[j])
         best = max(best, float(vals[i]))
-        t = np.log(grid) if t is None else t
+        t = _mapped(math.log)(grid) if t is None else t
         if t.size < 2 or not t[1] - t[0] >= 1e-6:
             return best, None
         t = np.linspace(t[max(i - 1, 0)], t[min(i + 1, len(t) - 1)], 33)
-        grid = np.exp(t)
+        grid = _mapped(math.exp)(t)
         vals = curve(grid)
 
 

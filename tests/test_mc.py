@@ -1,13 +1,22 @@
 """Simulation oracle: determinism, scale invariance, closed-form match,
-the same counts from concurrent callers."""
+the same counts from concurrent callers, and the same counts when every
+draw's normals are computed.  Hypothesis runs derandomized, so every run
+draws the same cases."""
+import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repower import (DesignConfig, SimSpec, closed_form, derive,
-                     design_power, interim_power, p_to_z, simulate_power,
+from repower import (METHODS_FIXED, METHODS_INTERIM, DesignConfig, SimSpec,
+                     _methods, closed_form, derive, design_power,
+                     interim_power, mc, p_to_z, simulate_power,
                      std_normal_cdf)
 
 CFG = DesignConfig(alpha=0.05)
@@ -192,3 +201,96 @@ def test_pinned_counts_from_four_caller_threads_at_once():
     with ThreadPoolExecutor(4) as pool:
         runs = list(pool.map(counts, (0, 5, 10, 15)))
     assert runs == [[n for _, n in PINNED]] * 4
+
+
+def _normals_per_draw(spec):
+    return 1 if _methods.METHODS[spec.method].priors[0] == "point" else 2
+
+
+def _redone(spec, monkeypatch):
+    """The spec's count, and how many draws ndtri turned into normals."""
+    simulate_power(PINNED[0][0])        # the bins' edges are built
+    real, seen = scipy.special.ndtri, []
+
+    def ndtri(z, out=None):
+        seen.append(z.size)
+        return real(z, out=out)
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.special, "ndtri", ndtri)
+        count = simulate_power(spec).n_success
+    return count, sum(seen)
+
+
+@pytest.mark.parametrize("spec, n_success", PINNED)
+def test_pinned_counts_when_every_draw_takes_the_exact_path(
+        spec, n_success, monkeypatch):
+    # an infinite margin leaves no draw to its bin's bounds
+    monkeypatch.setattr(mc, "_MARGIN", math.inf)
+    count, normals = _redone(spec, monkeypatch)
+    assert count == n_success
+    assert normals == _normals_per_draw(spec) * spec.n_sims
+
+
+@pytest.mark.parametrize("spec, n_success", PINNED)
+def test_the_bins_judge_nearly_every_draw(spec, n_success, monkeypatch):
+    count, normals = _redone(spec, monkeypatch)
+    assert count == n_success
+    assert normals <= _normals_per_draw(spec) * spec.n_sims / 200
+
+
+def _count(spec):
+    try:
+        return simulate_power(spec).n_success
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+# most draws at sizes and z-statistics whose power lies inside (0, 1),
+# the others across every size and z-statistic SimSpec accepts
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(method=st.sampled_from(METHODS_FIXED + METHODS_INTERIM),
+       c=st.floats(0.05, 20.0) | st.floats(0.05, 20.0)
+       | st.floats(sys.float_info.min, sys.float_info.max),
+       n_o=st.floats(1e-3, 1e6) | st.floats(5e-324, sys.float_info.max),
+       zo=st.floats(-4.0, 4.0) | st.floats(-4.0, 4.0) | st.floats(-37.0, 37.0),
+       zi=st.floats(-4.0, 4.0) | st.floats(-4.0, 4.0) | st.floats(-37.0, 37.0),
+       f=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       config=st.builds(DesignConfig, alpha=st.floats(1e-6, 0.5),
+                        shrinkage=st.floats(0.0, 0.9),
+                        both_tails=st.booleans()),
+       n_sims=st.integers(1000, 70_000), seed=st.integers(0, 2 ** 32))
+# past the floats, where the margin overflows and every draw is redone
+@example(method="PP", c=1.2630262171327347e+294, n_o=1.2978247936735604e+23,
+         zo=7.0, zi=0.0, f=0.5, config=DesignConfig(alpha=0.008),
+         n_sims=3000, seed=841)
+def test_the_bins_judge_as_the_exact_path(method, c, n_o, zo, zi, f,
+                                          config, n_sims, seed):
+    entry = _methods.METHODS[method]
+    try:
+        spec = SimSpec(method, c, zo=zo if "zo" in entry.needs else None,
+                       zi=zi if entry.interim else None,
+                       f=f if entry.interim else None, n_sims=n_sims,
+                       seed=seed, n_o=n_o, config=config)
+    except ValueError:
+        return
+    # sizes past the floats' range make numpy warn on the exact path too
+    with np.errstate(all="ignore"):
+        filtered = _count(spec)
+        with mock.patch.object(mc, "_MARGIN", math.inf):
+            assert _count(spec) == filtered
+
+
+def test_a_statistic_past_the_floats_is_redone():
+    # c * n_o overflows, so the margin does too: every draw takes the
+    # exact path, which overflows to a success without a numpy warning
+    spec = SimSpec(method="PP", c=1.2630262171327347e+294,
+                   n_o=1.2978247936735604e+23, zo=7.000962019735923,
+                   n_sims=3000, seed=841,
+                   config=DesignConfig(alpha=0.008174561034346984,
+                                       shrinkage=0.5))
+    assert simulate_power(spec).n_success == 3000
+    # c * n_o underflows to 0: the noise's scale is 0, the exact path
+    # divides by it (as numpy warns) and every statistic is NaN
+    spec = SimSpec(method="CP", c=1e-300, zo=2.0, n_o=1e-300, n_sims=1000)
+    with np.errstate(all="ignore"):
+        assert simulate_power(spec).n_success == 0
